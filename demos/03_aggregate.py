@@ -55,7 +55,7 @@ print(f"best single entry {best_entry} with MSE {single[best_entry]:.2e}")
 # Temperature limits: tiny beta concentrates on the best-fitting model
 # (several grid entries can share one model, hence exactly tied residuals),
 # huge beta averages uniformly.
-residuals = np.array([((obs.H_prime - induced_mean(f)) ** 2).sum() for f in fits])
+residuals = result.residuals
 w_cold = ewa_weights(residuals, 1e-8)
 print("\nbeta -> 0 weight on the best residual:",
       round(float(w_cold[residuals == residuals.min()].sum()), 6))

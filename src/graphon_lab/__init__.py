@@ -53,10 +53,11 @@ from .aggregation import (
     default_grid,
     ewa_aggregate,
     ewa_weights,
+    mixture,
+    sq_residuals,
     temperature,
 )
 from .evaluation import (
-    MetricReport,
     delta_tilde,
     lift_to_graphon,
     mse_theta,

@@ -15,11 +15,18 @@ many orders of magnitude remain well normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlockModel, NoiseModel
+from .core import (
+    BlockModel,
+    DimensionMismatch,
+    NoiseModel,
+    block_inner,
+    induced_mean,
+    induced_sq_norm,
+)
 
 __all__ = [
     "HyperGrid",
@@ -28,7 +35,13 @@ __all__ = [
     "temperature",
     "ewa_aggregate",
     "ewa_weights",
+    "mixture",
+    "sq_residuals",
 ]
+
+# Mixture terms with a weight at or below this are skipped: adding them
+# changes no entry by more than double-precision rounding.
+WEIGHT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,12 @@ def temperature(noise: NoiseModel) -> float:
 
 @dataclass(frozen=True)
 class EwaResult:
-    """Aggregation outcome: weights, the mixed matrix, and bookkeeping."""
+    """Aggregation outcome: weights, the mixed matrix, and the residuals."""
 
     weights: np.ndarray
     aggregate: np.ndarray
     beta: float
-    per_entry_fits: Sequence
+    residuals: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -143,35 +156,76 @@ class EwaResult:
             raise ValueError("weights must form a probability vector")
 
 
+def _check_shape(model: BlockModel, shape: Tuple[int, ...]) -> None:
+    if shape != (model.n, model.m):
+        raise DimensionMismatch(
+            f"matrix has shape {shape}, expected ({model.n}, {model.m})"
+        )
+
+
+def sq_residuals(models: Sequence[BlockModel], M: np.ndarray) -> np.ndarray:
+    """``||M - induced_mean(model)||_F^2`` for each model, from block sums.
+
+    Uses ``||M||^2 - 2 <M, Theta> + ||Theta||^2``, so no candidate's
+    ``n x m`` mean is materialized.  A model object listed more than once
+    (grid entries that share one fit) is evaluated once.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    M_sq = float(np.einsum("ij,ij->", M, M))
+    seen: Dict[int, float] = {}
+    out = np.empty(len(models))
+    for i, model in enumerate(models):
+        if id(model) not in seen:
+            _check_shape(model, M.shape)
+            seen[id(model)] = (
+                M_sq - 2.0 * block_inner(M, model) + induced_sq_norm(model)
+            )
+        out[i] = seen[id(model)]
+    return out
+
+
 def ewa_weights(sq_residuals: np.ndarray, beta: float) -> np.ndarray:
     """Normalized weights ``exp(-r_l / beta)`` via a log-sum-exp shift."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     r = np.asarray(sq_residuals, dtype=np.float64)
     if r.size == 0:
         raise ValueError("need at least one candidate")
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
     logw = -r / beta
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
 
 
-def _materialize(fit) -> np.ndarray:
-    if isinstance(fit, BlockModel):
-        return fit.induced_mean()
-    return np.asarray(fit, dtype=np.float64)
+def mixture(models: Sequence[BlockModel], weights: np.ndarray) -> np.ndarray:
+    """The convex combination ``sum_l w_l * induced_mean(model_l)``.
+
+    Terms with weight at most ``WEIGHT_FLOOR`` are skipped.
+    """
+    if len(models) == 0 or len(models) != len(weights):
+        raise ValueError("need one weight per model, and at least one model")
+    out = np.zeros((models[0].n, models[0].m))
+    for w, model in zip(weights, models):
+        _check_shape(model, out.shape)
+        if w > WEIGHT_FLOOR:
+            out += w * induced_mean(model)
+    return out
 
 
-def ewa_aggregate(fits: Sequence, H_prime: np.ndarray, beta: float) -> EwaResult:
-    """Exponentially weighted aggregate of candidate mean matrices.
+def ewa_aggregate(
+    fits: Sequence[BlockModel], H_prime: np.ndarray, beta: float
+) -> EwaResult:
+    """Exponentially weighted aggregate of candidate block models.
 
     Parameters
     ----------
-    fits : sequence
-        Candidate estimates; each entry is an ``n x m`` array or a
-        :class:`BlockModel` (materialized on the fly).  The candidates
-        must have been computed independently of ``H_prime`` - that
-        contract is the caller's.
+    fits : sequence of BlockModel
+        Candidate estimates, each with the shape of ``H_prime``.  A dense
+        ``n x m`` candidate is the block model with identity labels and
+        ``K = n``, ``L = m``.  The candidates must have been computed
+        independently of ``H_prime`` - that contract is the caller's.
     H_prime : np.ndarray
         The held-out copy of the data used for the weights.
     beta : float
@@ -180,18 +234,22 @@ def ewa_aggregate(fits: Sequence, H_prime: np.ndarray, beta: float) -> EwaResult
     Returns
     -------
     EwaResult
-        Weights, the entrywise convex combination, and the fit references.
+        Weights, the entrywise convex combination, and each candidate's
+        squared residual against ``H_prime``.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a candidate's shape differs from ``H_prime``'s.
+    ValueError
+        If ``fits`` is empty, ``beta`` is not positive or a residual is
+        not finite.
     """
-    if len(fits) == 0:
-        raise ValueError("need at least one fit to aggregate")
-    H_prime = np.asarray(H_prime, dtype=np.float64)
-    residuals = np.empty(len(fits))
-    for i, fit in enumerate(fits):
-        diff = H_prime - _materialize(fit)
-        residuals[i] = np.einsum("ij,ij->", diff, diff)
-    w = ewa_weights(residuals, beta)
-    aggregate = np.zeros_like(H_prime)
-    for wi, fit in zip(w, fits):
-        if wi > 0.0:
-            aggregate += wi * _materialize(fit)
-    return EwaResult(weights=w, aggregate=aggregate, beta=beta, per_entry_fits=list(fits))
+    residuals = sq_residuals(fits, H_prime)
+    weights = ewa_weights(residuals, beta)
+    return EwaResult(
+        weights=weights,
+        aggregate=mixture(fits, weights),
+        beta=beta,
+        residuals=residuals,
+    )

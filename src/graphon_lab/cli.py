@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import HyperGrid, default_grid, ewa_weights, temperature
+from .aggregation import HyperGrid, default_grid, ewa_aggregate, temperature
 from .core import NoiseModel, induced_mean
 from .estimation import FitConfig, lloyd_fit
 from .evaluation import delta_tilde, mse_theta, oracle_fit, rate_bound
@@ -114,44 +114,33 @@ def _cmd_fit(args) -> int:
 def _cmd_ewa(args) -> int:
     H = load_matrix(args.input)
     H_prime = load_matrix(args.input_prime)
-    n, m = H.shape
     if args.grid == "default":
-        grid = default_grid(n, m)
+        grid = default_grid(*H.shape)
     else:
         grid = HyperGrid(tuple(tuple(e) for e in load_json(args.grid)["entries"]))
-    grid.validate_for(n, m)
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")
         beta = temperature(_noise_from_args(args))
     else:
         beta = float(args.beta)
-        if beta <= 0:
+        if not beta > 0:
             raise ValueError("beta must be positive")
     reports = fit_grid(H, grid, seed=args.seed)
-    entries = list(grid)
-    residuals = np.empty(len(entries))
-    for i, entry in enumerate(entries):
-        diff = H_prime - induced_mean(reports[entry].model)
-        residuals[i] = np.einsum("ij,ij->", diff, diff)
-    weights = ewa_weights(residuals, beta)
-    aggregate = np.zeros((n, m))
-    for w, entry in zip(weights, entries):
-        if w > 1e-15:
-            aggregate += w * induced_mean(reports[entry].model)
+    result = ewa_aggregate([reports[e].model for e in grid], H_prime, beta)
     out = Path(args.output)
     agg_path = out.with_name(out.stem + "_aggregate.csv")
-    save_matrix(agg_path, aggregate)
+    save_matrix(agg_path, result.aggregate)
     dump_json(
         out,
         {
             "beta": beta,
-            "grid": [list(e) for e in entries],
-            "weights": weights,
+            "grid": [list(e) for e in grid],
+            "weights": result.weights,
             "aggregate_path": str(agg_path),
         },
     )
-    print(f"aggregated {len(entries)} fits (beta={beta:.6g}) -> {out}")
+    print(f"aggregated {len(grid)} fits (beta={beta:.6g}) -> {out}")
     return 0
 
 

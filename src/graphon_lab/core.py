@@ -103,11 +103,6 @@ class AssignmentMatrix:
         Z[np.arange(self.n), self.labels] = 1.0
         return Z
 
-    def relabeled(self, perm: np.ndarray) -> "AssignmentMatrix":
-        """Apply a cluster permutation: new label of item i is perm[old]."""
-        perm = np.asarray(perm, dtype=np.int64)
-        return AssignmentMatrix(self.n, self.K, perm[self.labels])
-
 
 @dataclass(frozen=True)
 class BlockModel:
@@ -149,9 +144,6 @@ class BlockModel:
     @property
     def L(self) -> int:
         return self.z_cols.K
-
-    def induced_mean(self) -> np.ndarray:
-        return induced_mean(self)
 
 
 def induced_mean(model: BlockModel) -> np.ndarray:

@@ -11,8 +11,7 @@ reference in the experiments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .core import AssignmentMatrix, BlockModel, Graphon, NoiseModel
 from .estimation import q_step
 
 __all__ = [
-    "MetricReport",
     "mse_theta",
     "lift_to_graphon",
     "pc_l2_sq_distance",
@@ -32,24 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_DELTA_GRID = 1000
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-run error summary; entries are nonnegative and finite."""
-
-    mse_theta: float
-    delta_tilde_sq: Optional[float] = None
-    oracle_mse: Optional[float] = None
-    rate_bound: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("mse_theta", "delta_tilde_sq", "oracle_mse", "rate_bound"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def mse_theta(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:

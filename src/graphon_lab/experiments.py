@@ -19,15 +19,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .aggregation import HyperGrid, default_grid, ewa_weights, temperature
-from .core import (
-    BlockModel,
-    Graphon,
-    NoiseModel,
-    block_inner,
-    induced_sq_norm,
-    induced_mean,
+from .aggregation import (
+    HyperGrid,
+    default_grid,
+    ewa_weights,
+    mixture,
+    sq_residuals,
+    temperature,
 )
+from .core import AssignmentMatrix, Graphon, NoiseModel, induced_mean
 from .estimation import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL_GAMMA,
@@ -241,8 +241,8 @@ def _run_cell(payload: dict) -> List[dict]:
     oracle_mse = None
     if graphon.family == "piecewise_constant":
         r_true, c_true = true_assignments(graphon, *obs.latents)
-        z_rows = _assignment(n, graphon.K, r_true)
-        z_cols = _assignment(m, graphon.L, c_true)
+        z_rows = AssignmentMatrix(n, graphon.K, r_true)
+        z_cols = AssignmentMatrix(m, graphon.L, c_true)
         oracle = oracle_fit(obs.H, z_rows, z_cols)
         oracle_mse = mse_theta(induced_mean(oracle), obs.theta_star)
 
@@ -292,12 +292,6 @@ def _run_cell(payload: dict) -> List[dict]:
             }
         )
     return records
-
-
-def _assignment(n: int, K: int, labels: np.ndarray):
-    from .core import AssignmentMatrix
-
-    return AssignmentMatrix(n, K, labels)
 
 
 def _summarize(records: List[dict], inits: Sequence[str]) -> List[dict]:
@@ -550,11 +544,6 @@ def fit_grid(
     return out
 
 
-def _block_sq_residual(M_sq: float, M: np.ndarray, model: BlockModel) -> float:
-    """``||M - induced||_F^2`` from block sums, without materializing."""
-    return M_sq - 2.0 * block_inner(M, model) + induced_sq_norm(model)
-
-
 def run_ewa_experiment(
     n: int,
     m: int,
@@ -565,15 +554,12 @@ def run_ewa_experiment(
     beta: Optional[float] = None,
     grid: Optional[HyperGrid] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    weight_floor: float = 1e-15,
 ) -> dict:
     """Aggregate grid fits over independent repetitions.
 
     Per repetition: draw (H, H'), fit every grid entry on H, weight the
     fits by their squared residual against H', and compare the mixture's
-    error with the best single fit's error.  Mixture terms with weight
-    below ``weight_floor`` are skipped when accumulating the aggregate
-    matrix (a sub-double-precision truncation).
+    error with the best single fit's error.
     """
     grid = grid if grid is not None else default_grid(n, m)
     beta = beta if beta is not None else temperature(noise)
@@ -584,26 +570,11 @@ def run_ewa_experiment(
             SynthConfig(n, m, graphon, noise, seed=rep_seed, with_second_copy=True)
         )
         reports = fit_grid(obs.H, grid, seed=rep_seed, max_iters=max_iters)
-        hp_sq = float(np.einsum("ij,ij->", obs.H_prime, obs.H_prime))
-        ts_sq = float(np.einsum("ij,ij->", obs.theta_star, obs.theta_star))
-        entries = list(grid)
-        stats: Dict[int, Tuple[float, float]] = {}
-        residuals = np.empty(len(entries))
-        mses = np.empty(len(entries))
-        for i, entry in enumerate(entries):
-            rep_fit = reports[entry]
-            key = id(rep_fit)
-            if key not in stats:
-                model = rep_fit.model
-                res = _block_sq_residual(hp_sq, obs.H_prime, model)
-                mse = _block_sq_residual(ts_sq, obs.theta_star, model) / (n * m)
-                stats[key] = (res, mse)
-            residuals[i], mses[i] = stats[key]
+        models = [reports[entry].model for entry in grid]
+        residuals = sq_residuals(models, obs.H_prime)
+        mses = sq_residuals(models, obs.theta_star) / (n * m)
         weights = ewa_weights(residuals, beta)
-        aggregate = np.zeros((n, m))
-        for w, entry in zip(weights, entries):
-            if w > weight_floor:
-                aggregate += w * induced_mean(reports[entry].model)
+        aggregate = mixture(models, weights)
         records.append(
             {
                 "rep": rep,

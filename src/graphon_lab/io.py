@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel, NoiseModel
+from .core import AssignmentMatrix, BlockModel
 from .estimation import FitReport
 
 __all__ = [
@@ -121,11 +121,3 @@ def report_to_dict(report: FitReport) -> dict:
         }
     )
     return d
-
-
-def noise_to_dict(noise: NoiseModel) -> dict:
-    return noise.to_dict()
-
-
-def noise_from_dict(d: dict) -> NoiseModel:
-    return NoiseModel.from_dict(d)

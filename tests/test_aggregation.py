@@ -10,9 +10,17 @@ from graphon_lab.aggregation import (
     default_grid,
     ewa_aggregate,
     ewa_weights,
+    mixture,
+    sq_residuals,
     temperature,
 )
-from graphon_lab.core import NoiseModel
+from graphon_lab.core import (
+    AssignmentMatrix,
+    BlockModel,
+    DimensionMismatch,
+    NoiseModel,
+    induced_mean,
+)
 
 
 class TestDefaultGrid:
@@ -109,12 +117,51 @@ def test_weights_shift_invariant(residuals, beta, shift):
     assert abs(w1.sum() - 1.0) <= 1e-12
 
 
+def _dense(M):
+    """An n x m matrix as the block model with identity labels, K = n, L = m."""
+    n, m = M.shape
+    return BlockModel(
+        M, AssignmentMatrix(n, n, np.arange(n)), AssignmentMatrix(m, m, np.arange(m))
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_residual_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ewa_weights(np.array([1.0, bad]), beta=1.0)
+
+
+def test_sq_residuals_match_materialized():
+    rng = np.random.default_rng(3)
+    n, m = 9, 7
+    M = rng.random((n, m))
+    models = []
+    for K, L in ((2, 3), (4, 2), (9, 7)):
+        models.append(
+            BlockModel(
+                rng.random((K, L)),
+                AssignmentMatrix(n, K, np.arange(n) % K),
+                AssignmentMatrix(m, L, np.arange(m) % L),
+            )
+        )
+    models.append(models[1])  # grid entries may share one fit
+    expected = [((M - induced_mean(model)) ** 2).sum() for model in models]
+    assert sq_residuals(models, M) == pytest.approx(expected, rel=1e-12)
+
+
+def test_mixture_rejects_mixed_shapes():
+    # a 1 x 4 model would broadcast into the 3 x 4 sum
+    models = [_dense(np.zeros((3, 4))), _dense(np.ones((1, 4)))]
+    with pytest.raises(DimensionMismatch):
+        mixture(models, np.array([0.5, 0.5]))
+
+
 class TestEwaAggregate:
     def test_aggregate_is_convex_combination(self):
         rng = np.random.default_rng(0)
         fits = [rng.random((6, 5)) for _ in range(4)]
         H_prime = rng.random((6, 5))
-        result = ewa_aggregate(fits, H_prime, beta=0.5)
+        result = ewa_aggregate([_dense(f) for f in fits], H_prime, beta=0.5)
         stack = np.stack(fits)
         assert (result.aggregate >= stack.min(axis=0) - 1e-12).all()
         assert (result.aggregate <= stack.max(axis=0) + 1e-12).all()
@@ -124,20 +171,27 @@ class TestEwaAggregate:
     def test_single_fit_passthrough(self):
         rng = np.random.default_rng(1)
         fit = rng.random((3, 4))
-        result = ewa_aggregate([fit], rng.random((3, 4)), beta=1.0)
+        result = ewa_aggregate([_dense(fit)], rng.random((3, 4)), beta=1.0)
         assert result.weights == pytest.approx([1.0])
         assert np.array_equal(result.aggregate, fit)
 
     def test_symmetric_fits_split_weight(self):
         H_prime = np.zeros((2, 2))
         fits = [np.full((2, 2), 0.3), np.full((2, 2), -0.3)]
-        result = ewa_aggregate(fits, H_prime, beta=1.0)
+        result = ewa_aggregate([_dense(f) for f in fits], H_prime, beta=1.0)
         assert result.weights == pytest.approx([0.5, 0.5])
         assert np.allclose(result.aggregate, 0.0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             ewa_aggregate([], np.zeros((2, 2)), beta=1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (4, 3)])
+    def test_shape_mismatch_rejected(self, shape):
+        # (1, 4) and (3, 1) broadcast against a 3 x 4 fit
+        fits = [_dense(np.full((3, 4), 0.2)), _dense(np.full((3, 4), 0.7))]
+        with pytest.raises(DimensionMismatch):
+            ewa_aggregate(fits, np.zeros(shape), beta=1.0)
 
 
 class TestHyperGrid:

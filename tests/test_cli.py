@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from graphon_lab.aggregation import HyperGrid, ewa_aggregate
 from graphon_lab.cli import main
-from graphon_lab.io import load_json, load_matrix
+from graphon_lab.experiments import fit_grid
+from graphon_lab.io import load_json, load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -102,6 +104,30 @@ def test_ewa_subcommand(synth_dir, tmp_path):
     assert sum(payload["weights"]) == pytest.approx(1.0, abs=1e-12)
     agg = load_matrix(payload["aggregate_path"])
     assert agg.shape == (24, 18)
+    grid = HyperGrid(((2, 2, 0, 0), (3, 3, 0, 0)))
+    reports = fit_grid(load_matrix(synth_dir / "H.csv"), grid, seed=5)
+    expected = ewa_aggregate(
+        [reports[e].model for e in grid],
+        load_matrix(synth_dir / "H_prime.csv"),
+        beta=8 / 3,
+    )
+    assert payload["weights"] == pytest.approx(expected.weights, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 18), (24, 1)])
+def test_ewa_shape_mismatch_exits_two(synth_dir, tmp_path, shape):
+    # both shapes broadcast against the 24 x 18 fits
+    bad = tmp_path / "H_prime_bad.csv"
+    save_matrix(bad, load_matrix(synth_dir / "H_prime.csv")[: shape[0], : shape[1]])
+    rc = main(
+        [
+            "ewa", "--grid", "default", "--beta", "1.0",
+            "--input", str(synth_dir / "H.csv"),
+            "--input-prime", str(bad),
+            "--output", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 2
 
 
 def test_experiment_subcommand(tmp_path):

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from graphon_lab.aggregation import HyperGrid, default_grid
+from graphon_lab.aggregation import HyperGrid, default_grid, ewa_aggregate
 from graphon_lab.core import NoiseModel
 from graphon_lab.estimation import FitConfig, lloyd_fit
 from graphon_lab.evaluation import mse_theta
 from graphon_lab.experiments import (
     ExperimentSpec,
+    cell_seed,
     emit_outputs,
     fit_grid,
     hoelder_KL_rule,
     load_records_csv,
+    run_ewa_experiment,
     run_experiment,
 )
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
@@ -152,8 +154,6 @@ class TestRunExperiment:
 
 
 def _graphon_seed(spec):
-    from graphon_lab.experiments import cell_seed
-
     return cell_seed(spec.seed, 99)
 
 
@@ -212,3 +212,22 @@ class TestFitGrid:
         # entries reuse the shared unconstrained trajectory
         if a.traj_min_sizes[0] >= 5 and a.traj_min_sizes[1] >= 5:
             assert a is b
+
+
+def test_ewa_experiment_matches_ewa_aggregate():
+    n, m, seed, beta = 40, 30, 7, 8.0 / 3.0
+    graphon = make_standard_graphon("cos", K=2, L=2, rho=0.6)
+    noise = NoiseModel.bernoulli()
+    grid = HyperGrid(((2, 2, 0, 0), (2, 2, 10, 10), (3, 2, 5, 5), (4, 3, 0, 0)))
+    out = run_ewa_experiment(n, m, graphon, noise, reps=1, seed=seed, beta=beta, grid=grid)
+    # replay the repetition's draw and grid fits
+    rep_seed = cell_seed(seed, 3, 0)
+    obs = synthesize(
+        SynthConfig(n, m, graphon, noise, seed=rep_seed, with_second_copy=True)
+    )
+    reports = fit_grid(obs.H, grid, seed=rep_seed)
+    result = ewa_aggregate([reports[e].model for e in grid], obs.H_prime, beta)
+    record = out["records"][0]
+    assert record["ewa_mse"] == mse_theta(result.aggregate, obs.theta_star)
+    best = int(np.argmin(result.residuals))
+    assert record["argmin_weight"] == result.weights[best]
