@@ -41,11 +41,8 @@ from .estimation import (
     kmeans,
     lloyd_fit,
     q_step,
+    spectral_embedding,
     spectral_init,
-    z_step_constrained,
-    z_step_constrained_cols,
-    z_step_unconstrained,
-    z_step_unconstrained_cols,
 )
 from .aggregation import (
     EwaResult,

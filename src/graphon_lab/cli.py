@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import HyperGrid, default_grid, ewa_aggregate, temperature
-from .core import NoiseModel, induced_mean
+from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, induced_mean
 from .estimation import FitConfig, lloyd_fit
 from .evaluation import delta_tilde, mse_theta, oracle_fit, rate_bound
 from .experiments import (
@@ -31,7 +31,6 @@ from .io import (
     save_matrix,
 )
 from .synthesis import SynthConfig, make_standard_graphon, synthesize, true_assignments
-from .core import AssignmentMatrix
 
 __all__ = ["main"]
 
@@ -114,6 +113,10 @@ def _cmd_fit(args) -> int:
 def _cmd_ewa(args) -> int:
     H = load_matrix(args.input)
     H_prime = load_matrix(args.input_prime)
+    if H_prime.shape != H.shape:
+        raise DimensionMismatch(
+            f"H' has shape {H_prime.shape}, expected {H.shape}"
+        )
     if args.grid == "default":
         grid = default_grid(*H.shape)
     else:

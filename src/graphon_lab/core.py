@@ -99,9 +99,7 @@ class AssignmentMatrix:
 
     def onehot(self) -> np.ndarray:
         """The ``n x K`` binary assignment matrix (a dense view)."""
-        Z = np.zeros((self.n, self.K))
-        Z[np.arange(self.n), self.labels] = 1.0
-        return Z
+        return np.eye(self.K)[self.labels]
 
 
 @dataclass(frozen=True)
@@ -165,15 +163,17 @@ def frobenius_cost(H: np.ndarray, model: BlockModel) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def block_sums(M: np.ndarray, model: BlockModel) -> np.ndarray:
-    """``K x L`` sums of ``M`` over the model's blocks."""
-    rows = group_sums(np.asarray(M, dtype=np.float64), model.z_rows.labels, model.K, axis=0)
-    return group_sums(rows, model.z_cols.labels, model.L, axis=1)
+def block_sums(
+    M: np.ndarray, z_rows: AssignmentMatrix, z_cols: AssignmentMatrix
+) -> np.ndarray:
+    """``K x L`` sums of ``M`` over the blocks of a row and a column assignment."""
+    rows = group_sums(M, z_rows.labels, z_rows.K, axis=0)
+    return group_sums(rows, z_cols.labels, z_cols.K, axis=1)
 
 
 def block_inner(M: np.ndarray, model: BlockModel) -> float:
     """Inner product of ``M`` with the induced mean, without materializing it."""
-    return float((model.Q * block_sums(M, model)).sum())
+    return float((model.Q * block_sums(M, model.z_rows, model.z_cols)).sum())
 
 
 def induced_sq_norm(model: BlockModel) -> float:
@@ -185,23 +185,13 @@ def induced_sq_norm(model: BlockModel) -> float:
 def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int) -> np.ndarray:
     """Sum the rows (axis=0) or columns (axis=1) of ``H`` by cluster label.
 
-    Returns a ``K x m`` (axis=0) or ``n x K`` (axis=1) matrix; empty
+    With ``Z`` the one-hot matrix of ``labels``, this is ``Z^T H`` (a
+    ``K x m`` matrix) for axis=0 and ``H Z`` (``n x K``) for axis=1; empty
     clusters produce zero rows/columns.
     """
     H = np.asarray(H, dtype=np.float64)
-    if axis == 0:
-        out = np.zeros((K, H.shape[1]))
-        for k in range(K):
-            rows = labels == k
-            if rows.any():
-                out[k] = H[rows].sum(axis=0)
-        return out
-    out = np.zeros((H.shape[0], K))
-    for k in range(K):
-        cols = labels == k
-        if cols.any():
-            out[:, k] = H[:, cols].sum(axis=1)
-    return out
+    Z = np.eye(K)[labels]
+    return Z.T @ H if axis == 0 else H @ Z
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     AssignmentMatrix,
     BlockModel,
     EmptyClusterError,
+    block_sums,
     group_sums,
 )
 from .flow import min_cost_assignment
@@ -30,11 +31,8 @@ __all__ = [
     "FitReport",
     "q_step",
     "assignment_costs",
-    "z_step_unconstrained",
-    "z_step_unconstrained_cols",
-    "z_step_constrained",
-    "z_step_constrained_cols",
     "kmeans",
+    "spectral_embedding",
     "spectral_init",
     "lloyd_fit",
 ]
@@ -64,7 +62,6 @@ def q_step(
     empty cluster are filled with the global mean of ``H`` instead.
     """
     H = np.asarray(H, dtype=np.float64)
-    K, L = z_rows.K, z_cols.K
     row_counts = z_rows.counts()
     col_counts = z_cols.counts()
     if on_empty == "raise":
@@ -72,10 +69,10 @@ def q_step(
             raise EmptyClusterError("row", int(np.argmin(row_counts)))
         if col_counts.min() == 0:
             raise EmptyClusterError("col", int(np.argmin(col_counts)))
-    row_sums = group_sums(H, z_rows.labels, K, axis=0)  # K x m
-    block_sums = group_sums(row_sums, z_cols.labels, L, axis=1)  # K x L
     sizes = np.outer(row_counts, col_counts).astype(np.float64)
-    Q = np.divide(block_sums, sizes, out=np.zeros((K, L)), where=sizes > 0)
+    Q = np.divide(
+        block_sums(H, z_rows, z_cols), sizes, out=np.zeros_like(sizes), where=sizes > 0
+    )
     if on_empty == "fill" and (sizes == 0).any():
         Q[sizes == 0] = H.mean()
     return Q
@@ -92,58 +89,13 @@ def assignment_costs(
     assigning row i to cluster k, so argmin rows of this matrix are the
     exact coordinate update.
     """
-    H = np.asarray(H, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    L = fixed_cols.K
     D = fixed_cols.counts().astype(np.float64)
     if D.min() == 0:
         raise EmptyClusterError("col", int(np.argmin(D)))
-    col_sums = group_sums(H, fixed_cols.labels, L, axis=1)  # n x L
+    col_sums = group_sums(H, fixed_cols.labels, fixed_cols.K, axis=1)  # n x L
     quad = (Q * Q) @ D  # length K
     return -2.0 * col_sums @ Q.T + quad[None, :]
-
-
-def z_step_unconstrained(
-    H: np.ndarray, Q: np.ndarray, fixed_cols: AssignmentMatrix
-) -> AssignmentMatrix:
-    """Reassign every row to its nearest block row; ties to the lowest index."""
-    c = assignment_costs(H, Q, fixed_cols)
-    labels = np.argmin(c, axis=1)
-    return AssignmentMatrix(c.shape[0], Q.shape[0], labels)
-
-
-def z_step_unconstrained_cols(
-    H: np.ndarray, Q: np.ndarray, fixed_rows: AssignmentMatrix
-) -> AssignmentMatrix:
-    """Column counterpart of :func:`z_step_unconstrained`."""
-    return z_step_unconstrained(np.asarray(H).T, np.asarray(Q).T, fixed_rows)
-
-
-def z_step_constrained(
-    H: np.ndarray,
-    Q: np.ndarray,
-    fixed_cols: AssignmentMatrix,
-    n0: int,
-) -> AssignmentMatrix:
-    """Row update under the constraint that every cluster keeps ``n0`` rows.
-
-    Returns an integral minimizer of the linearized objective over binary
-    assignments with column sums at least ``n0``; the optimal value
-    coincides with the linear-programming relaxation.
-    """
-    c = assignment_costs(H, Q, fixed_cols)
-    labels = min_cost_assignment(c, n0)
-    return AssignmentMatrix(c.shape[0], Q.shape[0], labels)
-
-
-def z_step_constrained_cols(
-    H: np.ndarray,
-    Q: np.ndarray,
-    fixed_rows: AssignmentMatrix,
-    m0: int,
-) -> AssignmentMatrix:
-    """Column counterpart of :func:`z_step_constrained`."""
-    return z_step_constrained(np.asarray(H).T, np.asarray(Q).T, fixed_rows, m0)
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +198,25 @@ def _random_labels(
     raise RuntimeError("could not draw an initial labeling with the required sizes")
 
 
+def _spawned_seeds(seed: int, key: int, count: int) -> list:
+    states = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
+    return [int(s) for s in states.generate_state(count, dtype=np.uint64)]
+
+
+def spectral_embedding(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Singular-value-scaled singular vectors of the degree-trimmed ``H``.
+
+    Returns ``(U S, V S)`` from the SVD of the trimmed matrix; the first
+    ``k`` columns of either factor are its rank-``k`` embedding.  Raises
+    ``ValueError`` when ``H`` is not finite.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite")
+    U, s, Vt = np.linalg.svd(_degree_trim(H), full_matrices=False)
+    return U * s, Vt.T * s
+
+
 def spectral_init(
     H: np.ndarray, K: int, L: int, seed: int = 0
 ) -> Tuple[AssignmentMatrix, AssignmentMatrix]:
@@ -260,14 +231,9 @@ def spectral_init(
     n, m = H.shape
     if K > min(n, m) or L > min(n, m):
         raise ValueError("truncation ranks must not exceed min(n, m)")
-    kseed_r, kseed_c = (
-        int(s)
-        for s in np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(8,)
-        ).generate_state(2, dtype=np.uint64)
-    )
+    kseed_r, kseed_c = _spawned_seeds(seed, 8, 2)
     try:
-        U, s, Vt = np.linalg.svd(_degree_trim(H), full_matrices=False)
+        row_emb, col_emb = spectral_embedding(H)
     except np.linalg.LinAlgError:
         warnings.warn("SVD failed; falling back to random initialization")
         rng = substream(seed, 97)
@@ -275,10 +241,8 @@ def spectral_init(
             AssignmentMatrix(n, K, _random_labels(n, K, rng, 1)),
             AssignmentMatrix(m, L, _random_labels(m, L, rng, 1)),
         )
-    row_emb = U[:, :K] * s[:K]
-    col_emb = Vt[:L].T * s[:L]
-    row_labels = kmeans(row_emb, K, seed=kseed_r)
-    col_labels = kmeans(col_emb, L, seed=kseed_c)
+    row_labels = kmeans(row_emb[:, :K], K, seed=kseed_r)
+    col_labels = kmeans(col_emb[:, :L], L, seed=kseed_c)
     return AssignmentMatrix(n, K, row_labels), AssignmentMatrix(m, L, col_labels)
 
 
@@ -361,14 +325,14 @@ class FitReport:
 
 def _repair_empty_rows(
     H: np.ndarray, row_labels: np.ndarray, z_cols: AssignmentMatrix, K: int
-) -> np.ndarray:
+) -> AssignmentMatrix:
     """Move the largest-residual row into each empty row cluster."""
-    labels = row_labels.copy()
+    labels = np.array(row_labels, dtype=np.int64)
     while True:
         counts = np.bincount(labels, minlength=K)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
-            return labels
+            return AssignmentMatrix(len(labels), K, labels)
         zr = AssignmentMatrix(len(labels), K, labels)
         Q = q_step(H, zr, z_cols, on_empty="fill")
         theta = Q[np.ix_(labels, z_cols.labels)]
@@ -376,6 +340,24 @@ def _repair_empty_rows(
         movable = counts[labels] >= 2
         residuals = np.where(movable, residuals, -np.inf)
         labels[int(np.argmax(residuals))] = empties[0]
+
+
+def _axis_step(
+    H: np.ndarray, Q: np.ndarray, fixed: AssignmentMatrix, floor: int
+) -> Tuple[AssignmentMatrix, int, np.ndarray]:
+    """Exact reassignment of the rows of ``H`` under size floor ``floor``.
+
+    The column update is the same step on ``H.T`` and ``Q.T``.  An empty
+    cluster left by a floor-0 step is repaired.  Returns the assignment,
+    its smallest cluster size before any repair, and the cost matrix.
+    """
+    c = assignment_costs(H, Q, fixed)
+    K = Q.shape[0]
+    z = AssignmentMatrix(H.shape[0], K, min_cost_assignment(c, floor))
+    size = z.min_size()
+    if size == 0:
+        z = _repair_empty_rows(H, z.labels, fixed, K)
+    return z, size, c
 
 
 def _lloyd_run(
@@ -387,48 +369,24 @@ def _lloyd_run(
     n, m = H.shape
     Ht = np.ascontiguousarray(H.T)
     H_sq = float(np.einsum("ij,ij->", H, H))
-    zr = AssignmentMatrix(n, cfg.K, _repair_empty_rows(
-        H, np.asarray(row_labels, dtype=np.int64),
-        AssignmentMatrix(m, cfg.L, np.asarray(col_labels, dtype=np.int64)),
-        cfg.K,
-    ))
-    zc = AssignmentMatrix(m, cfg.L, _repair_empty_rows(
-        Ht, np.asarray(col_labels, dtype=np.int64), zr, cfg.L
-    ))
+    zr = _repair_empty_rows(H, row_labels, AssignmentMatrix(m, cfg.L, col_labels), cfg.K)
+    zc = _repair_empty_rows(Ht, col_labels, zr, cfg.L)
     traj: list = []
     min_row = n
     min_col = m
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         Q = q_step(H, zr, zc)
-        # row update; a repaired step is only an exact minimizer for floor 0,
-        # so the recorded per-step floor is the pre-repair minimum size
-        c = assignment_costs(H, Q, zc)
-        if cfg.n0 >= 1:
-            zr = AssignmentMatrix(n, cfg.K, min_cost_assignment(c, cfg.n0))
-            row_floor = zr.min_size()
-        else:
-            zr = AssignmentMatrix(n, cfg.K, np.argmin(c, axis=1))
-            row_floor = zr.min_size()
-            if row_floor == 0:
-                zr = AssignmentMatrix(
-                    n, cfg.K, _repair_empty_rows(H, zr.labels, zc, cfg.K)
-                )
-                Q = q_step(H, zr, zc)
-        # column update (same step on the transpose)
-        c = assignment_costs(Ht, Q.T, zr)
-        if cfg.m0 >= 1:
-            zc = AssignmentMatrix(m, cfg.L, min_cost_assignment(c, cfg.m0))
-            col_floor = zc.min_size()
-        else:
-            zc = AssignmentMatrix(m, cfg.L, np.argmin(c, axis=1))
-            col_floor = zc.min_size()
-            if col_floor == 0:
-                zc = AssignmentMatrix(
-                    m, cfg.L, _repair_empty_rows(Ht, zc.labels, zr, cfg.L)
-                )
-                Q = q_step(H, zr, zc)
-                c = assignment_costs(Ht, Q.T, zr)
+        # a repaired step is only an exact minimizer for floor 0, so the
+        # recorded per-step floor is the pre-repair minimum size; a repair
+        # (floor 0) re-averages the blocks for the new labels
+        zr, row_floor, _ = _axis_step(H, Q, zc, cfg.n0)
+        if row_floor == 0:
+            Q = q_step(H, zr, zc)
+        zc, col_floor, c = _axis_step(Ht, Q.T, zr, cfg.m0)
+        if col_floor == 0:
+            Q = q_step(H, zr, zc)
+            c = assignment_costs(Ht, Q.T, zr)
         # the linearized objective differs from the squared error by ||H||_F^2
         phi = float(c[np.arange(m), zc.labels].sum())
         traj.append(max(H_sq + phi, 0.0))
@@ -446,19 +404,18 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
     """Alternating minimization with the configured initialization.
 
     With ``init="random"`` the best of ``config.restarts`` independently
-    seeded runs (by final cost) is returned.
+    seeded runs (by final cost) is returned.  Raises ``ValueError`` when
+    ``H`` is not finite.
     """
     H = np.asarray(H, dtype=np.float64)
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite")
     n, m = H.shape
     config.validate_for(n, m)
 
     starts = []
     if config.init == "spectral":
-        init_seed = int(
-            np.random.SeedSequence(
-                entropy=int(config.seed), spawn_key=(7,)
-            ).generate_state(1, dtype=np.uint64)[0]
-        )
+        (init_seed,) = _spawned_seeds(config.seed, 7, 1)
         zr, zc = spectral_init(H, config.K, config.L, seed=init_seed)
         starts.append((zr.labels, zc.labels))
     elif config.init == "random":

@@ -33,9 +33,9 @@ from .estimation import (
     DEFAULT_TOL_GAMMA,
     FitConfig,
     FitReport,
-    _degree_trim,
     kmeans,
     lloyd_fit,
+    spectral_embedding,
 )
 from .evaluation import (
     delta_tilde,
@@ -86,12 +86,17 @@ RECORD_FIELDS = (
 
 
 def worker_count() -> int:
-    """Worker pool size, bounded by the GRAPHON_LAB_THREADS variable."""
+    """Worker pool size, bounded by the GRAPHON_LAB_THREADS variable.
+
+    Raises ``ValueError`` when the variable is set to a non-integer.
+    """
     raw = os.environ.get("GRAPHON_LAB_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(
+            f"GRAPHON_LAB_THREADS must be an integer, got {raw!r}"
+        ) from None
 
 
 def cell_seed(root_seed: int, *key: int) -> int:
@@ -484,7 +489,8 @@ def fit_grid(
     reused for that entry (the two runs provably coincide: an optimal
     step over the looser feasible set that lands inside the tighter set
     is optimal there too).  Entries whose floors bind get their own run,
-    warm-started from the loosest fit already performed.
+    warm-started from the loosest fit already performed.  Raises
+    ``ValueError`` when ``H`` is not finite.
     """
     H = np.asarray(H, dtype=np.float64)
     n, m = H.shape
@@ -493,13 +499,13 @@ def fit_grid(
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)
 
-    U, s, Vt = np.linalg.svd(_degree_trim(H), full_matrices=False)
+    row_emb, col_emb = spectral_embedding(H)
     row_labels = {}
     col_labels = {}
     for K in sorted({p[0] for p in by_pair}):
-        row_labels[K] = kmeans(U[:, :K] * s[:K], K, seed=cell_seed(seed, 8, K))
+        row_labels[K] = kmeans(row_emb[:, :K], K, seed=cell_seed(seed, 8, K))
     for L in sorted({p[1] for p in by_pair}):
-        col_labels[L] = kmeans(Vt[:L].T * s[:L], L, seed=cell_seed(seed, 9, L))
+        col_labels[L] = kmeans(col_emb[:, :L], L, seed=cell_seed(seed, 9, L))
 
     out: Dict[Tuple[int, int, int, int], FitReport] = {}
     for (K, L), entries in by_pair.items():

@@ -14,12 +14,7 @@ import pytest
 
 from graphon_lab.aggregation import ewa_weights
 from graphon_lab.core import AssignmentMatrix, NoiseModel, induced_mean
-from graphon_lab.estimation import (
-    FitConfig,
-    assignment_costs,
-    lloyd_fit,
-    z_step_constrained,
-)
+from graphon_lab.estimation import FitConfig, assignment_costs, lloyd_fit
 from graphon_lab.evaluation import (
     delta_tilde,
     mse_theta,
@@ -27,6 +22,7 @@ from graphon_lab.evaluation import (
     oracle_risk_bernoulli,
 )
 from graphon_lab.experiments import ExperimentSpec, run_ewa_experiment, run_experiment
+from graphon_lab.flow import min_cost_assignment
 from graphon_lab.synthesis import (
     SynthConfig,
     make_standard_graphon,
@@ -64,7 +60,7 @@ def test_criterion_1_flow_exactness():
         col_labels = np.r_[np.arange(L), rng.integers(0, L, m - L)]
         zc = AssignmentMatrix(m, L, col_labels)
         c = assignment_costs(H, Q, zc)
-        zr = z_step_constrained(H, Q, zc, n0)
+        zr = AssignmentMatrix(n, K, min_cost_assignment(c, n0))
         assert zr.counts().min() >= n0
         phi_flow = c[np.arange(n), zr.labels].sum()
         phi_best = min(

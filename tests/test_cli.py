@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graphon_lab import cli
 from graphon_lab.aggregation import HyperGrid, ewa_aggregate
 from graphon_lab.cli import main
 from graphon_lab.experiments import fit_grid
@@ -115,8 +116,13 @@ def test_ewa_subcommand(synth_dir, tmp_path):
 
 
 @pytest.mark.parametrize("shape", [(1, 18), (24, 1)])
-def test_ewa_shape_mismatch_exits_two(synth_dir, tmp_path, shape):
-    # both shapes broadcast against the 24 x 18 fits
+def test_ewa_shape_mismatch_exits_two(synth_dir, tmp_path, shape, monkeypatch):
+    # both shapes broadcast against the 24 x 18 fits; the mismatch must be
+    # caught before any grid entry is fitted
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_grid ran on a mismatched H'")
+
+    monkeypatch.setattr(cli, "fit_grid", no_fit)
     bad = tmp_path / "H_prime_bad.csv"
     save_matrix(bad, load_matrix(synth_dir / "H_prime.csv")[: shape[0], : shape[1]])
     rc = main(
@@ -128,6 +134,23 @@ def test_ewa_shape_mismatch_exits_two(synth_dir, tmp_path, shape):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "ewa"])
+def test_non_finite_input_exits_two(synth_dir, tmp_path, command, bad):
+    H = load_matrix(synth_dir / "H.csv")
+    H[2, 5] = float(bad)
+    path = tmp_path / "H_bad.csv"
+    save_matrix(path, H)
+    if command == "fit":
+        argv = ["fit", "--K", "2", "--L", "2", "--input", str(path),
+                "--output", str(tmp_path / "m.json")]
+    else:
+        argv = ["ewa", "--grid", "default", "--beta", "1.0", "--input", str(path),
+                "--input-prime", str(synth_dir / "H_prime.csv"),
+                "--output", str(tmp_path / "e.json")]
+    assert main(argv) == 2
 
 
 def test_experiment_subcommand(tmp_path):

@@ -12,6 +12,7 @@ from graphon_lab.core import (
     ObservationSet,
     block_inner,
     frobenius_cost,
+    group_sums,
     induced_mean,
     induced_sq_norm,
 )
@@ -100,6 +101,44 @@ def test_block_algebra_matches_materialized():
     theta = induced_mean(mod)
     assert block_inner(M, mod) == pytest.approx((M * theta).sum(), rel=1e-12)
     assert induced_sq_norm(mod) == pytest.approx((theta * theta).sum(), rel=1e-12)
+
+
+def _group_sums_loop(H, labels, K, axis):
+    """Reference group sums: one boolean-mask sum per label."""
+    H = np.asarray(H, dtype=np.float64)
+    if axis == 0:
+        out = np.zeros((K, H.shape[1]))
+        for k in range(K):
+            rows = labels == k
+            if rows.any():
+                out[k] = H[rows].sum(axis=0)
+        return out
+    out = np.zeros((H.shape[0], K))
+    for k in range(K):
+        cols = labels == k
+        if cols.any():
+            out[:, k] = H[:, cols].sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("K", [1, 3, 7])
+def test_group_sums_match_label_loop(axis, K):
+    rng = np.random.default_rng(11 + K)
+    n = (13, 9)[axis]
+    labels = rng.integers(0, min(K, 3), n)  # K = 7 leaves clusters 3..6 empty
+    shape = (13, 9)
+    counts = rng.integers(0, 50, shape).astype(float)
+    assert np.array_equal(
+        group_sums(counts, labels, K, axis), _group_sums_loop(counts, labels, K, axis)
+    )
+    floats = rng.normal(size=shape)
+    got = group_sums(floats, labels, K, axis)
+    want = _group_sums_loop(floats, labels, K, axis)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    if K == 7:
+        assert not np.take(got, range(3, 7), axis=axis).any()
 
 
 class TestAssignmentMatrix:

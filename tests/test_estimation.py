@@ -17,16 +17,19 @@ from graphon_lab.estimation import (
     lloyd_fit,
     q_step,
     spectral_init,
-    z_step_constrained,
-    z_step_unconstrained,
-    z_step_unconstrained_cols,
 )
+from graphon_lab.flow import min_cost_assignment
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 from graphon_lab.core import NoiseModel
 
 
 def assign(K, labels):
     return AssignmentMatrix(len(labels), K, np.asarray(labels))
+
+
+def reassign(H, Q, zc, n0=0):
+    """The exact row update: flow assignment on the linearized costs."""
+    return assign(len(Q), min_cost_assignment(assignment_costs(H, Q, zc), n0))
 
 
 class TestQStep:
@@ -65,14 +68,14 @@ class TestZStepUnconstrained:
         H = np.random.default_rng(0).random((5, 4))
         zc = assign(2, [0, 0, 1, 1])
         Q = np.vstack([np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5)])
-        zr = z_step_unconstrained(H, Q, zc)
+        zr = reassign(H, Q, zc)
         assert np.array_equal(zr.labels, np.zeros(5, dtype=int))
 
     def test_exact_block_row_is_chosen(self):
         Q = np.array([[0.1, 0.9], [0.8, 0.2]])
         zc = assign(2, [0, 1, 1])
         H = np.array([[0.1, 0.9, 0.9], [0.8, 0.2, 0.2]])
-        zr = z_step_unconstrained(H, Q, zc)
+        zr = reassign(H, Q, zc)
         assert zr.labels.tolist() == [0, 1]
 
     def test_against_exhaustive_cost(self):
@@ -81,7 +84,7 @@ class TestZStepUnconstrained:
         H = rng.random((4, 4))
         Q = rng.random((3, 2))
         zc = assign(2, [0, 1, 1, 1])
-        zr = z_step_unconstrained(H, Q, zc)
+        zr = reassign(H, Q, zc)
         for i in range(4):
             costs = [
                 ((H[i] - Q[k][zc.labels]) ** 2).sum() for k in range(3)
@@ -96,16 +99,7 @@ class TestZStepUnconstrained:
 
     def test_empty_column_cluster_raises(self):
         with pytest.raises(EmptyClusterError):
-            z_step_unconstrained(np.eye(3), np.zeros((2, 2)), assign(2, [0, 0, 0]))
-
-    def test_column_variant_matches_transpose(self):
-        rng = np.random.default_rng(9)
-        H = rng.random((6, 5))
-        Q = rng.random((2, 3))
-        zr = assign(2, rng.integers(0, 2, 6))
-        zc = z_step_unconstrained_cols(H, Q, zr)
-        zc_t = z_step_unconstrained(H.T, Q.T, zr)
-        assert np.array_equal(zc.labels, zc_t.labels)
+            reassign(np.eye(3), np.zeros((2, 2)), assign(2, [0, 0, 0]))
 
 
 class TestZStepConstrained:
@@ -114,9 +108,9 @@ class TestZStepConstrained:
         H = rng.random((9, 6))
         Q = rng.random((2, 2))
         zc = assign(2, rng.integers(0, 2, 6))
-        uncon = z_step_unconstrained(H, Q, zc)
+        uncon = reassign(H, Q, zc)
         if uncon.min_size() >= 1:
-            con = z_step_constrained(H, Q, zc, 1)
+            con = reassign(H, Q, zc, 1)
             assert np.array_equal(con.labels, uncon.labels)
 
     def test_exhaustive_least_squares(self):
@@ -125,7 +119,7 @@ class TestZStepConstrained:
             H = rng.random((6, 4))
             Q = rng.random((3, 2))
             zc = assign(2, np.r_[0, 1, rng.integers(0, 2, 2)])
-            zr = z_step_constrained(H, Q, zc, 2)
+            zr = reassign(H, Q, zc, 2)
             assert zr.counts().min() >= 2
             best = min(
                 frobenius_cost(H, BlockModel(Q, assign(3, list(lab)), zc))
@@ -295,3 +289,13 @@ class TestLloydFit:
         report = lloyd_fit(H, FitConfig(K=3, L=2, init="given", init_labels=(rows3, cols)))
         assert report.traj_min_sizes[0] == 0
         assert report.model.z_rows.counts().min() >= 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("init", ["spectral", "random", "given"])
+def test_non_finite_input_rejected(bad, init):
+    H, rows, cols = planted_block_matrix(8, 6)
+    H[3, 2] = bad
+    cfg = FitConfig(K=2, L=2, init=init, restarts=2, init_labels=(rows, cols))
+    with pytest.raises(ValueError, match="finite"):
+        lloyd_fit(H, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from graphon_lab.aggregation import HyperGrid, default_grid, ewa_aggregate
 from graphon_lab.core import NoiseModel
 from graphon_lab.estimation import FitConfig, lloyd_fit
 from graphon_lab.evaluation import mse_theta
+from graphon_lab import experiments
 from graphon_lab.experiments import (
     ExperimentSpec,
     cell_seed,
@@ -16,6 +18,7 @@ from graphon_lab.experiments import (
     load_records_csv,
     run_ewa_experiment,
     run_experiment,
+    worker_count,
 )
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 from graphon_lab.core import induced_mean
@@ -212,6 +215,58 @@ class TestFitGrid:
         # entries reuse the shared unconstrained trajectory
         if a.traj_min_sizes[0] >= 5 and a.traj_min_sizes[1] >= 5:
             assert a is b
+
+    def test_reused_entries_match_direct_runs(self, monkeypatch):
+        # every entry served by an earlier run must equal a direct fit with
+        # the entry's own floors from that run's initial labels
+        runs = []
+
+        def recording_fit(H, config):
+            report = lloyd_fit(H, config)
+            runs.append((config, report))
+            return report
+
+        monkeypatch.setattr(experiments, "lloyd_fit", recording_fit)
+        g = make_standard_graphon("rand", K=3, L=3, rho=0.7, seed=2)
+        H = synthesize(SynthConfig(60, 45, g, NoiseModel.bernoulli(), seed=4)).H
+        floors = ((0, 0), (2, 2), (5, 3), (8, 6), (14, 10), (19, 14), (19, 2))
+        grid = HyperGrid(tuple((K, K, n0, m0) for K in (2, 3) for n0, m0 in floors))
+        reports = fit_grid(H, grid, seed=3)
+        own = {id(rep): cfg for cfg, rep in runs}
+        reused = binding = 0
+        for (K, L, n0, m0), rep in reports.items():
+            cfg = own[id(rep)]
+            if (cfg.n0, cfg.m0) == (n0, m0):
+                binding += n0 > 0 or m0 > 0
+                continue
+            reused += n0 > 0 or m0 > 0
+            direct = lloyd_fit(H, dataclasses.replace(cfg, n0=n0, m0=m0))
+            assert np.array_equal(direct.model.z_rows.labels, rep.model.z_rows.labels)
+            assert np.array_equal(direct.model.z_cols.labels, rep.model.z_cols.labels)
+            assert np.array_equal(direct.model.Q, rep.model.Q)
+            assert direct.cost_trajectory == rep.cost_trajectory
+        assert reused > 0 and binding > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        H = np.random.default_rng(2).random((20, 20))
+        H[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_grid(H, HyperGrid(((2, 2, 0, 0),)), seed=0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+def test_worker_count_rejects_non_integer(monkeypatch, raw):
+    monkeypatch.setenv("GRAPHON_LAB_THREADS", raw)
+    with pytest.raises(ValueError, match="GRAPHON_LAB_THREADS"):
+        worker_count()
+
+
+def test_worker_count_reads_integer(monkeypatch):
+    monkeypatch.setenv("GRAPHON_LAB_THREADS", "3")
+    assert worker_count() == 3
+    monkeypatch.setenv("GRAPHON_LAB_THREADS", "0")
+    assert worker_count() == 1
 
 
 def test_ewa_experiment_matches_ewa_aggregate():

@@ -1,0 +1,62 @@
+"""Static checks on how the package's modules use one another.
+
+Modules talk through public names only: no module imports an underscore
+name from a sibling, and the package ``__init__`` re-exports only names a
+module lists in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphon_lab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _sibling_imports(path):
+    """``(module, name, line)`` for each name imported from a package module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and node.module:
+            module = node.module
+        elif node.level == 0 and (node.module or "").startswith("graphon_lab."):
+            module = node.module.split(".", 1)[1]
+        else:
+            continue
+        for alias in node.names:
+            yield module, alias.name, node.lineno
+
+
+def _declared_all(path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"__init__", "core", "estimation", "experiments"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_sibling_imports(path):
+    private = [
+        f"{path.name}:{line} imports {name} from {module}"
+        for module, name, line in _sibling_imports(path)
+        if name.startswith("_")
+    ]
+    assert not private
+
+
+def test_init_reexports_only_declared_names():
+    init = PACKAGE / "__init__.py"
+    undeclared = []
+    for module, name, line in _sibling_imports(init):
+        declared = _declared_all(PACKAGE / f"{module}.py")
+        if declared is None or name not in declared:
+            undeclared.append(f"__init__.py:{line} {name} is not in {module}.__all__")
+    assert not undeclared
