@@ -34,6 +34,8 @@ from .synthesis import SynthConfig, make_standard_graphon, synthesize, true_assi
 
 __all__ = ["main"]
 
+EVAL_METRICS = ("mse", "delta", "oracle", "rate")
+
 
 def _noise_from_args(args) -> NoiseModel:
     kind = args.noise
@@ -148,10 +150,15 @@ def _cmd_ewa(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    metrics = args.metrics.split(",")
+    unknown = [name for name in metrics if name not in EVAL_METRICS]
+    if unknown:
+        raise ValueError(
+            f"unknown metric(s) {','.join(unknown)}; choose from {','.join(EVAL_METRICS)}"
+        )
     model = model_from_dict(load_json(args.model))
     theta_star = load_matrix(args.truth)
     theta_hat = induced_mean(model)
-    metrics = args.metrics.split(",")
     out = {}
     meta = load_json(args.meta) if args.meta else None
     if "mse" in metrics:
@@ -261,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latents", default=None)
     p.add_argument("--meta", default=None, help="meta.json (for delta/oracle/rate)")
     p.add_argument("--input", default=None, help="H.csv (for the oracle metric)")
-    p.add_argument("--metrics", default="mse")
+    p.add_argument(
+        "--metrics", default="mse", help="comma-separated: " + ",".join(EVAL_METRICS)
+    )
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_eval)
 

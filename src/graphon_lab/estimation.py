@@ -128,6 +128,22 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
+def _update_centers(
+    points: np.ndarray, labels: np.ndarray, counts: np.ndarray, centers: np.ndarray
+) -> None:
+    """Move each non-empty cluster's center to its members' mean, in place.
+
+    One bincount over (label, coordinate) bins adds each cluster's members
+    in point order, as a per-cluster ``mean(axis=0)`` does for two or more
+    coordinates, so the centers match that loop bitwise.
+    """
+    k, d = centers.shape
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
+    present = counts > 0
+    centers[present] = sums[present] / counts[present][:, None]
+
+
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding, best of 5 restarts by WCSS.
 
@@ -157,10 +173,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
                 labels = new_labels
                 break
             labels = new_labels
-            for j in range(k):
-                members = labels == j
-                if members.any():
-                    centers[j] = points[members].mean(axis=0)
+            _update_centers(points, labels, counts, centers)
         wcss = float(_sq_dists(points, centers)[np.arange(n), labels].sum())
         if wcss < best_wcss - 1e-12:
             best_labels, best_wcss = labels, wcss

@@ -15,12 +15,15 @@ best cost.  Filling the slots is a transportation problem with unit
 supplies, solved by shortest augmenting paths
 (:func:`scipy.optimize.linear_sum_assignment`) on the regret matrix
 ``cost[i, k] - min_k cost[i, k]``.
+
+scipy is imported on the first solve whose size floor binds, not when the
+module loads: most fits never need it, and loading ``scipy.optimize`` costs
+more than half a second of process start.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["min_cost_assignment", "InfeasibleSizeError"]
 
@@ -60,6 +63,9 @@ def min_cost_assignment(cost: np.ndarray, min_size: int) -> np.ndarray:
         return base
     if np.bincount(base, minlength=K).min() >= min_size:
         return base
+
+    # Deferred: scipy.optimize costs ~0.6 s to import and only binding floors need it.
+    from scipy.optimize import linear_sum_assignment
 
     # Regret of forcing item i into slot-cluster k, relative to the cost it
     # pays anyway at its unconstrained optimum.

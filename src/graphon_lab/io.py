@@ -47,7 +47,18 @@ def save_matrix(path: PathLike, M: np.ndarray) -> None:
 
 
 def load_matrix(path: PathLike) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a CSV matrix; NaN or +-inf raises ``ValueError`` naming the file.
+
+    No stored matrix holds NaN: missing entries are marked in ``mask.csv``.
+    """
+    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: {len(bad)} non-finite entries, first {M[i, j]} at row {i}, column {j}"
+        )
+    return M
 
 
 def _render(obj, indent: int = 0) -> str:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from graphon_lab.aggregation import HyperGrid, ewa_aggregate
 from graphon_lab.cli import main
 from graphon_lab.experiments import fit_grid
 from graphon_lab.io import load_json, load_matrix, save_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -151,6 +158,105 @@ def test_non_finite_input_exits_two(synth_dir, tmp_path, command, bad):
                 "--input-prime", str(synth_dir / "H_prime.csv"),
                 "--output", str(tmp_path / "e.json")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_matrix_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "M.csv"
+    path.write_text(f"1,2,3\n4,{bad},6\n")
+    with pytest.raises(ValueError, match="M.csv"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("flag", ["--truth", "--input"])
+def test_eval_non_finite_exits_two(synth_dir, tmp_path, flag):
+    model_path = tmp_path / "model.json"
+    assert main(
+        ["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+         "--output", str(model_path)]
+    ) == 0
+    files = {"--truth": synth_dir / "theta_star.csv", "--input": synth_dir / "H.csv"}
+    M = load_matrix(files[flag])
+    M[3, 4] = np.nan
+    files[flag] = tmp_path / "bad.csv"
+    save_matrix(files[flag], M)
+    rc = main(
+        [
+            "eval", "--model", str(model_path),
+            "--truth", str(files["--truth"]), "--input", str(files["--input"]),
+            "--latents", str(synth_dir / "latents.json"),
+            "--meta", str(synth_dir / "meta.json"),
+            "--metrics", "mse,oracle", "--output", str(tmp_path / "metrics.json"),
+        ]
+    )
+    assert rc == 2
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_ewa_non_finite_prime_exits_two_before_fit(synth_dir, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_grid ran on a non-finite H'")
+
+    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    H_prime = load_matrix(synth_dir / "H_prime.csv")
+    H_prime[0, 0] = np.nan
+    bad = tmp_path / "H_prime_bad.csv"
+    save_matrix(bad, H_prime)
+    rc = main(
+        [
+            "ewa", "--grid", "default", "--beta", "1.0",
+            "--input", str(synth_dir / "H.csv"),
+            "--input-prime", str(bad),
+            "--output", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 2
+
+
+def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(
+        ["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+         "--output", str(model_path)]
+    ) == 0
+    rc = main(
+        [
+            "eval", "--model", str(model_path),
+            "--truth", str(synth_dir / "theta_star.csv"),
+            "--metrics", "mse,msee", "--output", str(tmp_path / "metrics.json"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "msee" in err and "mse,delta,oracle,rate" in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
+    # none of these commands solves a binding size floor
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from graphon_lab.cli import main
+
+        d = {str(tmp_path)!r}
+        assert main(["synth", "--setup", "cos", "--n", "24", "--m", "18", "--K", "2",
+                     "--L", "2", "--seed", "3", "--outdir", d]) == 0
+        assert main(["fit", "--K", "2", "--L", "2", "--input", d + "/H.csv",
+                     "--output", d + "/model.json"]) == 0
+        assert main(["eval", "--model", d + "/model.json", "--truth", d + "/theta_star.csv",
+                     "--latents", d + "/latents.json", "--meta", d + "/meta.json",
+                     "--input", d + "/H.csv", "--metrics", "mse,delta,oracle,rate",
+                     "--output", d + "/metrics.json"]) == 0
+        print("scipy.optimize" in sys.modules)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_experiment_subcommand(tmp_path):

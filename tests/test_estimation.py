@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from graphon_lab import estimation
 from graphon_lab.core import (
     AssignmentMatrix,
     BlockModel,
@@ -16,6 +17,7 @@ from graphon_lab.estimation import (
     kmeans,
     lloyd_fit,
     q_step,
+    spectral_embedding,
     spectral_init,
 )
 from graphon_lab.flow import min_cost_assignment
@@ -141,7 +143,46 @@ class TestZStepConstrained:
             assert phi + (H * H).sum() == pytest.approx(direct)
 
 
+def _update_centers_loop(points, labels, counts, centers):
+    """Reference k-means centre update: one boolean mask and mean per label."""
+    for j in range(centers.shape[0]):
+        members = labels == j
+        if members.any():
+            centers[j] = points[members].mean(axis=0)
+
+
 class TestKMeans:
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
+    def test_center_update_matches_label_loop(self, d):
+        # bitwise, on strided column slices as the spectral init passes them,
+        # with an empty cluster; with one coordinate numpy's mean sums pairwise,
+        # so d = 1 is covered by the label comparison below instead
+        rng = np.random.default_rng(d)
+        for n, k, scale in [(7, 3, 1.0), (200, 6, 1e-3), (1000, 8, 1e3), (2048, 12, 1.0)]:
+            points = rng.standard_normal((n, d + 4))[:, :d] * scale
+            labels = rng.integers(0, k, n)
+            labels[labels == k - 1] = 0  # cluster k - 1 is empty
+            counts = np.bincount(labels, minlength=k)
+            start = rng.standard_normal((k, d))
+            got, want = start.copy(), start.copy()
+            estimation._update_centers(points, labels, counts, got)
+            _update_centers_loop(points, labels, counts, want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_labels_match_label_loop(self, monkeypatch):
+        graphon = make_standard_graphon("rand", K=4, L=4, rho=0.6, seed=3)
+        H = synthesize(
+            SynthConfig(n=300, m=150, graphon=graphon, noise=NoiseModel.bernoulli(), seed=4)
+        ).H
+        row_emb, col_emb = spectral_embedding(H)
+        clouds = np.random.default_rng(9).standard_normal((2048, 8))
+        cases = [(emb[:, :k], k) for emb in (row_emb, col_emb) for k in (1, 2, 4, 7)]
+        cases.append((clouds, 8))
+        grouped = [kmeans(points, k, seed=k) for points, k in cases]
+        monkeypatch.setattr(estimation, "_update_centers", _update_centers_loop)
+        for (points, k), labels in zip(cases, grouped):
+            assert np.array_equal(kmeans(points, k, seed=k), labels)
+
     def test_separated_clouds(self):
         rng = np.random.default_rng(0)
         pts = np.concatenate([rng.normal(-5, 0.2, (20, 1)), rng.normal(5, 0.2, (25, 1))])

@@ -1,4 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,3 +100,40 @@ def test_always_integral_and_feasible(K, n0, seed):
     # never worse than any single-cluster feasible labeling
     if n0 == 0:
         assert total(cost, labels) <= cost.sum(axis=0).min() + 1e-9
+
+
+def test_scipy_loads_only_for_a_binding_floor():
+    # importing the package, a floor-0 fit and a non-binding solve leave
+    # scipy.optimize unloaded; the first binding solve loads it and is exact
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import numpy as np
+        import graphon_lab, graphon_lab.cli
+        from graphon_lab.estimation import FitConfig, lloyd_fit
+        from graphon_lab.flow import min_cost_assignment
+
+        rng = np.random.default_rng(0)
+        lloyd_fit((rng.random((30, 20)) < 0.4).astype(float), FitConfig(K=2, L=2))
+        cost = rng.normal(size=(9, 3))
+        cost[np.arange(9), np.arange(9) % 3] -= 10.0
+        assert min_cost_assignment(cost, 3).tolist() == [0, 1, 2] * 3
+        before = "scipy.optimize" in sys.modules
+        cost[:, 0] -= 50.0  # every argmin is cluster 0, so a floor of 2 binds
+        labels = min_cost_assignment(cost, 2)
+        print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+                          "cost": cost.tolist(), "labels": labels.tolist()}))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout)
+    assert not result["before"]
+    assert result["after"]
+    cost, labels = np.array(result["cost"]), np.array(result["labels"])
+    assert np.bincount(labels, minlength=3).min() >= 2
+    assert total(cost, labels) == pytest.approx(brute_force_optimum(cost, 2), abs=1e-9)

@@ -2,7 +2,8 @@
 
 Modules talk through public names only: no module imports an underscore
 name from a sibling, and the package ``__init__`` re-exports only names a
-module lists in its ``__all__``.
+module lists in its ``__all__``.  No module imports scipy when it loads, so
+importing the package costs numpy only.
 """
 
 import ast
@@ -38,6 +39,20 @@ def _declared_all(path):
     return None
 
 
+def _load_time_imports(path):
+    """``(module, line)`` for each import that runs when ``path`` is imported."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"__init__", "core", "estimation", "experiments"}
 
@@ -60,3 +75,13 @@ def test_init_reexports_only_declared_names():
         if declared is None or name not in declared:
             undeclared.append(f"__init__.py:{line} {name} is not in {module}.__all__")
     assert not undeclared
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_scipy_import_at_load(path):
+    eager = [
+        f"{path.name}:{line} imports {module}"
+        for module, line in _load_time_imports(path)
+        if module == "scipy" or module.startswith("scipy.")
+    ]
+    assert not eager
