@@ -69,12 +69,11 @@ def q_step(
             raise EmptyClusterError("row", int(np.argmin(row_counts)))
         if col_counts.min() == 0:
             raise EmptyClusterError("col", int(np.argmin(col_counts)))
-    sizes = np.outer(row_counts, col_counts).astype(np.float64)
-    Q = np.divide(
-        block_sums(H, z_rows, z_cols), sizes, out=np.zeros_like(sizes), where=sizes > 0
-    )
-    if on_empty == "fill" and (sizes == 0).any():
-        Q[sizes == 0] = H.mean()
+    Q = _block_means(block_sums(H, z_rows, z_cols), z_rows, z_cols)
+    if on_empty == "fill":
+        empty = np.outer(row_counts, col_counts) == 0
+        if empty.any():
+            Q[empty] = H.mean()
     return Q
 
 
@@ -89,12 +88,24 @@ def assignment_costs(
     assigning row i to cluster k, so argmin rows of this matrix are the
     exact coordinate update.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    D = fixed_cols.counts().astype(np.float64)
+    D = fixed_cols.counts()
     if D.min() == 0:
         raise EmptyClusterError("col", int(np.argmin(D)))
     col_sums = group_sums(H, fixed_cols.labels, fixed_cols.K, axis=1)  # n x L
-    quad = (Q * Q) @ D  # length K
+    return _linear_costs(col_sums, np.asarray(Q, dtype=np.float64), D)
+
+
+def _block_means(
+    sums: np.ndarray, z_rows: AssignmentMatrix, z_cols: AssignmentMatrix
+) -> np.ndarray:
+    """``K x L`` block sums divided by block sizes; 0 where a block is empty."""
+    sizes = np.outer(z_rows.counts(), z_cols.counts()).astype(np.float64)
+    return np.divide(sums, sizes, out=np.zeros_like(sizes), where=sizes > 0)
+
+
+def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:func:`assignment_costs` from the group sums ``H Z_c`` and sizes ``D``."""
+    quad = (Q * Q) @ D.astype(np.float64)  # length K
     return -2.0 * col_sums @ Q.T + quad[None, :]
 
 
@@ -356,15 +367,16 @@ def _repair_empty_rows(
 
 
 def _axis_step(
-    H: np.ndarray, Q: np.ndarray, fixed: AssignmentMatrix, floor: int
+    H: np.ndarray, sums: np.ndarray, Q: np.ndarray, fixed: AssignmentMatrix, floor: int
 ) -> Tuple[AssignmentMatrix, int, np.ndarray]:
     """Exact reassignment of the rows of ``H`` under size floor ``floor``.
 
-    The column update is the same step on ``H.T`` and ``Q.T``.  An empty
-    cluster left by a floor-0 step is repaired.  Returns the assignment,
-    its smallest cluster size before any repair, and the cost matrix.
+    ``sums`` is ``H Z`` for the fixed column assignment ``Z``.  The column
+    update is the same step on ``H.T`` and ``Q.T``.  An empty cluster left
+    by a floor-0 step is repaired.  Returns the assignment, its smallest
+    cluster size before any repair, and the cost matrix.
     """
-    c = assignment_costs(H, Q, fixed)
+    c = _linear_costs(sums, Q, fixed.counts())
     K = Q.shape[0]
     z = AssignmentMatrix(H.shape[0], K, min_cost_assignment(c, floor))
     size = z.min_size()
@@ -389,17 +401,21 @@ def _lloyd_run(
     min_col = m
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
-        Q = q_step(H, zr, zc)
+        # H is read twice per iteration: H Z_c gives the block means and the
+        # row costs, H^T Z_r the column costs and the means after the step
+        HZc = group_sums(H, zc.labels, cfg.L, axis=1)
+        Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0), zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
-        zr, row_floor, _ = _axis_step(H, Q, zc, cfg.n0)
+        zr, row_floor, _ = _axis_step(H, HZc, Q, zc, cfg.n0)
         if row_floor == 0:
-            Q = q_step(H, zr, zc)
-        zc, col_floor, c = _axis_step(Ht, Q.T, zr, cfg.m0)
+            Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0), zr, zc)
+        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1)
+        zc, col_floor, c = _axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
         if col_floor == 0:
-            Q = q_step(H, zr, zc)
-            c = assignment_costs(Ht, Q.T, zr)
+            Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0).T, zr, zc)
+            c = _linear_costs(HtZr, Q.T, zr.counts())
         # the linearized objective differs from the squared error by ||H||_F^2
         phi = float(c[np.arange(m), zc.labels].sum())
         traj.append(max(H_sq + phi, 0.0))
@@ -409,8 +425,8 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    model = BlockModel(q_step(H, zr, zc), zr, zc)
-    return model, traj, (min_row, min_col)
+    Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0).T, zr, zc)
+    return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 
 def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:

@@ -233,22 +233,40 @@ def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):
 
 
 def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
-    # none of these commands solves a binding size floor
+    # synth, fit and eval solve no size floor; ewa on this grid solves
+    # binding ones (counted through the estimation module's solver name)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"entries": [[3, 3, 8, 6], [2, 2, 0, 0]]}))
     script = textwrap.dedent(
         f"""
         import sys
+        import numpy as np
+        from graphon_lab import estimation
         from graphon_lab.cli import main
 
+        binding = []
+        solve = estimation.min_cost_assignment
+
+        def counted(cost, min_size):
+            argmin_sizes = np.bincount(np.argmin(cost, axis=1), minlength=cost.shape[1])
+            binding.append(bool(argmin_sizes.min() < min_size))
+            return solve(cost, min_size)
+
+        estimation.min_cost_assignment = counted
         d = {str(tmp_path)!r}
         assert main(["synth", "--setup", "cos", "--n", "24", "--m", "18", "--K", "2",
-                     "--L", "2", "--seed", "3", "--outdir", d]) == 0
+                     "--L", "2", "--seed", "3", "--second-copy", "--outdir", d]) == 0
         assert main(["fit", "--K", "2", "--L", "2", "--input", d + "/H.csv",
                      "--output", d + "/model.json"]) == 0
         assert main(["eval", "--model", d + "/model.json", "--truth", d + "/theta_star.csv",
                      "--latents", d + "/latents.json", "--meta", d + "/meta.json",
                      "--input", d + "/H.csv", "--metrics", "mse,delta,oracle,rate",
                      "--output", d + "/metrics.json"]) == 0
-        print("scipy.optimize" in sys.modules)
+        print("state", "scipy.optimize" in sys.modules, any(binding))
+        assert main(["ewa", "--grid", {str(grid)!r}, "--beta", "auto",
+                     "--noise", "bernoulli", "--input", d + "/H.csv",
+                     "--input-prime", d + "/H_prime.csv", "--output", d + "/ewa.json"]) == 0
+        print("state", "scipy.optimize" in sys.modules, any(binding))
         """
     )
     out = subprocess.run(
@@ -256,7 +274,8 @@ def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines()[-1] == "False"
+    states = [line for line in out.stdout.splitlines() if line.startswith("state ")]
+    assert states == ["state False False", "state False True"]
 
 
 def test_experiment_subcommand(tmp_path):

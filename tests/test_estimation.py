@@ -340,3 +340,70 @@ def test_non_finite_input_rejected(bad, init):
     cfg = FitConfig(K=2, L=2, init=init, restarts=2, init_labels=(rows, cols))
     with pytest.raises(ValueError, match="finite"):
         lloyd_fit(H, cfg)
+
+
+def _axis_step_reference(H, Q, fixed, floor):
+    """One reassignment through the public steps: costs from H, then flow."""
+    c = assignment_costs(H, Q, fixed)
+    z = assign(len(Q), min_cost_assignment(c, floor))
+    size = z.min_size()
+    if size == 0:
+        z = estimation._repair_empty_rows(H, z.labels, fixed, len(Q))
+    return z, size, c
+
+
+def _lloyd_run_reference(H, row_labels, col_labels, cfg):
+    """The Lloyd loop with every block mean and cost computed from H itself."""
+    n, m = H.shape
+    Ht = np.ascontiguousarray(H.T)
+    H_sq = float(np.einsum("ij,ij->", H, H))
+    zr = estimation._repair_empty_rows(H, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = estimation._repair_empty_rows(Ht, col_labels, zr, cfg.L)
+    traj, min_row, min_col = [], n, m
+    for _ in range(cfg.max_iters):
+        start = (zr.labels, zc.labels)
+        Q = q_step(H, zr, zc)
+        zr, row_floor, _ = _axis_step_reference(H, Q, zc, cfg.n0)
+        if row_floor == 0:
+            Q = q_step(H, zr, zc)
+        zc, col_floor, c = _axis_step_reference(Ht, Q.T, zr, cfg.m0)
+        if col_floor == 0:
+            Q = q_step(H, zr, zc)
+            c = assignment_costs(Ht, Q.T, zr)
+        traj.append(max(H_sq + float(c[np.arange(m), zc.labels].sum()), 0.0))
+        min_row, min_col = min(min_row, row_floor), min(min_col, col_floor)
+        if np.array_equal(start[0], zr.labels) and np.array_equal(start[1], zc.labels):
+            break
+        if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
+            break
+    return BlockModel(q_step(H, zr, zc), zr, zc), traj, (min_row, min_col)
+
+
+@pytest.mark.parametrize(
+    "K, L, n0, m0, seed, repaired",
+    [
+        (3, 2, 0, 0, 3, (False, False)),
+        (4, 3, 9, 6, 4, (False, False)),
+        (8, 6, 0, 0, 3, (True, False)),
+        (3, 8, 0, 0, 0, (False, True)),
+    ],
+    ids=["plain", "floors", "row-repair", "col-repair"],
+)
+def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
+    # the loop reads H twice per iteration and derives Q from H Z_c and
+    # H^T Z_r; on 0/1 data every block sum is an exact integer, so labels,
+    # Q and the trajectory equal those of the step-by-step loop bitwise
+    g = make_standard_graphon("cos", K=4, L=4, rho=0.6)
+    H = synthesize(SynthConfig(40, 30, g, NoiseModel.bernoulli(), seed=9)).H
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, K, 40), rng.integers(0, L, 30)
+    cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given", init_labels=(rows, cols))
+    model, traj, sizes = estimation._lloyd_run(H, rows, cols, cfg)
+    ref_model, ref_traj, ref_sizes = _lloyd_run_reference(H, rows, cols, cfg)
+    assert np.array_equal(model.z_rows.labels, ref_model.z_rows.labels)
+    assert np.array_equal(model.z_cols.labels, ref_model.z_cols.labels)
+    assert np.array_equal(model.Q, ref_model.Q)
+    assert traj == ref_traj
+    assert sizes == ref_sizes
+    # a recorded floor of 0 marks an iteration whose empty cluster was repaired
+    assert (sizes[0] == 0, sizes[1] == 0) == repaired

@@ -27,6 +27,27 @@ def total(cost, labels):
     return cost[np.arange(len(labels)), labels].sum()
 
 
+def lsap_reference(cost, min_size):
+    """The slot-matrix solve the package used before the K-node solver.
+
+    Each cluster gets ``min_size`` mandatory slots; filling them is a
+    rectangular assignment problem on the regrets against the argmin,
+    solved by scipy's shortest augmenting paths.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    n, K = cost.shape
+    base = np.argmin(cost, axis=1)
+    if min_size == 0 or np.bincount(base, minlength=K).min() >= min_size:
+        return base
+    regret = cost - cost[np.arange(n), base][:, None]
+    slot_cluster = np.repeat(np.arange(K), min_size)
+    row_ind, col_ind = linear_sum_assignment(regret.T[slot_cluster])
+    labels = base.copy()
+    labels[col_ind] = slot_cluster[row_ind]
+    return labels
+
+
 def test_vacuous_constraint_matches_argmin_with_ties():
     # two identical columns: argmin tie-break picks the lower index
     cost = np.array([[1.0, 1.0, 2.0], [0.5, 0.5, 0.1], [3.0, 3.0, 3.0]])
@@ -73,6 +94,86 @@ def test_tight_feasibility_uses_every_slot():
     )
 
 
+def test_path_through_three_clusters():
+    # cluster 2 is empty and cluster 1 has no member to spare: the cheap way
+    # to fill cluster 2 moves item 3 from 1 to 2 and refills 1 from 0, at
+    # regret 2 instead of 100; of the three equal candidates in 0, item 0 moves
+    cost = np.array(
+        [[0.0, 1.0, 100.0], [0.0, 1.0, 100.0], [0.0, 1.0, 100.0], [100.0, 0.0, 1.0]]
+    )
+    labels = min_cost_assignment(cost, 1)
+    assert labels.tolist() == [1, 0, 0, 2]
+    assert total(cost, labels) == brute_force_optimum(cost, 1) == 2.0
+
+
+def test_bulk_step_stops_at_the_bound_through_another_cluster():
+    # cluster 2 needs two items; the first comes straight from cluster 0
+    # (item 0, regret 1), but the next member of 0 costs 10 against 3 for
+    # moving item 4 from 1 to 2 and refilling 1 from 0
+    cost = np.array(
+        [
+            [0.0, 1.0, 1.0],
+            [0.0, 1.0, 10.0],
+            [0.0, 1.0, 10.0],
+            [0.0, 1.0, 10.0],
+            [5.0, 0.0, 2.0],
+            [5.0, 0.0, 2.0],
+        ]
+    )
+    labels = min_cost_assignment(cost, 2)
+    assert labels.tolist() == [2, 1, 0, 0, 2, 1]
+    assert total(cost, labels) == brute_force_optimum(cost, 2) == 4.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.data(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_matches_lsap_reference_with_ties(K, data, seed):
+    # integer costs drawn from a few distinct rows, so that equal regrets
+    # and equal rows are common; tied optimal labelings may differ, so only
+    # feasibility and the total cost are compared
+    n0 = data.draw(st.integers(min_value=0, max_value=60 // K), label="n0")
+    n = data.draw(st.integers(min_value=max(K * n0, 1), max_value=60), label="n")
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-5, 6, size=(int(rng.integers(1, 8)), K))
+    cost = rows[rng.integers(0, len(rows), size=n)].astype(np.float64)
+    labels = min_cost_assignment(cost, n0)
+    assert labels.shape == (n,)
+    assert np.bincount(labels, minlength=K).min() >= n0
+    assert total(cost, labels) == total(cost, lsap_reference(cost, n0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
+def test_matches_lsap_reference_on_tight_floors(K, seed):
+    # K * n0 = n: every cluster ends with exactly n0 items
+    rng = np.random.default_rng(seed)
+    n0 = int(rng.integers(1, 60 // K + 1))
+    cost = rng.normal(size=(K * n0, K))
+    labels = min_cost_assignment(cost, n0)
+    assert np.bincount(labels, minlength=K).tolist() == [n0] * K
+    assert total(cost, labels) == pytest.approx(
+        total(cost, lsap_reference(cost, n0)), rel=1e-12, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "preferred, min_size",
+    [([0, 1, 0, 1, 0, 1], 0), ([0, 1, 0, 1, 0, 1], 2), ([0] * 6, 2)],
+    ids=["floor0", "nonbinding", "binding"],
+)
+def test_non_finite_cost_rejected(bad, preferred, min_size):
+    cost = np.ones((6, 2))
+    cost[np.arange(6), preferred] = 0.0
+    cost[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        min_cost_assignment(cost, min_size)
+
+
 def test_infeasible_raises():
     with pytest.raises(InfeasibleSizeError):
         min_cost_assignment(np.zeros((3, 2)), 2)
@@ -102,9 +203,9 @@ def test_always_integral_and_feasible(K, n0, seed):
         assert total(cost, labels) <= cost.sum(axis=0).min() + 1e-9
 
 
-def test_scipy_loads_only_for_a_binding_floor():
-    # importing the package, a floor-0 fit and a non-binding solve leave
-    # scipy.optimize unloaded; the first binding solve loads it and is exact
+def test_binding_floor_leaves_scipy_unloaded():
+    # importing the package, a floor-0 fit, a non-binding and a binding
+    # solve all leave scipy.optimize unloaded; the binding solve is exact
     script = textwrap.dedent(
         """
         import json, sys
@@ -118,10 +219,9 @@ def test_scipy_loads_only_for_a_binding_floor():
         cost = rng.normal(size=(9, 3))
         cost[np.arange(9), np.arange(9) % 3] -= 10.0
         assert min_cost_assignment(cost, 3).tolist() == [0, 1, 2] * 3
-        before = "scipy.optimize" in sys.modules
         cost[:, 0] -= 50.0  # every argmin is cluster 0, so a floor of 2 binds
         labels = min_cost_assignment(cost, 2)
-        print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+        print(json.dumps({"loaded": "scipy.optimize" in sys.modules,
                           "cost": cost.tolist(), "labels": labels.tolist()}))
         """
     )
@@ -132,8 +232,7 @@ def test_scipy_loads_only_for_a_binding_floor():
         capture_output=True, text=True, check=True,
     )
     result = json.loads(out.stdout)
-    assert not result["before"]
-    assert result["after"]
+    assert not result["loaded"]
     cost, labels = np.array(result["cost"]), np.array(result["labels"])
     assert np.bincount(labels, minlength=3).min() >= 2
     assert total(cost, labels) == pytest.approx(brute_force_optimum(cost, 2), abs=1e-9)
