@@ -15,7 +15,7 @@ import numpy as np
 from .aggregation import HyperGrid, default_grid, ewa_aggregate, temperature
 from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, induced_mean
 from .estimation import FitConfig, lloyd_fit
-from .evaluation import delta_tilde, mse_theta, oracle_fit, rate_bound
+from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
 from .experiments import (
     ExperimentSpec,
     emit_outputs,
@@ -168,8 +168,11 @@ def _cmd_eval(args) -> int:
             raise ValueError("--metrics delta needs --meta and --latents")
         lat = load_json(args.latents)
         graphon = _graphon_from_meta(meta)
+        # delta_tilde needs a grid comfortably finer than max(n, m)
+        grid_res = max(DEFAULT_DELTA_GRID, 2 * max(theta_hat.shape))
         out["delta_tilde"] = delta_tilde(
-            theta_hat, graphon, np.asarray(lat["U"]), np.asarray(lat["V"])
+            theta_hat, graphon, np.asarray(lat["U"]), np.asarray(lat["V"]),
+            grid_res=grid_res,
         )
     if "oracle" in metrics:
         if meta is None or args.latents is None or args.input is None:

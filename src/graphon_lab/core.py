@@ -3,8 +3,7 @@
 The central objects are bipartite block models: an ``n x m`` mean matrix
 that is constant on the blocks induced by a clustering of the rows into
 ``K`` groups and a clustering of the columns into ``L`` groups.  Cluster
-memberships are stored as label vectors; the 0/1 assignment-matrix form
-is available as a view when the algebra calls for it.
+memberships are stored as label vectors.
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ class EmptyClusterError(RuntimeError):
 class AssignmentMatrix:
     """Hard clustering of ``n`` items into ``K`` clusters.
 
-    ``labels[i]`` is the 0-based cluster of item ``i``.  The equivalent
-    binary matrix ``Z`` (one 1 per row) is exposed by :meth:`onehot`.
-    Single-cluster assignments are legal here (handy for grand-mean
-    models); the estimator's feasible sets separately require ``K >= 2``.
+    ``labels[i]`` is the 0-based cluster of item ``i``.  Single-cluster
+    assignments are legal here (handy for grand-mean models); the
+    estimator's feasible sets separately require ``K >= 2``.
 
     Parameters
     ----------
@@ -92,14 +90,6 @@ class AssignmentMatrix:
 
     def min_size(self) -> int:
         return int(self.counts().min())
-
-    def satisfies_min_size(self, n0: int) -> bool:
-        """Whether every cluster has at least ``n0`` members."""
-        return self.min_size() >= n0
-
-    def onehot(self) -> np.ndarray:
-        """The ``n x K`` binary assignment matrix (a dense view)."""
-        return np.eye(self.K)[self.labels]
 
 
 @dataclass(frozen=True)

@@ -387,13 +387,15 @@ def _axis_step(
 
 def _lloyd_run(
     H: np.ndarray,
+    Ht: np.ndarray,
+    H_sq: float,
     row_labels: np.ndarray,
     col_labels: np.ndarray,
     cfg: FitConfig,
 ) -> Tuple[BlockModel, list, Tuple[int, int]]:
+    """One run from the given labels; ``Ht`` (``H.T`` in C order) and
+    ``H_sq`` (``||H||_F^2``) are computed once per fit, not per restart."""
     n, m = H.shape
-    Ht = np.ascontiguousarray(H.T)
-    H_sq = float(np.einsum("ij,ij->", H, H))
     zr = _repair_empty_rows(H, row_labels, AssignmentMatrix(m, cfg.L, col_labels), cfg.K)
     zc = _repair_empty_rows(Ht, col_labels, zr, cfg.L)
     traj: list = []
@@ -460,9 +462,11 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
         rl, cl = config.init_labels
         starts.append((np.asarray(rl, dtype=np.int64), np.asarray(cl, dtype=np.int64)))
 
+    Ht = np.ascontiguousarray(H.T)
+    H_sq = float(np.einsum("ij,ij->", H, H))
     best = None
     for idx, (rl, cl) in enumerate(starts):
-        model, traj, min_sizes = _lloyd_run(H, rl, cl, config)
+        model, traj, min_sizes = _lloyd_run(H, Ht, H_sq, rl, cl, config)
         if best is None or traj[-1] < best[1][-1] - 1e-12:
             best = (model, traj, min_sizes, idx)
     model, traj, min_sizes, idx = best

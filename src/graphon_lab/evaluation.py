@@ -31,6 +31,9 @@ __all__ = [
 
 DEFAULT_DELTA_GRID = 1000
 
+# bytes of W evaluated at once by _cell_integrals (128 grid rows at 2048)
+_BLOCK_BYTES = 2 * 1024 * 1024
+
 
 def mse_theta(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:
     """Normalized squared error ``||Theta_hat - Theta*||_F^2 / (n m)``."""
@@ -86,30 +89,38 @@ def _rank_of(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _runs(bins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start positions and values of the runs of a nondecreasing vector."""
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    return starts, bins[starts]
+
+
 def _cell_integrals(
     graphon: Graphon, n: int, m: int, grid_res: int
 ) -> Tuple[np.ndarray, float]:
     """Midpoint-rule integrals of W over the regular n x m rectangles.
 
     Returns the n x m matrix of rectangle integrals together with the
-    squared L2 norm of W on the same global grid.
+    squared L2 norm of W on the same global grid.  W is evaluated a block
+    of grid rows at a time, so besides the result memory stays at a few
+    times ``_BLOCK_BYTES``, whatever ``grid_res``.
     """
     g = (np.arange(grid_res) + 0.5) / grid_res
-    W = graphon.evaluate_grid(g, g)
-    w_sq = float((W * W).mean())
     row_bins = np.minimum((g * n).astype(np.int64), n - 1)
-    col_bins = np.minimum((g * m).astype(np.int64), m - 1)
-    # bins are nondecreasing in g, so rectangle sums are differences of
-    # cumulative sums at the bin boundaries (empty bins come out zero)
-    cum = np.vstack([np.zeros((1, grid_res)), np.cumsum(W, axis=0)])
-    starts = np.searchsorted(row_bins, np.arange(n), side="left")
-    ends = np.searchsorted(row_bins, np.arange(n), side="right")
-    row_acc = cum[ends] - cum[starts]
-    cum2 = np.hstack([np.zeros((n, 1)), np.cumsum(row_acc, axis=1)])
-    cs = np.searchsorted(col_bins, np.arange(m), side="left")
-    ce = np.searchsorted(col_bins, np.arange(m), side="right")
-    cells = (cum2[:, ce] - cum2[:, cs]) / grid_res**2
-    return cells, w_sq
+    col_starts, col_ids = _runs(np.minimum((g * m).astype(np.int64), m - 1))
+    step = max(1, _BLOCK_BYTES // (8 * grid_res))
+    sums = np.zeros((n, m))
+    w_sq = 0.0
+    for lo in range(0, grid_res, step):
+        W = graphon.evaluate_grid(g[lo : lo + step], g)
+        w_sq += float(np.einsum("ij,ij->", W, W))
+        # bins are nondecreasing in g, so each rectangle is a run of grid
+        # rows by a run of grid columns; a rectangle cut by a block edge
+        # gets its two parts from consecutive blocks, and empty bins stay 0
+        row_starts, row_ids = _runs(row_bins[lo : lo + step])
+        part = np.add.reduceat(W, col_starts, axis=1)
+        sums[np.ix_(row_ids, col_ids)] += np.add.reduceat(part, row_starts, axis=0)
+    return sums / grid_res**2, w_sq / grid_res**2
 
 
 def delta_tilde(
@@ -131,9 +142,12 @@ def delta_tilde(
 
     with ``R[a, b] = [a/n, (a+1)/n) x [b/m, (b+1)/m)``.  Integrals use a
     midpoint rule on a ``grid_res x grid_res`` global grid; ``grid_res``
-    should comfortably exceed ``max(n, m)``.  The true distance is an
-    infimum over all rearrangements, so the returned value bounds it from
-    above.  Returns ``sqrt(max(value, 0))``.
+    should comfortably exceed ``max(n, m)``, and a grid coarser than
+    ``max(n, m)`` raises ``ValueError`` because some rectangles would hold
+    no grid point.  The grid is evaluated a block of rows at a time, so
+    memory grows with ``n m`` and not with ``grid_res**2``.  The true
+    distance is an infimum over all rearrangements, so the returned value
+    bounds it from above.  Returns ``sqrt(max(value, 0))``.
     """
     if grid_res < 100:
         raise ValueError("grid_res must be at least 100")
@@ -141,6 +155,8 @@ def delta_tilde(
         raise ValueError("latent positions are required")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     n, m = theta_hat.shape
+    if grid_res < max(n, m):
+        raise ValueError(f"grid_res must be at least max(n, m) = {max(n, m)}")
     cells, w_sq = _cell_integrals(graphon, n, m, grid_res)
     r1 = _rank_of(np.asarray(U, dtype=np.float64))
     r2 = _rank_of(np.asarray(V, dtype=np.float64))

@@ -176,6 +176,11 @@ class ExperimentSpec:
                 self, "rho_values", tuple(float(v) for v in self.rho_values)
             )
         object.__setattr__(self, "inits", tuple(self.inits))
+        if self.setup == "hoelder":
+            # delta_tilde's own limits, checked before any cell runs
+            floor = max([100] + [max(c["n"], c["m"]) for c in self.sweep_cells()])
+            if self.delta_grid < floor:
+                raise ValueError(f"delta_grid must be at least {floor}")
 
     def sweep_cells(self) -> List[dict]:
         """One dict of primitive parameters per sweep value."""

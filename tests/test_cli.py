@@ -11,8 +11,11 @@ import pytest
 from graphon_lab import cli
 from graphon_lab.aggregation import HyperGrid, ewa_aggregate
 from graphon_lab.cli import main
+from graphon_lab.core import induced_mean
+from graphon_lab.evaluation import delta_tilde
 from graphon_lab.experiments import fit_grid
-from graphon_lab.io import load_json, load_matrix, save_matrix
+from graphon_lab.io import load_json, load_matrix, model_from_dict, save_matrix
+from graphon_lab.synthesis import make_standard_graphon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,6 +93,32 @@ def test_fit_eval_round_trip(synth_dir, tmp_path):
     assert 0 <= metrics["mse_theta"] < 0.25
     assert metrics["oracle_mse"] >= 0
     assert metrics["rate_bound"] > 0
+
+
+def test_eval_delta_grid_follows_matrix_size(tmp_path):
+    # 1200 rows exceed the default grid of 1000 points, which delta_tilde
+    # rejects; eval uses twice max(n, m) instead
+    d = tmp_path / "big"
+    assert main(["synth", "--setup", "hoelder", "--n", "1200", "--m", "600",
+                 "--rho", "0.5", "--seed", "4", "--outdir", str(d)]) == 0
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(d / "H.csv"),
+                 "--output", str(d / "model.json")]) == 0
+    rc = main(
+        [
+            "eval", "--model", str(d / "model.json"),
+            "--truth", str(d / "theta_star.csv"),
+            "--latents", str(d / "latents.json"), "--meta", str(d / "meta.json"),
+            "--metrics", "delta", "--output", str(d / "metrics.json"),
+        ]
+    )
+    assert rc == 0
+    lat = load_json(d / "latents.json")
+    theta_hat = induced_mean(model_from_dict(load_json(d / "model.json")))
+    want = delta_tilde(
+        theta_hat, make_standard_graphon("hoelder", rho=0.5),
+        np.asarray(lat["U"]), np.asarray(lat["V"]), grid_res=2400,
+    )
+    assert load_json(d / "metrics.json")["delta_tilde"] == want
 
 
 def test_ewa_subcommand(synth_dir, tmp_path):

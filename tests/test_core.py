@@ -146,13 +146,6 @@ class TestAssignmentMatrix:
         z = AssignmentMatrix(5, 3, [0, 0, 1, 1, 1])
         assert z.counts().tolist() == [2, 3, 0]
         assert z.min_size() == 0
-        assert not z.satisfies_min_size(1)
-
-    def test_onehot_rows_sum_to_one(self):
-        z = AssignmentMatrix(4, 2, [0, 1, 1, 0])
-        Z = z.onehot()
-        assert np.array_equal(Z.sum(axis=1), np.ones(4))
-        assert np.array_equal(Z @ np.arange(2), z.labels)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):

@@ -398,7 +398,8 @@ def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(0, K, 40), rng.integers(0, L, 30)
     cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given", init_labels=(rows, cols))
-    model, traj, sizes = estimation._lloyd_run(H, rows, cols, cfg)
+    report = lloyd_fit(H, cfg)
+    model, traj, sizes = report.model, report.cost_trajectory, report.traj_min_sizes
     ref_model, ref_traj, ref_sizes = _lloyd_run_reference(H, rows, cols, cfg)
     assert np.array_equal(model.z_rows.labels, ref_model.z_rows.labels)
     assert np.array_equal(model.z_cols.labels, ref_model.z_cols.labels)

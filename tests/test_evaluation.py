@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from graphon_lab import evaluation
 from graphon_lab.core import AssignmentMatrix, Graphon, NoiseModel
 from graphon_lab.evaluation import (
     delta_tilde,
@@ -39,6 +41,57 @@ class TestLift:
     def test_negative_entries_allowed(self):
         g = lift_to_graphon(np.array([[-0.5, 0.2]]))
         assert g(0.0, 0.0) == -0.5
+
+
+def _cell_integrals_reference(graphon, n, m, grid_res):
+    """The whole-grid computation: W on the full grid, then differences of
+    cumulative sums at the rectangle boundaries."""
+    g = (np.arange(grid_res) + 0.5) / grid_res
+    W = graphon.evaluate_grid(g, g)
+    w_sq = float((W * W).mean())
+    row_bins = np.minimum((g * n).astype(np.int64), n - 1)
+    col_bins = np.minimum((g * m).astype(np.int64), m - 1)
+    cum = np.vstack([np.zeros((1, grid_res)), np.cumsum(W, axis=0)])
+    starts = np.searchsorted(row_bins, np.arange(n), side="left")
+    ends = np.searchsorted(row_bins, np.arange(n), side="right")
+    row_acc = cum[ends] - cum[starts]
+    cum2 = np.hstack([np.zeros((n, 1)), np.cumsum(row_acc, axis=1)])
+    cs = np.searchsorted(col_bins, np.arange(m), side="left")
+    ce = np.searchsorted(col_bins, np.arange(m), side="right")
+    cells = (cum2[:, ce] - cum2[:, cs]) / grid_res**2
+    return cells, w_sq
+
+
+_GRAPHONS = {
+    "bump": lambda: make_standard_graphon("hoelder", rho=0.8),
+    "rand": lambda: make_standard_graphon("rand", K=5, L=3, rho=0.7, seed=2),
+    "lift": lambda: lift_to_graphon(np.random.default_rng(7).random((13, 29)) + 0.1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRAPHONS))
+@pytest.mark.parametrize(
+    "n, m, grid_res",
+    [
+        (37, 23, 1013),  # no multiple of n or m; four blocks
+        (150, 60, 150),  # grid_res == max(n, m)
+        (1, 1, 100),
+        (1, 40, 700),  # one row rectangle spans both blocks
+        (40, 1, 700),
+        (3, 5, 2048),  # sixteen blocks; block edges cut row rectangles
+        (96, 48, 2048),
+    ],
+)
+def test_streamed_cell_integrals_match_whole_grid(kind, n, m, grid_res):
+    g = _GRAPHONS[kind]()
+    cells, w_sq = evaluation._cell_integrals(g, n, m, grid_res)
+    want_cells, want_w_sq = _cell_integrals_reference(g, n, m, grid_res)
+    assert cells.shape == (n, m)
+    # the reference's cumulative sums lose digits against the running total,
+    # not against the cell, so small cells are held to 1e-12 of the largest
+    scale = np.abs(want_cells).max()
+    np.testing.assert_allclose(cells, want_cells, rtol=1e-12, atol=1e-12 * scale)
+    assert w_sq == pytest.approx(want_w_sq, rel=1e-12)
 
 
 class TestDeltaTilde:
@@ -83,6 +136,28 @@ class TestDeltaTilde:
             delta_tilde(np.zeros((4, 4)), g, None, None)
         with pytest.raises(ValueError):
             delta_tilde(np.zeros((4, 4)), g, np.zeros(4), np.zeros(4), grid_res=10)
+
+    def test_grid_coarser_than_matrix_rejected(self):
+        # at 120 x 60 a grid of 100 points leaves 20 row rectangles empty
+        g = make_standard_graphon("hoelder", rho=0.5)
+        U, V = sample_latents(120, 60, seed=5)
+        theta_hat = g.evaluate_grid(U, V)
+        with pytest.raises(ValueError, match="max\\(n, m\\) = 120"):
+            delta_tilde(theta_hat, g, U, V, grid_res=100)
+        assert delta_tilde(theta_hat, g, U, V, grid_res=120) >= 0
+
+    def test_memory_does_not_grow_with_the_grid_squared(self):
+        # a 2048 x 2048 grid is 33.5 MB of doubles; the result is 4.2 MB
+        g = make_standard_graphon("hoelder", rho=0.5)
+        U, V = sample_latents(1024, 512, seed=6)
+        theta_hat = g.evaluate_grid(U, V)
+        tracemalloc.start()
+        try:
+            delta_tilde(theta_hat, g, U, V, grid_res=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestOracle:

@@ -155,6 +155,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_spec(K=None)
 
+    @pytest.mark.parametrize(
+        "sweep, delta_grid",
+        [
+            (dict(n_values=(24,)), 50),  # below delta_tilde's floor of 100
+            (dict(n_values=(24, 400)), 300),  # below the larger cell's n
+            (dict(rho_values=(0.5,), n=120, m=150), 140),  # below m
+        ],
+    )
+    def test_hoelder_delta_grid_checked_at_construction(self, sweep, delta_grid):
+        with pytest.raises(ValueError, match="delta_grid"):
+            ExperimentSpec(name="smooth", setup="hoelder", delta_grid=delta_grid, **sweep)
+        # the same grids pass where the largest side fits, and where no
+        # delta_tilde is computed
+        ExperimentSpec(name="smooth", setup="hoelder", n_values=(24,), delta_grid=100)
+        ExperimentSpec(
+            name="rand", setup="rand_graphon", K=2, L=2, delta_grid=delta_grid, **sweep
+        )
+
 
 def _graphon_seed(spec):
     return cell_seed(spec.seed, 99)
