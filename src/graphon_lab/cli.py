@@ -163,27 +163,24 @@ def _cmd_eval(args) -> int:
     meta = load_json(args.meta) if args.meta else None
     if "mse" in metrics:
         out["mse_theta"] = mse_theta(theta_hat, theta_star)
-    if "delta" in metrics:
+    truth = [name for name in ("delta", "oracle") if name in metrics]
+    if truth:
+        # both compare against the true graphon at the drawn latents
         if meta is None or args.latents is None:
-            raise ValueError("--metrics delta needs --meta and --latents")
+            raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
+        U, V = np.asarray(lat["U"]), np.asarray(lat["V"])
         graphon = _graphon_from_meta(meta)
+    if "delta" in metrics:
         # delta_tilde needs a grid comfortably finer than max(n, m)
         grid_res = max(DEFAULT_DELTA_GRID, 2 * max(theta_hat.shape))
-        out["delta_tilde"] = delta_tilde(
-            theta_hat, graphon, np.asarray(lat["U"]), np.asarray(lat["V"]),
-            grid_res=grid_res,
-        )
+        out["delta_tilde"] = delta_tilde(theta_hat, graphon, U, V, grid_res=grid_res)
     if "oracle" in metrics:
-        if meta is None or args.latents is None or args.input is None:
-            raise ValueError("--metrics oracle needs --meta, --latents and --input")
-        lat = load_json(args.latents)
-        graphon = _graphon_from_meta(meta)
+        if args.input is None:
+            raise ValueError("--metrics oracle needs --input")
         if graphon.family != "piecewise_constant":
             raise ValueError("oracle metric needs a piecewise-constant truth")
-        r, c = true_assignments(
-            graphon, np.asarray(lat["U"]), np.asarray(lat["V"])
-        )
+        r, c = true_assignments(graphon, U, V)
         oracle = oracle_fit(
             load_matrix(args.input),
             AssignmentMatrix(theta_star.shape[0], graphon.K, r),

@@ -172,15 +172,15 @@ def induced_sq_norm(model: BlockModel) -> float:
     return float((sizes * model.Q * model.Q).sum())
 
 
-def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int) -> np.ndarray:
+def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int, Z=None) -> np.ndarray:
     """Sum the rows (axis=0) or columns (axis=1) of ``H`` by cluster label.
 
-    With ``Z`` the one-hot matrix of ``labels``, this is ``Z^T H`` (a
-    ``K x m`` matrix) for axis=0 and ``H Z`` (``n x K``) for axis=1; empty
-    clusters produce zero rows/columns.
+    With ``Z`` the one-hot matrix of ``labels`` (pass it to reuse it), this
+    is ``Z^T H`` (``K x m``) for axis=0 and ``H Z`` (``n x K``) for axis=1;
+    empty clusters produce zero rows/columns.
     """
     H = np.asarray(H, dtype=np.float64)
-    Z = np.eye(K)[labels]
+    Z = np.eye(K)[labels] if Z is None else Z
     return Z.T @ H if axis == 0 else H @ Z
 
 

@@ -230,26 +230,35 @@ def _spawned_seeds(seed: int, key: int, count: int) -> list:
 def spectral_embedding(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Singular-value-scaled singular vectors of the degree-trimmed ``H``.
 
-    Returns ``(U S, V S)`` from the SVD of the trimmed matrix; the first
-    ``k`` columns of either factor are its rank-``k`` embedding.  Raises
-    ``ValueError`` when ``H`` is not finite.
+    Returns ``(U S, V S)`` of the trimmed ``A``, singular values descending;
+    the first ``k`` columns of either factor are its rank-``k`` embedding.
+    For ``n >= m`` the eigenpairs ``(S^2, V)`` of ``A^T A`` give ``U S = A V``
+    (mirrored on ``A A^T`` for ``n < m``), so nothing is divided by a singular
+    value.  ``A`` is first scaled by a power of two (1 on 0/1 data) to keep
+    the Gram product finite and normal.  Raises ``ValueError`` for non-finite ``H``.
     """
     H = np.asarray(H, dtype=np.float64)
     if not np.isfinite(H).all():
         raise ValueError("H must be finite")
-    U, s, Vt = np.linalg.svd(_degree_trim(H), full_matrices=False)
-    return U * s, Vt.T * s
+    A = _degree_trim(H)
+    B = A if A.shape[0] >= A.shape[1] else A.T
+    exp = 1 - np.frexp(np.abs(B).max())[1]
+    C = np.ldexp(B, exp)
+    lam, V = np.linalg.eigh(C.T @ C)
+    V = V[:, ::-1]
+    s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), -exp)
+    return (B @ V, V * s) if B is A else (V * s, B @ V)
 
 
 def spectral_init(
     H: np.ndarray, K: int, L: int, seed: int = 0
 ) -> Tuple[AssignmentMatrix, AssignmentMatrix]:
-    """Initial clusters from the truncated SVD of a degree-trimmed matrix.
+    """Initial clusters from the :func:`spectral_embedding` of ``H``.
 
     Rows are clustered by k-means on the ``K`` leading left singular
     vectors (scaled by their singular values), columns on the ``L``
-    leading right singular vectors.  If the SVD fails the initializer
-    falls back to random labels with a warning.
+    leading right ones.  If the Gram eigendecomposition fails the
+    initializer falls back to random labels with a warning.
     """
     H = np.asarray(H, dtype=np.float64)
     n, m = H.shape
@@ -259,7 +268,7 @@ def spectral_init(
     try:
         row_emb, col_emb = spectral_embedding(H)
     except np.linalg.LinAlgError:
-        warnings.warn("SVD failed; falling back to random initialization")
+        warnings.warn("Gram eigendecomposition failed; falling back to random initialization")
         rng = substream(seed, 97)
         return (
             AssignmentMatrix(n, K, _random_labels(n, K, rng, 1)),
@@ -401,22 +410,26 @@ def _lloyd_run(
     traj: list = []
     min_row = n
     min_col = m
+    Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         # H is read twice per iteration: H Z_c gives the block means and the
         # row costs, H^T Z_r the column costs and the means after the step
-        HZc = group_sums(H, zc.labels, cfg.L, axis=1)
-        Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0), zr, zc)
+        # (each one-hot Z is built once per labelling and serves two sums)
+        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+        Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
         zr, row_floor, _ = _axis_step(H, HZc, Q, zc, cfg.n0)
+        Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
-            Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0), zr, zc)
-        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1)
+            Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
         zc, col_floor, c = _axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
+        Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
-            Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0).T, zr, zc)
+            Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
             c = _linear_costs(HtZr, Q.T, zr.counts())
         # the linearized objective differs from the squared error by ||H||_F^2
         phi = float(c[np.arange(m), zc.labels].sum())
@@ -427,7 +440,7 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0).T, zr, zc)
+    Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 

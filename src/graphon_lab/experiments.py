@@ -488,7 +488,7 @@ def fit_grid(
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
     """Fit every grid entry, sharing work across entries.
 
-    One SVD of the trimmed matrix serves all entries; k-means runs once
+    One spectral embedding serves all entries; k-means runs once
     per distinct K and per distinct L.  For fixed (K, L), a fit whose
     whole trajectory already respected a tighter pair of size floors is
     reused for that entry (the two runs provably coincide: an optimal

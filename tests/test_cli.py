@@ -121,6 +121,34 @@ def test_eval_delta_grid_follows_matrix_size(tmp_path):
     assert load_json(d / "metrics.json")["delta_tilde"] == want
 
 
+def test_eval_loads_latents_and_graphon_once(synth_dir, tmp_path, monkeypatch):
+    # delta and oracle both compare against the true graphon at the latents
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    loaded, built = [], []
+    load, build = cli.load_json, cli._graphon_from_meta
+    monkeypatch.setattr(cli, "load_json", lambda p: loaded.append(Path(p).name) or load(p))
+    monkeypatch.setattr(cli, "_graphon_from_meta", lambda m: built.append(m) or build(m))
+    rc = main(
+        [
+            "eval", "--model", str(model_path),
+            "--truth", str(synth_dir / "theta_star.csv"),
+            "--latents", str(synth_dir / "latents.json"),
+            "--meta", str(synth_dir / "meta.json"),
+            "--input", str(synth_dir / "H.csv"),
+            "--metrics", "mse,delta,oracle,rate",
+            "--output", str(tmp_path / "metrics.json"),
+        ]
+    )
+    assert rc == 0
+    assert sorted(loaded) == ["latents.json", "meta.json", "model.json"]
+    assert len(built) == 1
+    assert set(load_json(tmp_path / "metrics.json")) == {
+        "mse_theta", "delta_tilde", "oracle_mse", "rate_bound"
+    }
+
+
 def test_ewa_subcommand(synth_dir, tmp_path):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({"entries": [[2, 2, 0, 0], [3, 3, 0, 0]]}))

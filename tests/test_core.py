@@ -139,6 +139,8 @@ def test_group_sums_match_label_loop(axis, K):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     if K == 7:
         assert not np.take(got, range(3, 7), axis=axis).any()
+    # a one-hot built once by the caller gives the same sums bitwise
+    assert group_sums(floats, labels, K, axis, Z=np.eye(K)[labels]).tobytes() == got.tobytes()
 
 
 class TestAssignmentMatrix:

@@ -238,6 +238,99 @@ class TestSpectralInit:
             spectral_init(np.eye(3), 4, 2, seed=0)
 
 
+def _svd_embedding(H):
+    """Reference embedding: ``(U S, V S)`` from a full SVD of the trimmed H."""
+    U, s, Vt = np.linalg.svd(estimation._degree_trim(H), full_matrices=False)
+    return U * s, Vt.T * s
+
+
+def _unscaled_gram_embedding(H):
+    """The Gram-matrix embedding without the power-of-two prescale."""
+    A = estimation._degree_trim(H)
+    B = A if A.shape[0] >= A.shape[1] else A.T
+    with np.errstate(all="ignore"):
+        lam, V = np.linalg.eigh(B.T @ B)
+        V = V[:, ::-1]
+        s = np.sqrt(np.maximum(lam[::-1], 0.0))
+        return (B @ V, V * s) if B is A else (V * s, B @ V)
+
+
+def _pairwise(X):
+    """Squared distances between the rows of ``X``."""
+    return ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _embeddings_agree(got, want, ranks):
+    """Leading-k squared row distances and k-means labels agree for every k
+    in ``ranks``.  Both embeddings are first divided by the same power of two
+    near the largest singular value: that is exact, and it keeps k-means,
+    which squares raw coordinates, clear of overflow and underflow."""
+    smax = max(np.abs(want[0]).max(), np.abs(want[1]).max())
+    exp = np.frexp(smax)[1]
+    for g, w in zip(got, want):
+        if g.shape != w.shape:
+            return False
+        g, w = np.ldexp(g, -exp), np.ldexp(w, -exp)
+        for k in ranks:
+            with np.errstate(all="ignore"):
+                gd, wd = _pairwise(g[:, :k]), _pairwise(w[:, :k])
+            if not np.allclose(gd, wd, rtol=0, atol=1e-10):
+                return False
+            if not np.array_equal(kmeans(g[:, :k], k, seed=k), kmeans(w[:, :k], k, seed=k)):
+                return False
+    return True
+
+
+def _embedding_inputs():
+    g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=2)
+
+    def draw(n, m):
+        return synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=n + m)).H
+
+    Q = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.5], [0.55, 0.45, 0.5]])  # rank 2
+    tall = draw(60, 40)
+    return {
+        "tall": (tall, (1, 2, 3, 5)),
+        "wide": (draw(40, 60), (1, 2, 3, 5)),
+        "square": (draw(40, 40), (1, 2, 3, 5)),
+        "rank-deficient": (np.kron(Q, np.ones((20, 10))), (1, 2, 3)),
+        "all-zero": (np.zeros((20, 10)), (1, 2, 3)),
+        "one-row": (draw(1, 12), (1,)),
+        "times-1e200": (tall * 1e200, (1, 2, 3, 5)),
+        "times-1e-200": (tall * 1e-200, (1, 2, 3, 5)),
+    }
+
+
+class TestSpectralEmbedding:
+    @pytest.mark.parametrize("case", list(_embedding_inputs()))
+    def test_matches_svd_reference(self, case):
+        H, ranks = _embedding_inputs()[case]
+        assert _embeddings_agree(spectral_embedding(H), _svd_embedding(H), ranks)
+
+    def test_prescale_is_needed(self):
+        # the Gram embedding without the power-of-two prescale agrees on 0/1
+        # data, but its Gram product overflows (a NaN embedding) or
+        # underflows (distances far off) on the scaled copies
+        cases = _embedding_inputs()
+        H, ranks = cases["tall"]
+        assert _embeddings_agree(_unscaled_gram_embedding(H), _svd_embedding(H), ranks)
+        for case in ("times-1e200", "times-1e-200"):
+            H, ranks = cases[case]
+            assert not _embeddings_agree(
+                _unscaled_gram_embedding(H), _svd_embedding(H), ranks
+            )
+
+    def test_kmeans_ignores_column_signs(self):
+        # eigenvector signs are arbitrary; k-means reads squared distances
+        # only, and negating a column leaves those bitwise unchanged
+        H, _ = _embedding_inputs()["tall"]
+        row_emb, col_emb = spectral_embedding(H)
+        for emb, k in ((row_emb[:, :5], 5), (col_emb[:, :4], 4)):
+            want = kmeans(emb, k, seed=3)
+            for signs in itertools.product((1.0, -1.0), repeat=k):
+                assert np.array_equal(kmeans(emb * np.array(signs), k, seed=3), want)
+
+
 def planted_block_matrix(n, m, rng=None, noise=0.0):
     rows = np.arange(n) % 2
     cols = np.arange(m) % 2
