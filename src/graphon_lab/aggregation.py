@@ -202,14 +202,24 @@ def ewa_weights(sq_residuals: np.ndarray, beta: float) -> np.ndarray:
 def mixture(models: Sequence[BlockModel], weights: np.ndarray) -> np.ndarray:
     """The convex combination ``sum_l w_l * induced_mean(model_l)``.
 
-    Terms with weight at most ``WEIGHT_FLOOR`` are skipped.
+    Terms with weight at most ``WEIGHT_FLOOR`` are skipped.  The weights of
+    a model object listed more than once (grid entries that share one fit)
+    are added first, so each distinct fit's mean is materialized once.
     """
     if len(models) == 0 or len(models) != len(weights):
         raise ValueError("need one weight per model, and at least one model")
-    out = np.zeros((models[0].n, models[0].m))
+    shape = (models[0].n, models[0].m)
+    merged: Dict[int, List] = {}
     for w, model in zip(weights, models):
-        _check_shape(model, out.shape)
+        term = merged.get(id(model))
+        if term is None:
+            _check_shape(model, shape)
+            term = merged[id(model)] = [model, 0.0]
         if w > WEIGHT_FLOOR:
+            term[1] += w
+    out = np.zeros(shape)
+    for model, w in merged.values():
+        if w > 0.0:
             out += w * induced_mean(model)
     return out
 

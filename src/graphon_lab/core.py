@@ -83,13 +83,21 @@ class AssignmentMatrix:
         if labels.min() < 0 or labels.max() >= self.K:
             raise ValueError("labels must lie in {0, ..., K-1}")
         labels.setflags(write=False)
+        counts = np.bincount(labels, minlength=self.K)
+        counts.setflags(write=False)
+        object.__setattr__(self, "_counts", counts)
 
     def counts(self) -> np.ndarray:
-        """Cluster sizes as a length-``K`` integer vector."""
-        return np.bincount(self.labels, minlength=self.K)
+        """Cluster sizes as a length-``K`` integer vector.
+
+        Equal to ``np.bincount(labels, minlength=K)``, binned once when the
+        assignment is built and returned as the same read-only array on
+        every call; copy it before writing.
+        """
+        return self._counts
 
     def min_size(self) -> int:
-        return int(self.counts().min())
+        return int(self._counts.min())
 
 
 @dataclass(frozen=True)

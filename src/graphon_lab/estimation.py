@@ -114,20 +114,19 @@ def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndar
 # --------------------------------------------------------------------------
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
+def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each point (squared norms ``sq_norms``) to each center."""
+    d = sq_norms[:, None] - 2.0 * points @ centers.T + (centers * centers).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1]).ravel()
+    d2 = _sq_dists(points, sq_norms, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -135,7 +134,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centers[j : j + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(points, sq_norms, centers[j : j + 1]).ravel())
     return centers
 
 
@@ -159,33 +158,42 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding, best of 5 restarts by WCSS.
 
     Empty clusters are re-seeded to the point farthest from its assigned
-    center.  Returns the labels of the best restart.
+    center.  The points are first scaled by the power of two that puts
+    their largest magnitude in [1, 2), which is exact, so the labels do not
+    depend on the data's scale and squared distances neither overflow nor
+    underflow.  Returns the labels of the best restart.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k > n:
         raise ValueError("cannot form more clusters than points")
+    points = np.ldexp(points, 1 - np.frexp(np.abs(points).max(initial=0.0))[1])
+    sq_norms = (points * points).sum(axis=1)
+    rows = np.arange(n)
     best_labels, best_wcss = None, np.inf
     for r in range(_KMEANS_RESTARTS):
         rng = substream(seed, 50 + r)
-        centers = _kmeans_pp(points, k, rng)
+        centers = _kmeans_pp(points, sq_norms, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(_KMEANS_MAX_ITERS):
-            d2 = _sq_dists(points, centers)
+            d2 = _sq_dists(points, sq_norms, centers)
             new_labels = np.argmin(d2, axis=1)
-            assigned = d2[np.arange(n), new_labels]
             counts = np.bincount(new_labels, minlength=k)
-            for empty in np.flatnonzero(counts == 0):
-                far = int(np.argmax(assigned))
-                new_labels[far] = empty
-                assigned[far] = 0.0
-                counts = np.bincount(new_labels, minlength=k)
+            if counts.min() == 0:
+                assigned = d2[rows, new_labels]
+                for empty in np.flatnonzero(counts == 0):
+                    far = int(np.argmax(assigned))
+                    new_labels[far] = empty
+                    assigned[far] = 0.0
+                    counts = np.bincount(new_labels, minlength=k)
             if np.array_equal(new_labels, labels):
-                labels = new_labels
                 break
             labels = new_labels
             _update_centers(points, labels, counts, centers)
-        wcss = float(_sq_dists(points, centers)[np.arange(n), labels].sum())
+        else:
+            # unconverged: the centers moved after the last distance matrix
+            d2 = _sq_dists(points, sq_norms, centers)
+        wcss = float(d2[rows, labels].sum())
         if wcss < best_wcss - 1e-12:
             best_labels, best_wcss = labels, wcss
     return best_labels
@@ -411,23 +419,31 @@ def _lloyd_run(
     min_row = n
     min_col = m
     Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
+    # H is read at most twice per iteration: H Z_c gives the block means and
+    # the row costs, H^T Z_r the column costs and the means after the step.
+    # Each one-hot Z serves two sums, and a step that returns an axis's
+    # previous labels keeps that axis's one-hot and H product.
+    HZc, HtZr = None, None
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
-        # H is read twice per iteration: H Z_c gives the block means and the
-        # row costs, H^T Z_r the column costs and the means after the step
-        # (each one-hot Z is built once per labelling and serves two sums)
-        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+        if HZc is None:
+            HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
         Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
         zr, row_floor, _ = _axis_step(H, HZc, Q, zc, cfg.n0)
-        Zr = np.eye(cfg.K)[zr.labels]
+        rows_kept = np.array_equal(start[0], zr.labels)
+        if not rows_kept:
+            Zr, HtZr = np.eye(cfg.K)[zr.labels], None
         if row_floor == 0:
             Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
-        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+        if HtZr is None:
+            HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
         zc, col_floor, c = _axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
-        Zc = np.eye(cfg.L)[zc.labels]
+        cols_kept = np.array_equal(start[1], zc.labels)
+        if not cols_kept:
+            Zc, HZc = np.eye(cfg.L)[zc.labels], None
         if col_floor == 0:
             Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
             c = _linear_costs(HtZr, Q.T, zr.counts())
@@ -436,7 +452,7 @@ def _lloyd_run(
         traj.append(max(H_sq + phi, 0.0))
         min_row = min(min_row, row_floor)
         min_col = min(min_col, col_floor)
-        if np.array_equal(start[0], zr.labels) and np.array_equal(start[1], zc.labels):
+        if rows_kept and cols_kept:
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break

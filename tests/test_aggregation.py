@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_lab import experiments
 from graphon_lab.aggregation import (
+    WEIGHT_FLOOR,
     HyperGrid,
     default_grid,
     ewa_aggregate,
@@ -21,6 +23,7 @@ from graphon_lab.core import (
     NoiseModel,
     induced_mean,
 )
+from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 
 
 class TestDefaultGrid:
@@ -154,6 +157,61 @@ def test_mixture_rejects_mixed_shapes():
     models = [_dense(np.zeros((3, 4))), _dense(np.ones((1, 4)))]
     with pytest.raises(DimensionMismatch):
         mixture(models, np.array([0.5, 0.5]))
+
+
+def _mixture_per_entry(models, weights):
+    """Reference mixture: one term per list entry, shared fits included."""
+    out = np.zeros((models[0].n, models[0].m))
+    for w, model in zip(weights, models):
+        if model.n != out.shape[0] or model.m != out.shape[1]:
+            raise DimensionMismatch("shape")
+        if w > WEIGHT_FLOOR:
+            out += w * induced_mean(model)
+    return out
+
+
+@pytest.mark.parametrize("kind, beta", [("cos", 8.0 / 3.0), ("rand", 8.0 / 3.0), ("rand", 1e3)])
+def test_mixture_merges_shared_fits(kind, beta):
+    # grid entries that share one fit get one term with their summed weight;
+    # the per-entry loop rounds once per entry instead, so the two differ by
+    # at most the summation error bound of the longer (per-entry) sum
+    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=1)
+    obs = synthesize(SynthConfig(60, 40, g, NoiseModel.bernoulli(), seed=2, with_second_copy=True))
+    grid = default_grid(60, 40)
+    reports = experiments.fit_grid(obs.H, grid, seed=3)
+    models = [reports[e].model for e in grid]
+    assert len({id(model) for model in models}) < len(models) // 2
+    weights = ewa_weights(sq_residuals(models, obs.H_prime), beta)
+    got, want = mixture(models, weights), _mixture_per_entry(models, weights)
+    magnitude = sum(w * np.abs(induced_mean(x)) for w, x in zip(weights, models))
+    assert (np.abs(got - want) <= len(models) * np.finfo(float).eps * magnitude).all()
+    # a few shared entries: the two sums agree to a relative 1e-15
+    few, w_few = models[:12], weights[:12] / weights[:12].sum()
+    want = _mixture_per_entry(few, w_few)
+    assert np.abs(mixture(few, w_few) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_mixture_skips_floor_weights_per_entry():
+    # three entries of one fit at WEIGHT_FLOOR each are all skipped, although
+    # their sum is above the floor; a skipped term is never materialized
+    rng = np.random.default_rng(4)
+    kept = _dense(rng.random((3, 4)))
+    dropped = _dense(np.full((3, 4), np.inf))
+    models = [kept, dropped, dropped, kept, dropped]
+    weights = np.array([0.5, WEIGHT_FLOOR, WEIGHT_FLOOR, 0.5 - 3 * WEIGHT_FLOOR, WEIGHT_FLOOR])
+    got = mixture(models, weights)
+    assert np.isfinite(got).all()
+    want = _mixture_per_entry(models, weights)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_mixture_checks_shape_of_zero_weight_entries():
+    ok = _dense(np.zeros((3, 4)))
+    wide = _dense(np.ones((3, 5)))
+    with pytest.raises(DimensionMismatch):
+        mixture([ok, ok, wide], np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(DimensionMismatch):
+        mixture([ok, wide, wide], np.array([1.0, 0.0, 0.0]))
 
 
 class TestEwaAggregate:

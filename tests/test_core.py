@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,27 @@ class TestAssignmentMatrix:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             AssignmentMatrix(3, 2, [0, 1, 2])
+
+    def test_counts_are_binned_once_and_read_only(self):
+        rng = np.random.default_rng(0)
+        wide = rng.integers(0, 5, (40, 3))
+        cases = [
+            AssignmentMatrix(6, 4, [3, 0, 3, 1, 0, 3]),
+            AssignmentMatrix(40, 5, wide[:, 1]),  # a strided column
+            AssignmentMatrix(20, 6, wide[::2, 0]),  # a strided row slice
+        ]
+        cases.append(dataclasses.replace(cases[1], K=7))
+        cases.append(dataclasses.replace(cases[0], labels=[2, 2, 2, 2, 0, 1]))
+        for z in cases:
+            counts = z.counts()
+            assert counts is z.counts()
+            assert np.array_equal(counts, np.bincount(z.labels, minlength=z.K))
+            assert counts.shape == (z.K,)
+            assert z.min_size() == counts.min()
+            with pytest.raises(ValueError):
+                counts[0] = 99
+        assert cases[3].counts().tolist()[5:] == [0, 0]
+        assert cases[4].counts().tolist() == [1, 1, 4, 0]
 
 
 class TestGraphon:

@@ -9,6 +9,7 @@ from graphon_lab.core import (
     BlockModel,
     EmptyClusterError,
     frobenius_cost,
+    group_sums,
     induced_mean,
 )
 from graphon_lab.estimation import (
@@ -21,7 +22,7 @@ from graphon_lab.estimation import (
     spectral_init,
 )
 from graphon_lab.flow import min_cost_assignment
-from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
+from graphon_lab.synthesis import SynthConfig, make_standard_graphon, substream, synthesize
 from graphon_lab.core import NoiseModel
 
 
@@ -212,6 +213,91 @@ class TestKMeans:
 
         nearest = np.argmin(((pts[:, None, :] - centers) ** 2).sum(-1), axis=1)
         assert wcss(labels) <= wcss(nearest) + 1e-9
+
+
+def _kmeans_reference(points, k, seed):
+    """k-means on the raw coordinates: point norms in every distance matrix,
+    the farthest-point gather on every iteration and the WCSS recomputed."""
+
+    def sq_dists(centers):
+        d = (
+            (points * points).sum(axis=1)[:, None]
+            - 2.0 * points @ centers.T
+            + (centers * centers).sum(axis=1)[None, :]
+        )
+        return np.maximum(d, 0.0)
+
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    best_labels, best_wcss = None, np.inf
+    for r in range(estimation._KMEANS_RESTARTS):
+        rng = substream(seed, 50 + r)
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        d2 = sq_dists(centers[:1]).ravel()
+        for j in range(1, k):
+            total = d2.sum()
+            idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+            centers[j] = points[idx]
+            d2 = np.minimum(d2, sq_dists(centers[j : j + 1]).ravel())
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(estimation._KMEANS_MAX_ITERS):
+            d2 = sq_dists(centers)
+            new_labels = np.argmin(d2, axis=1)
+            assigned = d2[np.arange(n), new_labels]
+            counts = np.bincount(new_labels, minlength=k)
+            for empty in np.flatnonzero(counts == 0):
+                far = int(np.argmax(assigned))
+                new_labels[far] = empty
+                assigned[far] = 0.0
+                counts = np.bincount(new_labels, minlength=k)
+            if np.array_equal(new_labels, labels):
+                labels = new_labels
+                break
+            labels = new_labels
+            _update_centers_loop(points, labels, counts, centers)
+        wcss = float(sq_dists(centers)[np.arange(n), labels].sum())
+        if wcss < best_wcss - 1e-12:
+            best_labels, best_wcss = labels, wcss
+    return best_labels
+
+
+def _kmeans_cases():
+    cases = []
+    for kind, n, m in [("cos", 200, 100), ("rand", 256, 128), ("hoelder", 300, 150)]:
+        g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=5)
+        H = synthesize(SynthConfig(n=n, m=m, graphon=g, noise=NoiseModel.bernoulli(), seed=6)).H
+        row_emb, col_emb = spectral_embedding(H)
+        cases += [(emb[:, :k], k) for emb in (row_emb, col_emb) for k in (2, 3, 5, 8)]
+    # three distinct points for five clusters: every restart re-seeds empties
+    cases.append((np.repeat([[0.0, 1.0], [1.5, -0.5], [-1.25, 0.75]], 7, axis=0), 5))
+    return cases
+
+
+class TestKMeansReference:
+    @pytest.mark.parametrize("max_iters", [50, 1])
+    def test_labels_match_reference(self, monkeypatch, max_iters):
+        # one Lloyd iteration never reaches a fixed point (labels start at 0),
+        # so every restart's WCSS then comes from recomputed distances
+        monkeypatch.setattr(estimation, "_KMEANS_MAX_ITERS", max_iters)
+        for i, (points, k) in enumerate(_kmeans_cases()):
+            assert np.array_equal(kmeans(points, k, seed=i), _kmeans_reference(points, k, i))
+
+    def test_empty_cluster_reseed_is_exercised(self):
+        # nearest-centre labels take at most three values on three distinct
+        # points; a fourth label can only come from re-seeding an empty cluster
+        points, k = _kmeans_cases()[-1]
+        labels = kmeans(points, k, seed=0)
+        assert len(set(labels.tolist())) > 3
+        assert np.array_equal(labels, _kmeans_reference(points, k, 0))
+
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_scale_free(self, exp):
+        # 2^600 squares to 2^1200, past the float range; 2^-600 squares to 0
+        for i, (points, k) in enumerate(_kmeans_cases()):
+            with np.errstate(all="raise"):
+                scaled = kmeans(np.ldexp(points, exp), k, seed=i)
+            assert np.array_equal(scaled, kmeans(points, k, seed=i))
 
 
 class TestSpectralInit:
@@ -501,3 +587,83 @@ def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
     assert sizes == ref_sizes
     # a recorded floor of 0 marks an iteration whose empty cluster was repaired
     assert (sizes[0] == 0, sizes[1] == 0) == repaired
+
+
+def _lloyd_run_recomputing(H, Ht, H_sq, row_labels, col_labels, cfg):
+    """The Lloyd loop that rebuilds both one-hots and reads H twice on every
+    iteration, whether or not an axis's labels changed."""
+    n, m = H.shape
+    zr = estimation._repair_empty_rows(H, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = estimation._repair_empty_rows(Ht, col_labels, zr, cfg.L)
+    traj, min_row, min_col = [], n, m
+    Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
+    for _ in range(cfg.max_iters):
+        start = (zr.labels, zc.labels)
+        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+        Q = estimation._block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        zr, row_floor, _ = estimation._axis_step(H, HZc, Q, zc, cfg.n0)
+        Zr = np.eye(cfg.K)[zr.labels]
+        if row_floor == 0:
+            Q = estimation._block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+        zc, col_floor, c = estimation._axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
+        Zc = np.eye(cfg.L)[zc.labels]
+        if col_floor == 0:
+            Q = estimation._block_means(
+                group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc
+            )
+            c = estimation._linear_costs(HtZr, Q.T, zr.counts())
+        traj.append(max(H_sq + float(c[np.arange(m), zc.labels].sum()), 0.0))
+        min_row, min_col = min(min_row, row_floor), min(min_col, col_floor)
+        if np.array_equal(start[0], zr.labels) and np.array_equal(start[1], zc.labels):
+            break
+        if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
+            break
+    Q = estimation._block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+    return BlockModel(Q, zr, zc), traj, (min_row, min_col)
+
+
+@pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
+def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
+    # keeping H Z_c, H^T Z_r and the one-hot of an axis whose labels did not
+    # change must leave labels, Q, trajectories and floors bitwise unchanged
+    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=2)
+    h_reads = []
+    real = estimation.group_sums
+    monkeypatch.setattr(
+        estimation, "group_sums",
+        lambda M, *a, **k: h_reads.append(M is H or M is Ht) or real(M, *a, **k),
+    )
+    repaired = stopped = kept = 0
+    for (n, m), cases in [
+        ((90, 60), [(3, 3, 0, 0, 40), (4, 3, 12, 10, 40), (6, 5, 8, 0, 40),
+                    (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3)]),
+        ((40, 30), [(3, 8, 0, 0, 40), (10, 8, 0, 0, 40), (12, 10, 0, 0, 40)]),
+    ]:
+        H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
+        Ht = np.ascontiguousarray(H.T)
+        H_sq = float(np.einsum("ij,ij->", H, H))
+        row_emb, col_emb = spectral_embedding(H)
+        for K, L, n0, m0, max_iters in cases:
+            rng = np.random.default_rng(K * 10 + L)
+            for rows, cols in [
+                (kmeans(row_emb[:, :K], K, seed=1), kmeans(col_emb[:, :L], L, seed=2)),
+                (rng.integers(0, K, n), rng.integers(0, L, m)),
+            ]:
+                cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
+                                init_labels=(rows, cols), max_iters=max_iters)
+                del h_reads[:]
+                model, traj, sizes = estimation._lloyd_run(H, Ht, H_sq, rows, cols, cfg)
+                reads = sum(h_reads)
+                ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, H_sq, rows, cols, cfg)
+                assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
+                assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
+                assert model.Q.tobytes() == ref.Q.tobytes()
+                assert [x.hex() for x in traj] == [x.hex() for x in ref_traj]
+                assert sizes == ref_sizes
+                assert reads <= 2 * len(traj)
+                kept += reads < 2 * len(traj)
+                repaired += 0 in sizes
+                stopped += len(traj) == max_iters < 40
+    # the cases cover a repaired step, a run cut at max_iters and skipped reads
+    assert repaired and stopped and kept
