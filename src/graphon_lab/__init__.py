@@ -11,11 +11,11 @@ from .core import (
     AssignmentMatrix,
     BlockModel,
     DimensionMismatch,
-    EmptyClusterError,
     Graphon,
     NoiseModel,
     ObservationSet,
     block_inner,
+    block_means,
     block_sums,
     frobenius_cost,
     group_sums,
@@ -37,10 +37,8 @@ from .flow import InfeasibleSizeError, min_cost_assignment
 from .estimation import (
     FitConfig,
     FitReport,
-    assignment_costs,
     kmeans,
     lloyd_fit,
-    q_step,
     spectral_embedding,
     spectral_init,
 )

@@ -102,7 +102,6 @@ def _cmd_fit(args) -> int:
         restarts=args.restarts, max_iters=args.max_iters,
         tol_gamma=args.tol, seed=args.seed,
     )
-    cfg.validate_for(*H.shape)
     report = lloyd_fit(H, cfg)
     dump_json(args.output, report_to_dict(report))
     print(

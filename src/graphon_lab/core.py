@@ -20,11 +20,11 @@ __all__ = [
     "NoiseModel",
     "ObservationSet",
     "DimensionMismatch",
-    "EmptyClusterError",
     "induced_mean",
     "frobenius_cost",
     "group_sums",
     "block_sums",
+    "block_means",
     "block_inner",
     "induced_sq_norm",
 ]
@@ -32,19 +32,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Raised when matrix shapes and cluster counts do not line up."""
-
-
-class EmptyClusterError(RuntimeError):
-    """Raised when an operation needs every cluster to be populated.
-
-    Carries the axis ("row" or "col") and the offending cluster index so
-    the caller can repair the assignment and retry.
-    """
-
-    def __init__(self, axis: str, index: int):
-        self.axis = axis
-        self.index = index
-        super().__init__(f"empty {axis} cluster {index}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +154,18 @@ def block_sums(
     """``K x L`` sums of ``M`` over the blocks of a row and a column assignment."""
     rows = group_sums(M, z_rows.labels, z_rows.K, axis=0)
     return group_sums(rows, z_cols.labels, z_cols.K, axis=1)
+
+
+def block_means(
+    sums: np.ndarray, z_rows: AssignmentMatrix, z_cols: AssignmentMatrix
+) -> np.ndarray:
+    """``K x L`` block sums divided by block sizes; 0 where a block is empty.
+
+    With ``sums = block_sums(H, z_rows, z_cols)`` this is the least-squares
+    value matrix: ``Q[k, l]`` is the mean of H over block (k, l).
+    """
+    sizes = np.outer(z_rows.counts(), z_cols.counts()).astype(np.float64)
+    return np.divide(sums, sizes, out=np.zeros_like(sizes), where=sizes > 0)
 
 
 def block_inner(M: np.ndarray, model: BlockModel) -> float:

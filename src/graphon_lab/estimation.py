@@ -16,21 +16,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    AssignmentMatrix,
-    BlockModel,
-    EmptyClusterError,
-    block_sums,
-    group_sums,
-)
+from .core import AssignmentMatrix, BlockModel, block_means, block_sums, group_sums
 from .flow import min_cost_assignment
 from .synthesis import substream
 
 __all__ = [
     "FitConfig",
     "FitReport",
-    "q_step",
-    "assignment_costs",
     "kmeans",
     "spectral_embedding",
     "spectral_init",
@@ -49,38 +41,8 @@ _KMEANS_MAX_ITERS = 50
 # --------------------------------------------------------------------------
 
 
-def q_step(
-    H: np.ndarray,
-    z_rows: AssignmentMatrix,
-    z_cols: AssignmentMatrix,
-    on_empty: str = "raise",
-) -> np.ndarray:
-    """Block-average value matrix: ``Q[k, l]`` is the mean of H over block (k, l).
-
-    With ``on_empty="raise"`` an empty row or column cluster raises
-    :class:`EmptyClusterError`; with ``on_empty="fill"`` blocks touching an
-    empty cluster are filled with the global mean of ``H`` instead.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    row_counts = z_rows.counts()
-    col_counts = z_cols.counts()
-    if on_empty == "raise":
-        if row_counts.min() == 0:
-            raise EmptyClusterError("row", int(np.argmin(row_counts)))
-        if col_counts.min() == 0:
-            raise EmptyClusterError("col", int(np.argmin(col_counts)))
-    Q = _block_means(block_sums(H, z_rows, z_cols), z_rows, z_cols)
-    if on_empty == "fill":
-        empty = np.outer(row_counts, col_counts) == 0
-        if empty.any():
-            Q[empty] = H.mean()
-    return Q
-
-
-def assignment_costs(
-    H: np.ndarray, Q: np.ndarray, fixed_cols: AssignmentMatrix
-) -> np.ndarray:
-    """Per-row assignment costs for the row update, given column clusters.
+def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Per-row assignment costs from the group sums ``H Z_c`` and sizes ``D``.
 
     Entry ``(i, k)`` is ``-2 (H Z_c Q^T)_{ik} + (Q D Q^T)_{kk}`` with
     ``D = diag(column cluster sizes)``.  Adding the row-wise constant
@@ -88,23 +50,6 @@ def assignment_costs(
     assigning row i to cluster k, so argmin rows of this matrix are the
     exact coordinate update.
     """
-    D = fixed_cols.counts()
-    if D.min() == 0:
-        raise EmptyClusterError("col", int(np.argmin(D)))
-    col_sums = group_sums(H, fixed_cols.labels, fixed_cols.K, axis=1)  # n x L
-    return _linear_costs(col_sums, np.asarray(Q, dtype=np.float64), D)
-
-
-def _block_means(
-    sums: np.ndarray, z_rows: AssignmentMatrix, z_cols: AssignmentMatrix
-) -> np.ndarray:
-    """``K x L`` block sums divided by block sizes; 0 where a block is empty."""
-    sizes = np.outer(z_rows.counts(), z_cols.counts()).astype(np.float64)
-    return np.divide(sums, sizes, out=np.zeros_like(sizes), where=sizes > 0)
-
-
-def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """:func:`assignment_costs` from the group sums ``H Z_c`` and sizes ``D``."""
     quad = (Q * Q) @ D.astype(np.float64)  # length K
     return -2.0 * col_sums @ Q.T + quad[None, :]
 
@@ -157,11 +102,12 @@ def _update_centers(
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding, best of 5 restarts by WCSS.
 
-    Empty clusters are re-seeded to the point farthest from its assigned
-    center.  The points are first scaled by the power of two that puts
-    their largest magnitude in [1, 2), which is exact, so the labels do not
-    depend on the data's scale and squared distances neither overflow nor
-    underflow.  Returns the labels of the best restart.
+    Each empty cluster is re-seeded with the point farthest from its
+    assigned center among those whose cluster keeps another member.  The
+    points are first scaled by the power of two that puts their largest
+    magnitude in [1, 2), which is exact, so the labels do not depend on the
+    data's scale and squared distances neither overflow nor underflow.
+    Returns the labels of the best restart.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -182,10 +128,12 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
             if counts.min() == 0:
                 assigned = d2[rows, new_labels]
                 for empty in np.flatnonzero(counts == 0):
-                    far = int(np.argmax(assigned))
+                    # a moved point is alone in its new cluster, so the
+                    # rule below also keeps it from moving twice
+                    far = int(np.argmax(np.where(counts[new_labels] > 1, assigned, -1.0)))
+                    counts[new_labels[far]] -= 1
+                    counts[empty] = 1
                     new_labels[far] = empty
-                    assigned[far] = 0.0
-                    counts = np.bincount(new_labels, minlength=k)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
@@ -367,7 +315,11 @@ class FitReport:
 def _repair_empty_rows(
     H: np.ndarray, row_labels: np.ndarray, z_cols: AssignmentMatrix, K: int
 ) -> AssignmentMatrix:
-    """Move the largest-residual row into each empty row cluster."""
+    """Move the largest-residual row into each empty row cluster.
+
+    The residuals read the block means only at occupied blocks, so the 0
+    that :func:`block_means` leaves in an empty one is never used.
+    """
     labels = np.array(row_labels, dtype=np.int64)
     while True:
         counts = np.bincount(labels, minlength=K)
@@ -375,7 +327,7 @@ def _repair_empty_rows(
         if empties.size == 0:
             return AssignmentMatrix(len(labels), K, labels)
         zr = AssignmentMatrix(len(labels), K, labels)
-        Q = q_step(H, zr, z_cols, on_empty="fill")
+        Q = block_means(block_sums(H, zr, z_cols), zr, z_cols)
         theta = Q[np.ix_(labels, z_cols.labels)]
         residuals = ((H - theta) ** 2).sum(axis=1)
         movable = counts[labels] >= 2
@@ -428,7 +380,7 @@ def _lloyd_run(
         start = (zr.labels, zc.labels)
         if HZc is None:
             HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
-        Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
@@ -437,7 +389,7 @@ def _lloyd_run(
         if not rows_kept:
             Zr, HtZr = np.eye(cfg.K)[zr.labels], None
         if row_floor == 0:
-            Q = _block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+            Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         if HtZr is None:
             HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
         zc, col_floor, c = _axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
@@ -445,7 +397,7 @@ def _lloyd_run(
         if not cols_kept:
             Zc, HZc = np.eye(cfg.L)[zc.labels], None
         if col_floor == 0:
-            Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+            Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
             c = _linear_costs(HtZr, Q.T, zr.counts())
         # the linearized objective differs from the squared error by ||H||_F^2
         phi = float(c[np.arange(m), zc.labels].sum())
@@ -456,7 +408,7 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = _block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+    Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 

@@ -15,8 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel, Graphon, NoiseModel
-from .estimation import q_step
+from .core import AssignmentMatrix, BlockModel, Graphon, NoiseModel, block_means, block_sums
 
 __all__ = [
     "mse_theta",
@@ -178,13 +177,13 @@ def oracle_fit(
     emitted.
     """
     H = np.asarray(H, dtype=np.float64)
-    if true_z_rows.min_size() == 0 or true_z_cols.min_size() == 0:
+    Q = block_means(block_sums(H, true_z_rows, true_z_cols), true_z_rows, true_z_cols)
+    empty = np.outer(true_z_rows.counts(), true_z_cols.counts()) == 0
+    if empty.any():
         warnings.warn(
             "empty true cluster; affected oracle blocks use the global mean"
         )
-        Q = q_step(H, true_z_rows, true_z_cols, on_empty="fill")
-    else:
-        Q = q_step(H, true_z_rows, true_z_cols)
+        Q[empty] = H.mean()
     return BlockModel(Q, true_z_rows, true_z_cols)
 
 

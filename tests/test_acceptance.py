@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from graphon_lab.aggregation import ewa_weights
-from graphon_lab.core import AssignmentMatrix, NoiseModel, induced_mean
-from graphon_lab.estimation import FitConfig, assignment_costs, lloyd_fit
+from graphon_lab.core import AssignmentMatrix, NoiseModel, group_sums, induced_mean
+from graphon_lab.estimation import FitConfig, lloyd_fit
 from graphon_lab.evaluation import (
     delta_tilde,
     mse_theta,
@@ -41,6 +41,15 @@ def _report(criterion, detail):
 # --------------------------------------------------------------------------
 # 1. Flow-solver exactness against exhaustive enumeration
 # --------------------------------------------------------------------------
+
+
+def assignment_costs(H, Q, fixed_cols):
+    """Row-update costs ``-2 (H Z_c Q^T)_{ik} + (Q D Q^T)_{kk}``, ``D`` the
+    column cluster sizes: the Lloyd loop's formula, read from H."""
+    D = fixed_cols.counts()
+    col_sums = group_sums(H, fixed_cols.labels, fixed_cols.K, axis=1)
+    quad = (Q * Q) @ D.astype(np.float64)
+    return -2.0 * col_sums @ Q.T + quad[None, :]
 
 
 def test_criterion_1_flow_exactness():

@@ -270,6 +270,17 @@ def test_ewa_non_finite_prime_exits_two_before_fit(synth_dir, tmp_path, monkeypa
     assert rc == 2
 
 
+def test_fit_infeasible_floor_exits_two(synth_dir, tmp_path, capsys):
+    # the feasibility check runs once, inside lloyd_fit
+    rc = main(
+        ["fit", "--K", "4", "--L", "2", "--n0", "50", "--input", str(synth_dir / "H.csv"),
+         "--output", str(tmp_path / "model.json")]
+    )
+    assert rc == 2
+    assert "infeasible row sizes" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(

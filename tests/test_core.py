@@ -13,6 +13,8 @@ from graphon_lab.core import (
     NoiseModel,
     ObservationSet,
     block_inner,
+    block_means,
+    block_sums,
     frobenius_cost,
     group_sums,
     induced_mean,
@@ -51,6 +53,47 @@ class TestInducedMean:
         rng = np.random.default_rng(3)
         m = model(rng.random((3, 4)), rng.integers(0, 3, 20), rng.integers(0, 4, 11))
         assert len(np.unique(induced_mean(m))) <= 12
+
+
+def assign(K, labels):
+    return AssignmentMatrix(len(labels), K, np.asarray(labels))
+
+
+def means(H, zr, zc):
+    return block_means(block_sums(H, zr, zc), zr, zc)
+
+
+class TestBlockMeans:
+    def test_identity_assignment_returns_H(self):
+        H = np.eye(2)
+        assert np.array_equal(means(H, assign(2, [0, 1]), assign(2, [0, 1])), H)
+
+    def test_single_block_grand_mean(self):
+        Q = means(np.eye(2), assign(1, [0, 0]), assign(1, [0, 0]))
+        assert Q == pytest.approx(np.array([[0.5]]))
+
+    def test_direct_averages(self):
+        H = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        Q = means(H, assign(2, [0, 0, 1]), assign(2, [0, 1]))
+        assert np.array_equal(Q, np.array([[2.0, 3.0], [5.0, 6.0]]))
+
+    def test_empty_block_is_zero(self):
+        # row cluster 1 and column cluster 1 are empty; every block that
+        # touches one of them is 0, the others hold their exact means
+        H = np.arange(12, dtype=float).reshape(3, 4)
+        Q = means(H, assign(3, [0, 0, 2]), assign(3, [0, 2, 2, 2]))
+        want = np.array([[2.0, 0.0, 4.0], [0.0, 0.0, 0.0], [8.0, 0.0, 10.0]])
+        assert np.array_equal(Q, want)
+
+    def test_optimality_under_perturbation(self):
+        rng = np.random.default_rng(4)
+        H = rng.random((10, 8))
+        zr, zc = assign(3, rng.integers(0, 3, 10)), assign(2, rng.integers(0, 2, 8))
+        Q = means(H, zr, zc)
+        base = frobenius_cost(H, BlockModel(Q, zr, zc))
+        for _ in range(25):
+            delta = rng.normal(scale=0.05, size=Q.shape)
+            assert frobenius_cost(H, BlockModel(Q + delta, zr, zc)) >= base - 1e-12
 
 
 class TestFrobeniusCost:

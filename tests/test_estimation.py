@@ -7,17 +7,16 @@ from graphon_lab import estimation
 from graphon_lab.core import (
     AssignmentMatrix,
     BlockModel,
-    EmptyClusterError,
+    block_means,
+    block_sums,
     frobenius_cost,
     group_sums,
     induced_mean,
 )
 from graphon_lab.estimation import (
     FitConfig,
-    assignment_costs,
     kmeans,
     lloyd_fit,
-    q_step,
     spectral_embedding,
     spectral_init,
 )
@@ -30,40 +29,23 @@ def assign(K, labels):
     return AssignmentMatrix(len(labels), K, np.asarray(labels))
 
 
+def assignment_costs(H, Q, fixed_cols):
+    """Row-update costs from H: ``-2 (H Z_c Q^T)_{ik} + (Q D Q^T)_{kk}``,
+    ``D`` the column cluster sizes (the loop's formula, read from H)."""
+    D = fixed_cols.counts()
+    col_sums = group_sums(H, fixed_cols.labels, fixed_cols.K, axis=1)
+    quad = (Q * Q) @ D.astype(np.float64)
+    return -2.0 * col_sums @ Q.T + quad[None, :]
+
+
+def q_from_h(H, zr, zc):
+    """The block-average value matrix, with its block sums read from H."""
+    return block_means(block_sums(H, zr, zc), zr, zc)
+
+
 def reassign(H, Q, zc, n0=0):
     """The exact row update: flow assignment on the linearized costs."""
     return assign(len(Q), min_cost_assignment(assignment_costs(H, Q, zc), n0))
-
-
-class TestQStep:
-    def test_identity_assignment_returns_H(self):
-        H = np.eye(2)
-        Q = q_step(H, assign(2, [0, 1]), assign(2, [0, 1]))
-        assert np.array_equal(Q, H)
-
-    def test_single_block_grand_mean(self):
-        Q = q_step(np.eye(2), assign(1, [0, 0]), assign(1, [0, 0]))
-        assert Q == pytest.approx(np.array([[0.5]]))
-
-    def test_direct_averages(self):
-        H = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        Q = q_step(H, assign(2, [0, 0, 1]), assign(2, [0, 1]))
-        assert np.array_equal(Q, np.array([[2.0, 3.0], [5.0, 6.0]]))
-
-    def test_empty_cluster_raises(self):
-        with pytest.raises(EmptyClusterError) as err:
-            q_step(np.eye(3), assign(2, [0, 0, 0]), assign(3, [0, 1, 2]))
-        assert err.value.axis == "row" and err.value.index == 1
-
-    def test_optimality_under_perturbation(self):
-        rng = np.random.default_rng(4)
-        H = rng.random((10, 8))
-        zr, zc = assign(3, rng.integers(0, 3, 10)), assign(2, rng.integers(0, 2, 8))
-        Q = q_step(H, zr, zc)
-        base = frobenius_cost(H, BlockModel(Q, zr, zc))
-        for _ in range(25):
-            delta = rng.normal(scale=0.05, size=Q.shape)
-            assert frobenius_cost(H, BlockModel(Q + delta, zr, zc)) >= base - 1e-12
 
 
 class TestZStepUnconstrained:
@@ -99,10 +81,6 @@ class TestZStepUnconstrained:
             for lab in itertools.product(range(3), repeat=4)
         )
         assert frobenius_cost(H, BlockModel(Q, zr, zc)) == pytest.approx(best)
-
-    def test_empty_column_cluster_raises(self):
-        with pytest.raises(EmptyClusterError):
-            reassign(np.eye(3), np.zeros((2, 2)), assign(2, [0, 0, 0]))
 
 
 class TestZStepConstrained:
@@ -217,7 +195,9 @@ class TestKMeans:
 
 def _kmeans_reference(points, k, seed):
     """k-means on the raw coordinates: point norms in every distance matrix,
-    the farthest-point gather on every iteration and the WCSS recomputed."""
+    the farthest-point gather on every iteration and the WCSS recomputed.
+    An empty cluster takes the farthest point that has not moved yet in this
+    iteration and is not the last member of its cluster."""
 
     def sq_dists(centers):
         d = (
@@ -246,10 +226,13 @@ def _kmeans_reference(points, k, seed):
             new_labels = np.argmin(d2, axis=1)
             assigned = d2[np.arange(n), new_labels]
             counts = np.bincount(new_labels, minlength=k)
+            moved = np.zeros(n, dtype=bool)
             for empty in np.flatnonzero(counts == 0):
-                far = int(np.argmax(assigned))
+                # never move a point twice, nor the last member of a cluster
+                candidates = ~moved & (counts[new_labels] >= 2)
+                far = int(np.argmax(np.where(candidates, assigned, -np.inf)))
                 new_labels[far] = empty
-                assigned[far] = 0.0
+                moved[far] = True
                 counts = np.bincount(new_labels, minlength=k)
             if np.array_equal(new_labels, labels):
                 labels = new_labels
@@ -285,10 +268,11 @@ class TestKMeansReference:
 
     def test_empty_cluster_reseed_is_exercised(self):
         # nearest-centre labels take at most three values on three distinct
-        # points; a fourth label can only come from re-seeding an empty cluster
+        # points; the other labels can only come from re-seeding empty
+        # clusters, and every one of the k clusters must end up used
         points, k = _kmeans_cases()[-1]
         labels = kmeans(points, k, seed=0)
-        assert len(set(labels.tolist())) > 3
+        assert len(set(labels.tolist())) == k
         assert np.array_equal(labels, _kmeans_reference(points, k, 0))
 
     @pytest.mark.parametrize("exp", [600, -600])
@@ -541,13 +525,13 @@ def _lloyd_run_reference(H, row_labels, col_labels, cfg):
     traj, min_row, min_col = [], n, m
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
-        Q = q_step(H, zr, zc)
+        Q = q_from_h(H, zr, zc)
         zr, row_floor, _ = _axis_step_reference(H, Q, zc, cfg.n0)
         if row_floor == 0:
-            Q = q_step(H, zr, zc)
+            Q = q_from_h(H, zr, zc)
         zc, col_floor, c = _axis_step_reference(Ht, Q.T, zr, cfg.m0)
         if col_floor == 0:
-            Q = q_step(H, zr, zc)
+            Q = q_from_h(H, zr, zc)
             c = assignment_costs(Ht, Q.T, zr)
         traj.append(max(H_sq + float(c[np.arange(m), zc.labels].sum()), 0.0))
         min_row, min_col = min(min_row, row_floor), min(min_col, col_floor)
@@ -555,7 +539,52 @@ def _lloyd_run_reference(H, row_labels, col_labels, cfg):
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    return BlockModel(q_step(H, zr, zc), zr, zc), traj, (min_row, min_col)
+    return BlockModel(q_from_h(H, zr, zc), zr, zc), traj, (min_row, min_col)
+
+
+def _repair_empty_rows_fill(H, row_labels, z_cols, K):
+    """The repair on the value matrix of the former ``q_step(on_empty="fill")``:
+    the blocks of an empty row or column cluster hold the global mean of H."""
+    labels = np.array(row_labels, dtype=np.int64)
+    while True:
+        counts = np.bincount(labels, minlength=K)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return assign(K, labels)
+        zr = assign(K, labels)
+        Q = q_from_h(H, zr, z_cols)
+        empty = np.outer(counts, z_cols.counts()) == 0
+        Q[empty] = H.mean()
+        theta = Q[np.ix_(labels, z_cols.labels)]
+        residuals = ((H - theta) ** 2).sum(axis=1)
+        residuals = np.where(counts[labels] >= 2, residuals, -np.inf)
+        labels[int(np.argmax(residuals))] = empties[0]
+
+
+@pytest.mark.parametrize("data", ["binary", "gaussian"])
+@pytest.mark.parametrize("seed", range(6))
+def test_repair_ignores_empty_blocks(data, seed):
+    # the repair reads the block means only at occupied blocks, so leaving 0
+    # in an empty block gives the labels of the global-mean fill, also when
+    # the fixed axis has an empty cluster of its own, as at the start of a run
+    rng = np.random.default_rng(seed)
+    n, m, K, L = 30, 20, 7, 5
+    H = rng.random((n, m)) < 0.4 if data == "binary" else rng.standard_normal((n, m))
+    H = H.astype(np.float64)
+    Ht = np.ascontiguousarray(H.T)
+    rows = rng.integers(0, K - 3, n)  # clusters K-3 .. K-1 empty
+    cols = rng.integers(0, L - 1, m)  # cluster L-1 empty
+    zc = assign(L, cols)
+    assert zc.min_size() == 0
+    want = _repair_empty_rows_fill(H, rows, zc, K)
+    got = estimation._repair_empty_rows(H, rows, zc, K)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.min_size() >= 1
+    # the column repair against the repaired rows, and against rows that
+    # still hold empty clusters
+    for zr in (got, assign(K, rows)):
+        want = _repair_empty_rows_fill(Ht, cols, zr, L)
+        assert np.array_equal(estimation._repair_empty_rows(Ht, cols, zr, L).labels, want.labels)
 
 
 @pytest.mark.parametrize(
@@ -600,16 +629,16 @@ def _lloyd_run_recomputing(H, Ht, H_sq, row_labels, col_labels, cfg):
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
-        Q = estimation._block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         zr, row_floor, _ = estimation._axis_step(H, HZc, Q, zc, cfg.n0)
         Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
-            Q = estimation._block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+            Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
         zc, col_floor, c = estimation._axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
         Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
-            Q = estimation._block_means(
+            Q = block_means(
                 group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc
             )
             c = estimation._linear_costs(HtZr, Q.T, zr.counts())
@@ -619,7 +648,7 @@ def _lloyd_run_recomputing(H, Ht, H_sq, row_labels, col_labels, cfg):
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = estimation._block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+    Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 

@@ -177,12 +177,16 @@ class TestOracle:
         assert oracle.Q[0, 0] == pytest.approx(H.mean())
 
     def test_empty_cluster_falls_back_with_warning(self):
-        H = np.ones((4, 4))
-        rows = AssignmentMatrix(4, 3, [0, 0, 1, 1])  # cluster 2 empty
-        cols = AssignmentMatrix(4, 2, [0, 0, 1, 1])
-        with pytest.warns(UserWarning):
+        H = np.arange(16, dtype=float).reshape(4, 4)
+        rows = AssignmentMatrix(4, 3, [0, 0, 0, 1])  # row cluster 2 empty
+        cols = AssignmentMatrix(4, 3, [0, 2, 2, 2])  # column cluster 1 empty
+        with pytest.warns(UserWarning, match="empty true cluster"):
             oracle = oracle_fit(H, rows, cols)
-        assert np.allclose(oracle.Q, 1.0)
+        # blocks touching an empty cluster hold H's global mean (7.5), which
+        # differs from the mean of the occupied blocks' means (9.0)
+        want = np.array([[4.0, 7.5, 6.0], [12.0, 7.5, 14.0], [7.5, 7.5, 7.5]])
+        assert H.mean() == 7.5
+        assert np.array_equal(oracle.Q, want)
 
 
 class TestOracleRiskBernoulli:
