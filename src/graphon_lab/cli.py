@@ -121,7 +121,13 @@ def _cmd_ewa(args) -> int:
     if args.grid == "default":
         grid = default_grid(*H.shape)
     else:
-        grid = HyperGrid(tuple(tuple(e) for e in load_json(args.grid)["entries"]))
+        loaded = load_json(args.grid)
+        entries = loaded.get("entries") if isinstance(loaded, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and all(isinstance(x, int) for x in e) for e in entries
+        ):
+            raise ValueError('a grid file must hold {"entries": [[K, L, n0, m0], ...]} (integers)')
+        grid = HyperGrid(tuple(tuple(e) for e in entries))
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")

@@ -9,6 +9,7 @@ memberships are stored as label vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -364,11 +365,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "binomial" and (self.N is None or self.N < 1):
+        # isinstance first: a JSON noise object may carry any value here
+        if self.kind == "binomial" and not (isinstance(self.N, Integral) and self.N >= 1):
             raise ValueError("binomial noise needs a positive integer N")
-        if self.kind == "scaled_poisson" and (self.T is None or self.T <= 0):
+        if self.kind == "scaled_poisson" and not (isinstance(self.T, Real) and self.T > 0):
             raise ValueError("scaled_poisson noise needs a positive T")
-        if self.kind == "gaussian" and (self.sigma2 is None or self.sigma2 <= 0):
+        if self.kind == "gaussian" and not (isinstance(self.sigma2, Real) and self.sigma2 > 0):
             raise ValueError("gaussian noise needs a positive sigma2")
 
     @staticmethod

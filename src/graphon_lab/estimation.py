@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel, block_means, block_sums, group_sums
+from .core import AssignmentMatrix, BlockModel, block_means, group_sums
 from .flow import min_cost_assignment
 from .synthesis import substream
 
@@ -313,69 +313,85 @@ class FitReport:
 
 
 def _repair_empty_rows(
-    H: np.ndarray, row_labels: np.ndarray, z_cols: AssignmentMatrix, K: int
+    sums: np.ndarray, sq_norms: np.ndarray, row_labels: np.ndarray,
+    z_cols: AssignmentMatrix, K: int,
 ) -> AssignmentMatrix:
     """Move the largest-residual row into each empty row cluster.
 
-    The residuals read the block means only at occupied blocks, so the 0
-    that :func:`block_means` leaves in an empty one is never used.
+    With ``sums = H Z_c`` and ``sq_norms`` the squared row norms of H, a
+    row's squared residual is its norm plus its :func:`_linear_costs`
+    entry, so H is not read.  Only occupied blocks are read, so the 0 that
+    :func:`block_means` leaves in an empty one is never used.
     """
     labels = np.array(row_labels, dtype=np.int64)
+    rows = np.arange(len(labels))
     while True:
         counts = np.bincount(labels, minlength=K)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return AssignmentMatrix(len(labels), K, labels)
         zr = AssignmentMatrix(len(labels), K, labels)
-        Q = block_means(block_sums(H, zr, z_cols), zr, z_cols)
-        theta = Q[np.ix_(labels, z_cols.labels)]
-        residuals = ((H - theta) ** 2).sum(axis=1)
+        Q = block_means(group_sums(sums, labels, K, axis=0), zr, z_cols)
+        residuals = sq_norms + _linear_costs(sums, Q, z_cols.counts())[rows, labels]
         movable = counts[labels] >= 2
         residuals = np.where(movable, residuals, -np.inf)
         labels[int(np.argmax(residuals))] = empties[0]
 
 
 def _axis_step(
-    H: np.ndarray, sums: np.ndarray, Q: np.ndarray, fixed: AssignmentMatrix, floor: int
+    sums: np.ndarray, sq_norms: np.ndarray, Q: np.ndarray,
+    fixed: AssignmentMatrix, floor: int,
 ) -> Tuple[AssignmentMatrix, int, np.ndarray]:
-    """Exact reassignment of the rows of ``H`` under size floor ``floor``.
+    """Exact reassignment of the rows of H under size floor ``floor``.
 
     ``sums`` is ``H Z`` for the fixed column assignment ``Z``.  The column
-    update is the same step on ``H.T`` and ``Q.T``.  An empty cluster left
-    by a floor-0 step is repaired.  Returns the assignment, its smallest
-    cluster size before any repair, and the cost matrix.
+    update is the same step on ``H^T Z_r`` and ``Q.T``.  An empty cluster
+    left by a floor-0 step is repaired.  Returns the assignment, its
+    smallest cluster size before any repair, and the cost matrix.
     """
     c = _linear_costs(sums, Q, fixed.counts())
     K = Q.shape[0]
-    z = AssignmentMatrix(H.shape[0], K, min_cost_assignment(c, floor))
+    z = AssignmentMatrix(len(sums), K, min_cost_assignment(c, floor))
     size = z.min_size()
     if size == 0:
-        z = _repair_empty_rows(H, z.labels, fixed, K)
+        z = _repair_empty_rows(sums, sq_norms, z.labels, fixed, K)
     return z, size, c
 
 
 def _lloyd_run(
     H: np.ndarray,
     Ht: np.ndarray,
-    H_sq: float,
+    sq_norms: Tuple[float, np.ndarray, np.ndarray],
     row_labels: np.ndarray,
     col_labels: np.ndarray,
     cfg: FitConfig,
 ) -> Tuple[BlockModel, list, Tuple[int, int]]:
-    """One run from the given labels; ``Ht`` (``H.T`` in C order) and
-    ``H_sq`` (``||H||_F^2``) are computed once per fit, not per restart."""
+    """One run from the given labels.  ``Ht`` (``H.T`` in C order) and
+    ``sq_norms`` (``||H||_F^2`` and the squared row and column norms of H)
+    are computed once per fit, not per restart."""
     n, m = H.shape
-    zr = _repair_empty_rows(H, row_labels, AssignmentMatrix(m, cfg.L, col_labels), cfg.K)
-    zc = _repair_empty_rows(Ht, col_labels, zr, cfg.L)
+    H_sq, row_sq, col_sq = sq_norms
+    zr = AssignmentMatrix(n, cfg.K, row_labels)
+    zc = AssignmentMatrix(m, cfg.L, col_labels)
+    Zc = np.eye(cfg.L)[zc.labels]
+    # H is read at most twice per iteration, plus once for each axis whose
+    # start labels leave a cluster empty: H Z_c gives the block means and
+    # the row costs, H^T Z_r the column costs and the means after the step,
+    # and the repairs work from these sums.  Each one-hot Z serves two sums,
+    # and a step that returns an axis's previous labels keeps that axis's
+    # one-hot and H product.
+    HZc, HtZr = None, None
+    if zr.min_size() == 0:
+        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+        zr = _repair_empty_rows(HZc, row_sq, zr.labels, zc, cfg.K)
+    Zr = np.eye(cfg.K)[zr.labels]
+    if zc.min_size() == 0:
+        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+        zc = _repair_empty_rows(HtZr, col_sq, zc.labels, zr, cfg.L)
+        Zc, HZc = np.eye(cfg.L)[zc.labels], None
     traj: list = []
     min_row = n
     min_col = m
-    Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
-    # H is read at most twice per iteration: H Z_c gives the block means and
-    # the row costs, H^T Z_r the column costs and the means after the step.
-    # Each one-hot Z serves two sums, and a step that returns an axis's
-    # previous labels keeps that axis's one-hot and H product.
-    HZc, HtZr = None, None
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         if HZc is None:
@@ -384,7 +400,7 @@ def _lloyd_run(
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
-        zr, row_floor, _ = _axis_step(H, HZc, Q, zc, cfg.n0)
+        zr, row_floor, _ = _axis_step(HZc, row_sq, Q, zc, cfg.n0)
         rows_kept = np.array_equal(start[0], zr.labels)
         if not rows_kept:
             Zr, HtZr = np.eye(cfg.K)[zr.labels], None
@@ -392,7 +408,7 @@ def _lloyd_run(
             Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         if HtZr is None:
             HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
-        zc, col_floor, c = _axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
+        zc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
         cols_kept = np.array_equal(start[1], zc.labels)
         if not cols_kept:
             Zc, HZc = np.eye(cfg.L)[zc.labels], None
@@ -444,10 +460,11 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
         starts.append((np.asarray(rl, dtype=np.int64), np.asarray(cl, dtype=np.int64)))
 
     Ht = np.ascontiguousarray(H.T)
-    H_sq = float(np.einsum("ij,ij->", H, H))
+    sq_norms = (float(np.einsum("ij,ij->", H, H)),
+                np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht))
     best = None
     for idx, (rl, cl) in enumerate(starts):
-        model, traj, min_sizes = _lloyd_run(H, Ht, H_sq, rl, cl, config)
+        model, traj, min_sizes = _lloyd_run(H, Ht, sq_norms, rl, cl, config)
         if best is None or traj[-1] < best[1][-1] - 1e-12:
             best = (model, traj, min_sizes, idx)
     model, traj, min_sizes, idx = best

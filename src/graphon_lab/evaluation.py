@@ -80,14 +80,6 @@ def pc_l2_sq_distance(g1: Graphon, g2: Graphon) -> float:
     return float((diff * diff * areas).sum())
 
 
-def _rank_of(x: np.ndarray) -> np.ndarray:
-    """Rank (0-based) of each entry in the sorted order; stable on ties."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(x))
-    return ranks
-
-
 def _runs(bins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Start positions and values of the runs of a nondecreasing vector."""
     starts = np.flatnonzero(np.diff(bins, prepend=-1))
@@ -95,15 +87,17 @@ def _runs(bins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_integrals(
-    graphon: Graphon, n: int, m: int, grid_res: int
+    graphon: Graphon, row_order: np.ndarray, col_order: np.ndarray, grid_res: int
 ) -> Tuple[np.ndarray, float]:
     """Midpoint-rule integrals of W over the regular n x m rectangles.
 
-    Returns the n x m matrix of rectangle integrals together with the
-    squared L2 norm of W on the same global grid.  W is evaluated a block
-    of grid rows at a time, so besides the result memory stays at a few
-    times ``_BLOCK_BYTES``, whatever ``grid_res``.
+    Returns the n x m matrix of rectangle integrals, with the integral over
+    rectangle ``(a, b)`` at ``(row_order[a], col_order[b])``, together with
+    the squared L2 norm of W on the same global grid.  W is evaluated a
+    block of grid rows at a time, so besides the result memory stays at a
+    few times ``_BLOCK_BYTES``, whatever ``grid_res``.
     """
+    n, m = len(row_order), len(col_order)
     g = (np.arange(grid_res) + 0.5) / grid_res
     row_bins = np.minimum((g * n).astype(np.int64), n - 1)
     col_starts, col_ids = _runs(np.minimum((g * m).astype(np.int64), m - 1))
@@ -117,8 +111,8 @@ def _cell_integrals(
         # rows by a run of grid columns; a rectangle cut by a block edge
         # gets its two parts from consecutive blocks, and empty bins stay 0
         row_starts, row_ids = _runs(row_bins[lo : lo + step])
-        part = np.add.reduceat(W, col_starts, axis=1)
-        sums[np.ix_(row_ids, col_ids)] += np.add.reduceat(part, row_starts, axis=0)
+        part = np.add.reduceat(np.add.reduceat(W, col_starts, axis=1), row_starts, axis=0)
+        sums[np.ix_(row_order[row_ids], col_order[col_ids])] += part
     return sums / grid_res**2, w_sq / grid_res**2
 
 
@@ -156,10 +150,10 @@ def delta_tilde(
     n, m = theta_hat.shape
     if grid_res < max(n, m):
         raise ValueError(f"grid_res must be at least max(n, m) = {max(n, m)}")
-    cells, w_sq = _cell_integrals(graphon, n, m, grid_res)
-    r1 = _rank_of(np.asarray(U, dtype=np.float64))
-    r2 = _rank_of(np.asarray(V, dtype=np.float64))
-    cross = float(np.einsum("ij,ij->", theta_hat, cells[np.ix_(r1, r2)]))
+    cells, w_sq = _cell_integrals(
+        graphon, np.argsort(U, kind="stable"), np.argsort(V, kind="stable"), grid_res
+    )
+    cross = float(np.einsum("ij,ij->", theta_hat, cells))
     theta_sq = float(np.einsum("ij,ij->", theta_hat, theta_hat)) / (n * m)
     return float(np.sqrt(max(w_sq - 2.0 * cross + theta_sq, 0.0)))
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -206,12 +207,39 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
+        """The spec of a JSON object, with a missing ``noise`` Bernoulli.
+
+        Raises ``ValueError`` naming an unknown or missing key or a value
+        of the wrong JSON type.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("an experiment spec must be a JSON object")
         d = dict(d)
-        d["noise"] = NoiseModel.from_dict(d["noise"])
-        for key in ("n_values", "rho_values", "inits"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
+        if isinstance(d.get("noise"), dict):
+            d["noise"] = NoiseModel.from_dict(d["noise"])
+        types = get_type_hints(ExperimentSpec)
+        for key, value in d.items():
+            if key not in types:
+                raise ValueError(f"unknown spec key {key!r}")
+            if not _json_matches(value, types[key]):
+                raise ValueError(f"spec key {key!r} has the wrong type: {value!r}")
+        for f in fields(ExperimentSpec):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"spec key {f.name!r} is missing")
         return ExperimentSpec(**d)
+
+
+def _json_matches(value, tp) -> bool:
+    """Whether a decoded JSON value (or a ``to_dict`` one) fits the annotation ``tp``."""
+    if get_origin(tp) is Union:
+        return any(_json_matches(value, arg) for arg in get_args(tp))
+    if get_origin(tp) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _json_matches(v, get_args(tp)[0]) for v in value
+        )
+    if tp is float:
+        tp = (int, float)
+    return isinstance(value, tp) and not isinstance(value, bool)
 
 
 @dataclass
@@ -346,6 +374,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     ]
     workers = worker_count()
     if workers > 1 and len(payloads) > 1:
+        # imported here: multiprocessing and socket cost every other caller
+        # start-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell, payloads))
     else:
@@ -480,11 +512,7 @@ def load_records_csv(path) -> List[dict]:
 
 
 def fit_grid(
-    H: np.ndarray,
-    grid: HyperGrid,
-    seed: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol_gamma: float = DEFAULT_TOL_GAMMA,
+    H: np.ndarray, grid: HyperGrid, seed: int
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
     """Fit every grid entry, sharing work across entries.
 
@@ -520,7 +548,7 @@ def fit_grid(
             FitConfig(
                 K=K, L=L, n0=0, m0=0, init="given",
                 init_labels=(row_labels[K], col_labels[L]),
-                max_iters=max_iters, tol_gamma=tol_gamma, seed=seed,
+                seed=seed,
             ),
         )
         performed: List[Tuple[int, int, FitReport]] = [(0, 0, base)]
@@ -547,7 +575,7 @@ def fit_grid(
                             donor.model.z_rows.labels,
                             donor.model.z_cols.labels,
                         ),
-                        max_iters=max_iters, tol_gamma=tol_gamma, seed=seed,
+                        seed=seed,
                     ),
                 )
                 performed.append((n0, m0, hit))
@@ -564,7 +592,6 @@ def run_ewa_experiment(
     seed: int,
     beta: Optional[float] = None,
     grid: Optional[HyperGrid] = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> dict:
     """Aggregate grid fits over independent repetitions.
 
@@ -580,7 +607,7 @@ def run_ewa_experiment(
         obs = synthesize(
             SynthConfig(n, m, graphon, noise, seed=rep_seed, with_second_copy=True)
         )
-        reports = fit_grid(obs.H, grid, seed=rep_seed, max_iters=max_iters)
+        reports = fit_grid(obs.H, grid, seed=rep_seed)
         models = [reports[entry].model for entry in grid]
         residuals = sq_residuals(models, obs.H_prime)
         mses = sq_residuals(models, obs.theta_star) / (n * m)

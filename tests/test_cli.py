@@ -331,10 +331,12 @@ def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
                      "--input", d + "/H.csv", "--metrics", "mse,delta,oracle,rate",
                      "--output", d + "/metrics.json"]) == 0
         print("state", "scipy.optimize" in sys.modules, any(binding))
+        assert "concurrent.futures.process" not in sys.modules  # pool unused
         assert main(["ewa", "--grid", {str(grid)!r}, "--beta", "auto",
                      "--noise", "bernoulli", "--input", d + "/H.csv",
                      "--input-prime", d + "/H_prime.csv", "--output", d + "/ewa.json"]) == 0
         print("state", "scipy.optimize" in sys.modules, any(binding))
+        assert "concurrent.futures.process" not in sys.modules
         """
     )
     out = subprocess.run(
@@ -388,3 +390,23 @@ def test_config_errors_exit_two(tmp_path, synth_dir):
         ]
     )
     assert rc == 2  # auto beta without a noise model
+    # malformed JSON: a grid that is not an object, and experiment specs with
+    # an unknown key, a wrong-typed value, a top-level list or a wrong-typed
+    # noise parameter
+    (tmp_path / "grid.json").write_text("[[2, 2, 0, 0]]")
+    rc = main(
+        [
+            "ewa", "--grid", str(tmp_path / "grid.json"), "--beta", "1",
+            "--input", str(synth_dir / "H.csv"),
+            "--input-prime", str(synth_dir / "H_prime.csv"),
+            "--output", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 2
+    spec = {"name": "bad", "setup": "rand_graphon", "K": 2, "L": 2, "n_values": [16]}
+    noise = {"kind": "binomial", "N": "ten"}
+    for bad in ({**spec, "bogus": 1}, {**spec, "reps": "three"}, [spec], {**spec, "noise": noise}):
+        (tmp_path / "spec.json").write_text(json.dumps(bad))
+        rc = main(["experiment", "--config", str(tmp_path / "spec.json"),
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphon_lab import estimation
+from graphon_lab import core, estimation
 from graphon_lab.core import (
     AssignmentMatrix,
     BlockModel,
@@ -505,13 +505,32 @@ def test_non_finite_input_rejected(bad, init):
         lloyd_fit(H, cfg)
 
 
+def _repair_empty_rows_reference(H, row_labels, z_cols, K, fill=0.0):
+    """The repair with its residuals read from H: the block means of the
+    current labels (``fill`` in the blocks of an empty cluster) are expanded
+    to an n x m matrix, and the largest squared residual row moves."""
+    labels = np.array(row_labels, dtype=np.int64)
+    while True:
+        counts = np.bincount(labels, minlength=K)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return assign(K, labels)
+        zr = assign(K, labels)
+        Q = q_from_h(H, zr, z_cols)
+        Q[np.outer(counts, z_cols.counts()) == 0] = fill
+        theta = Q[np.ix_(labels, z_cols.labels)]
+        residuals = ((H - theta) ** 2).sum(axis=1)
+        residuals = np.where(counts[labels] >= 2, residuals, -np.inf)
+        labels[int(np.argmax(residuals))] = empties[0]
+
+
 def _axis_step_reference(H, Q, fixed, floor):
     """One reassignment through the public steps: costs from H, then flow."""
     c = assignment_costs(H, Q, fixed)
     z = assign(len(Q), min_cost_assignment(c, floor))
     size = z.min_size()
     if size == 0:
-        z = estimation._repair_empty_rows(H, z.labels, fixed, len(Q))
+        z = _repair_empty_rows_reference(H, z.labels, fixed, len(Q))
     return z, size, c
 
 
@@ -520,8 +539,8 @@ def _lloyd_run_reference(H, row_labels, col_labels, cfg):
     n, m = H.shape
     Ht = np.ascontiguousarray(H.T)
     H_sq = float(np.einsum("ij,ij->", H, H))
-    zr = estimation._repair_empty_rows(H, row_labels, assign(cfg.L, col_labels), cfg.K)
-    zc = estimation._repair_empty_rows(Ht, col_labels, zr, cfg.L)
+    zr = _repair_empty_rows_reference(H, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = _repair_empty_rows_reference(Ht, col_labels, zr, cfg.L)
     traj, min_row, min_col = [], n, m
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
@@ -542,31 +561,20 @@ def _lloyd_run_reference(H, row_labels, col_labels, cfg):
     return BlockModel(q_from_h(H, zr, zc), zr, zc), traj, (min_row, min_col)
 
 
-def _repair_empty_rows_fill(H, row_labels, z_cols, K):
-    """The repair on the value matrix of the former ``q_step(on_empty="fill")``:
-    the blocks of an empty row or column cluster hold the global mean of H."""
-    labels = np.array(row_labels, dtype=np.int64)
-    while True:
-        counts = np.bincount(labels, minlength=K)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return assign(K, labels)
-        zr = assign(K, labels)
-        Q = q_from_h(H, zr, z_cols)
-        empty = np.outer(counts, z_cols.counts()) == 0
-        Q[empty] = H.mean()
-        theta = Q[np.ix_(labels, z_cols.labels)]
-        residuals = ((H - theta) ** 2).sum(axis=1)
-        residuals = np.where(counts[labels] >= 2, residuals, -np.inf)
-        labels[int(np.argmax(residuals))] = empties[0]
+def _repair(H, row_labels, z_cols, K):
+    """The estimator's repair, given the sums and norms the loop holds."""
+    sums = group_sums(H, z_cols.labels, z_cols.K, axis=1)
+    return estimation._repair_empty_rows(sums, (H * H).sum(axis=1), row_labels, z_cols, K)
 
 
 @pytest.mark.parametrize("data", ["binary", "gaussian"])
 @pytest.mark.parametrize("seed", range(6))
 def test_repair_ignores_empty_blocks(data, seed):
-    # the repair reads the block means only at occupied blocks, so leaving 0
-    # in an empty block gives the labels of the global-mean fill, also when
-    # the fixed axis has an empty cluster of its own, as at the start of a run
+    # the repair from H Z_c and the row norms moves the rows that the
+    # residuals read from H move; it reads the block means only at occupied
+    # blocks, so the labels do not depend on what an empty block holds, also
+    # when the fixed axis has an empty cluster of its own, as at the start of
+    # a run
     rng = np.random.default_rng(seed)
     n, m, K, L = 30, 20, 7, 5
     H = rng.random((n, m)) < 0.4 if data == "binary" else rng.standard_normal((n, m))
@@ -576,15 +584,69 @@ def test_repair_ignores_empty_blocks(data, seed):
     cols = rng.integers(0, L - 1, m)  # cluster L-1 empty
     zc = assign(L, cols)
     assert zc.min_size() == 0
-    want = _repair_empty_rows_fill(H, rows, zc, K)
-    got = estimation._repair_empty_rows(H, rows, zc, K)
-    assert np.array_equal(got.labels, want.labels)
+    got = _repair(H, rows, zc, K)
+    for fill in (0.0, H.mean()):
+        want = _repair_empty_rows_reference(H, rows, zc, K, fill)
+        assert np.array_equal(got.labels, want.labels)
     assert got.min_size() >= 1
-    # the column repair against the repaired rows, and against rows that
-    # still hold empty clusters
+    # the column repair against the repaired rows (empty clusters on one
+    # axis), and against rows that still hold empty clusters (on both)
     for zr in (got, assign(K, rows)):
-        want = _repair_empty_rows_fill(Ht, cols, zr, L)
-        assert np.array_equal(estimation._repair_empty_rows(Ht, cols, zr, L).labels, want.labels)
+        want = _repair_empty_rows_reference(Ht, cols, zr, L, H.mean())
+        assert np.array_equal(_repair(Ht, cols, zr, L).labels, want.labels)
+
+
+def _moves_take_largest_residuals(H, row_labels, z_cols, K, repaired):
+    """Whether each move of a repair took a movable row whose squared
+    residual, read from H as the reference does, is the largest up to
+    rounding.  The estimator sums the residuals in another order, so of rows
+    tied up to rounding it may take another one than the reference.  Rows
+    move into the empty clusters in increasing order, one row each."""
+    labels = np.array(row_labels, dtype=np.int64)
+    tol = 1e-12 * (H * H).sum(axis=1).max()
+    moved = np.flatnonzero(repaired != labels)
+    for i in moved[np.argsort(repaired[moved])]:
+        counts = np.bincount(labels, minlength=K)
+        theta = q_from_h(H, assign(K, labels), z_cols)[np.ix_(labels, z_cols.labels)]
+        residuals = np.where(counts[labels] >= 2, ((H - theta) ** 2).sum(axis=1), -np.inf)
+        if residuals[i] < residuals.max() - tol or repaired[i] != np.argmin(counts):
+            return False
+        labels[i] = repaired[i]
+    return np.bincount(labels, minlength=K).min() > 0
+
+
+@pytest.mark.parametrize("data", ["binary", "gaussian"])
+def test_repairs_in_a_run_match_reference(data, monkeypatch):
+    # every repair of a run, at its start and after a floor-0 step in the
+    # middle, moves rows that the residuals read from H would move
+    rng = np.random.default_rng(11)
+    n, m = 40, 30
+    H = rng.random((n, m)) < 0.4 if data == "binary" else rng.standard_normal((n, m))
+    H = H.astype(np.float64)
+    Ht = np.ascontiguousarray(H.T)
+    real = estimation._repair_empty_rows
+    calls = []
+
+    def checked(sums, sq_norms, row_labels, z_cols, K):
+        got = real(sums, sq_norms, row_labels, z_cols, K)
+        M = H if len(sums) == n else Ht
+        calls.append(_moves_take_largest_residuals(M, row_labels, z_cols, K, got.labels))
+        return got
+
+    monkeypatch.setattr(estimation, "_repair_empty_rows", checked)
+    started_empty = mid_run = 0
+    for K, L in [(12, 10), (10, 3), (3, 10), (6, 6)]:
+        for seed in range(4):
+            rows, cols = rng.integers(0, K - seed % 2, n), rng.integers(0, L - seed // 2, m)
+            started_empty += min(np.bincount(rows, minlength=K).min(),
+                                 np.bincount(cols, minlength=L).min()) == 0
+            for cfg in (
+                FitConfig(K=K, L=L, init="given", init_labels=(rows, cols)),
+                FitConfig(K=K, L=L, init="random", restarts=3, seed=seed),
+            ):
+                mid_run += 0 in lloyd_fit(H, cfg).traj_min_sizes
+    assert all(calls)
+    assert started_empty and mid_run
 
 
 @pytest.mark.parametrize(
@@ -618,24 +680,27 @@ def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
     assert (sizes[0] == 0, sizes[1] == 0) == repaired
 
 
-def _lloyd_run_recomputing(H, Ht, H_sq, row_labels, col_labels, cfg):
+def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
     """The Lloyd loop that rebuilds both one-hots and reads H twice on every
-    iteration, whether or not an axis's labels changed."""
+    iteration, whether or not an axis's labels changed, and repairs the start
+    labels from H."""
     n, m = H.shape
-    zr = estimation._repair_empty_rows(H, row_labels, assign(cfg.L, col_labels), cfg.K)
-    zc = estimation._repair_empty_rows(Ht, col_labels, zr, cfg.L)
+    H_sq = float(np.einsum("ij,ij->", H, H))
+    row_sq, col_sq = np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht)
+    zr = _repair_empty_rows_reference(H, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = _repair_empty_rows_reference(Ht, col_labels, zr, cfg.L)
     traj, min_row, min_col = [], n, m
     Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
         Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
-        zr, row_floor, _ = estimation._axis_step(H, HZc, Q, zc, cfg.n0)
+        zr, row_floor, _ = estimation._axis_step(HZc, row_sq, Q, zc, cfg.n0)
         Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
             Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
-        zc, col_floor, c = estimation._axis_step(Ht, HtZr, Q.T, zr, cfg.m0)
+        zc, col_floor, c = estimation._axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
         Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
             Q = block_means(
@@ -655,15 +720,19 @@ def _lloyd_run_recomputing(H, Ht, H_sq, row_labels, col_labels, cfg):
 @pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
 def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     # keeping H Z_c, H^T Z_r and the one-hot of an axis whose labels did not
-    # change must leave labels, Q, trajectories and floors bitwise unchanged
+    # change must leave labels, Q, trajectories and floors bitwise unchanged;
+    # H is read at most twice per iteration plus once per axis whose start
+    # labels leave a cluster empty, counting every read, also those through
+    # core's group_sums (as block_sums makes them)
     g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=2)
     h_reads = []
-    real = estimation.group_sums
-    monkeypatch.setattr(
-        estimation, "group_sums",
-        lambda M, *a, **k: h_reads.append(M is H or M is Ht) or real(M, *a, **k),
-    )
-    repaired = stopped = kept = 0
+    for module in (estimation, core):
+        monkeypatch.setattr(
+            module, "group_sums",
+            lambda M, *a, real=module.group_sums, **k:
+                h_reads.append(M is H or M is Ht) or real(M, *a, **k),
+        )
+    repaired = started_empty = stopped = kept = 0
     for (n, m), cases in [
         ((90, 60), [(3, 3, 0, 0, 40), (4, 3, 12, 10, 40), (6, 5, 8, 0, 40),
                     (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3)]),
@@ -671,28 +740,36 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     ]:
         H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
         Ht = np.ascontiguousarray(H.T)
-        H_sq = float(np.einsum("ij,ij->", H, H))
+        sq_norms = (float(np.einsum("ij,ij->", H, H)),
+                    np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht))
         row_emb, col_emb = spectral_embedding(H)
         for K, L, n0, m0, max_iters in cases:
             rng = np.random.default_rng(K * 10 + L)
+            spectral_cols = kmeans(col_emb[:, :L], L, seed=2)
             for rows, cols in [
-                (kmeans(row_emb[:, :K], K, seed=1), kmeans(col_emb[:, :L], L, seed=2)),
+                (kmeans(row_emb[:, :K], K, seed=1), spectral_cols),
                 (rng.integers(0, K, n), rng.integers(0, L, m)),
+                (rng.integers(0, K // 2, n), spectral_cols),  # half the row clusters empty
             ]:
                 cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
                                 init_labels=(rows, cols), max_iters=max_iters)
                 del h_reads[:]
-                model, traj, sizes = estimation._lloyd_run(H, Ht, H_sq, rows, cols, cfg)
+                model, traj, sizes = estimation._lloyd_run(H, Ht, sq_norms, rows, cols, cfg)
                 reads = sum(h_reads)
-                ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, H_sq, rows, cols, cfg)
+                ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg)
                 assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
                 assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
                 assert model.Q.tobytes() == ref.Q.tobytes()
                 assert [x.hex() for x in traj] == [x.hex() for x in ref_traj]
                 assert sizes == ref_sizes
-                assert reads <= 2 * len(traj)
-                kept += reads < 2 * len(traj)
+                start_repairs = sum(
+                    np.bincount(x, minlength=k).min() == 0 for x, k in ((rows, K), (cols, L))
+                )
+                assert reads <= 2 * len(traj) + start_repairs
+                kept += reads < 2 * len(traj) + start_repairs
+                started_empty += start_repairs > 0
                 repaired += 0 in sizes
                 stopped += len(traj) == max_iters < 40
-    # the cases cover a repaired step, a run cut at max_iters and skipped reads
-    assert repaired and stopped and kept
+    # the cases cover start and mid-run repairs, a run cut at max_iters and
+    # skipped reads
+    assert started_empty and repaired and stopped and kept

@@ -84,7 +84,7 @@ _GRAPHONS = {
 )
 def test_streamed_cell_integrals_match_whole_grid(kind, n, m, grid_res):
     g = _GRAPHONS[kind]()
-    cells, w_sq = evaluation._cell_integrals(g, n, m, grid_res)
+    cells, w_sq = evaluation._cell_integrals(g, np.arange(n), np.arange(m), grid_res)
     want_cells, want_w_sq = _cell_integrals_reference(g, n, m, grid_res)
     assert cells.shape == (n, m)
     # the reference's cumulative sums lose digits against the running total,

@@ -154,6 +154,14 @@ class TestRunExperiment:
             tiny_spec(rho_values=(0.5,), n_values=None)  # missing n, m
         with pytest.raises(ValueError):
             tiny_spec(K=None)
+        # the JSON form round-trips, and a missing noise model is Bernoulli
+        spec = tiny_spec(noise=NoiseModel.gaussian(0.5))
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        without_noise = {k: v for k, v in spec.to_dict().items() if k != "noise"}
+        assert ExperimentSpec.from_dict(without_noise).noise == NoiseModel.bernoulli()
+        for bad in ({**without_noise, "rho": "high"}, {"name": "x"}, "spec"):
+            with pytest.raises(ValueError):
+                ExperimentSpec.from_dict(bad)
 
     @pytest.mark.parametrize(
         "sweep, delta_grid",
