@@ -37,6 +37,7 @@ from .flow import InfeasibleSizeError, min_cost_assignment
 from .estimation import (
     FitConfig,
     FitReport,
+    fit_grid,
     kmeans,
     lloyd_fit,
     spectral_embedding,
@@ -66,7 +67,6 @@ from .experiments import (
     ExperimentResult,
     ExperimentSpec,
     emit_outputs,
-    fit_grid,
     hoelder_KL_rule,
     run_ewa_experiment,
     run_experiment,

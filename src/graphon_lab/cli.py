@@ -14,14 +14,9 @@ import numpy as np
 
 from .aggregation import HyperGrid, default_grid, ewa_aggregate, temperature
 from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, induced_mean
-from .estimation import FitConfig, lloyd_fit
+from .estimation import FitConfig, fit_grid, lloyd_fit
 from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
-from .experiments import (
-    ExperimentSpec,
-    emit_outputs,
-    fit_grid,
-    run_experiment,
-)
+from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .io import (
     dump_json,
     load_json,

@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded sweeps, grid fitting, result files.
+"""Experiment orchestration: seeded sweeps, EWA studies, result files.
 
 Runs the standard studies at configurable scale: error-versus-size sweeps
 (with ``m = n/2``), an error-versus-intensity sweep, and the
@@ -33,10 +33,8 @@ from .estimation import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL_GAMMA,
     FitConfig,
-    FitReport,
-    kmeans,
+    fit_grid,
     lloyd_fit,
-    spectral_embedding,
 )
 from .evaluation import (
     delta_tilde,
@@ -50,6 +48,7 @@ from .io import dump_json
 from .svg import line_plot
 from .synthesis import (
     SynthConfig,
+    cell_seed,
     make_standard_graphon,
     synthesize,
     true_assignments,
@@ -62,7 +61,6 @@ __all__ = [
     "hoelder_KL_rule",
     "emit_outputs",
     "load_records_csv",
-    "fit_grid",
     "run_ewa_experiment",
     "worker_count",
 ]
@@ -98,14 +96,6 @@ def worker_count() -> int:
         raise ValueError(
             f"GRAPHON_LAB_THREADS must be an integer, got {raw!r}"
         ) from None
-
-
-def cell_seed(root_seed: int, *key: int) -> int:
-    """A 63-bit seed derived deterministically from a root seed and a key."""
-    state = np.random.SeedSequence(
-        entropy=int(root_seed), spawn_key=tuple(int(k) for k in key)
-    ).generate_state(1, dtype=np.uint64)[0]
-    return int(state >> np.uint64(1))
 
 
 def hoelder_KL_rule(
@@ -507,80 +497,8 @@ def load_records_csv(path) -> List[dict]:
 
 
 # --------------------------------------------------------------------------
-# Grid fitting for aggregation
+# Aggregation study
 # --------------------------------------------------------------------------
-
-
-def fit_grid(
-    H: np.ndarray, grid: HyperGrid, seed: int
-) -> Dict[Tuple[int, int, int, int], FitReport]:
-    """Fit every grid entry, sharing work across entries.
-
-    One spectral embedding serves all entries; k-means runs once
-    per distinct K and per distinct L.  For fixed (K, L), a fit whose
-    whole trajectory already respected a tighter pair of size floors is
-    reused for that entry (the two runs provably coincide: an optimal
-    step over the looser feasible set that lands inside the tighter set
-    is optimal there too).  Entries whose floors bind get their own run,
-    warm-started from the loosest fit already performed.  Raises
-    ``ValueError`` when ``H`` is not finite.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    n, m = H.shape
-    grid.validate_for(n, m)
-    by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
-    for entry in grid:
-        by_pair.setdefault((entry[0], entry[1]), []).append(entry)
-
-    row_emb, col_emb = spectral_embedding(H)
-    row_labels = {}
-    col_labels = {}
-    for K in sorted({p[0] for p in by_pair}):
-        row_labels[K] = kmeans(row_emb[:, :K], K, seed=cell_seed(seed, 8, K))
-    for L in sorted({p[1] for p in by_pair}):
-        col_labels[L] = kmeans(col_emb[:, :L], L, seed=cell_seed(seed, 9, L))
-
-    out: Dict[Tuple[int, int, int, int], FitReport] = {}
-    for (K, L), entries in by_pair.items():
-        entries = sorted(entries, key=lambda e: (e[2], e[3]))
-        base = lloyd_fit(
-            H,
-            FitConfig(
-                K=K, L=L, n0=0, m0=0, init="given",
-                init_labels=(row_labels[K], col_labels[L]),
-                seed=seed,
-            ),
-        )
-        performed: List[Tuple[int, int, FitReport]] = [(0, 0, base)]
-        for entry in entries:
-            n0, m0 = entry[2], entry[3]
-            hit = None
-            for b_n0, b_m0, rep in performed:
-                if (
-                    b_n0 <= n0
-                    and b_m0 <= m0
-                    and rep.traj_min_sizes[0] >= n0
-                    and rep.traj_min_sizes[1] >= m0
-                ):
-                    hit = rep
-                    break
-            if hit is None:
-                donors = [t for t in performed if t[0] <= n0 and t[1] <= m0]
-                donor = max(donors, key=lambda t: (t[0], t[1]))[2]
-                hit = lloyd_fit(
-                    H,
-                    FitConfig(
-                        K=K, L=L, n0=n0, m0=m0, init="given",
-                        init_labels=(
-                            donor.model.z_rows.labels,
-                            donor.model.z_cols.labels,
-                        ),
-                        seed=seed,
-                    ),
-                )
-                performed.append((n0, m0, hit))
-            out[entry] = hit
-    return out
 
 
 def run_ewa_experiment(

@@ -32,6 +32,7 @@ from .core import Graphon, NoiseModel, ObservationSet
 __all__ = [
     "SynthConfig",
     "substream",
+    "cell_seed",
     "sample_latents",
     "build_theta",
     "sample_observations",
@@ -52,6 +53,14 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """A Philox generator on the substream identified by ``key``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def cell_seed(root_seed: int, *key: int) -> int:
+    """A 63-bit seed derived deterministically from a root seed and a key."""
+    state = np.random.SeedSequence(
+        entropy=int(root_seed), spawn_key=tuple(int(k) for k in key)
+    ).generate_state(1, dtype=np.uint64)[0]
+    return int(state >> np.uint64(1))
 
 
 @dataclass(frozen=True)

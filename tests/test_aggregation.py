@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_lab import experiments
 from graphon_lab.aggregation import (
     WEIGHT_FLOOR,
     HyperGrid,
@@ -23,6 +22,7 @@ from graphon_lab.core import (
     NoiseModel,
     induced_mean,
 )
+from graphon_lab.estimation import fit_grid
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 
 
@@ -178,7 +178,7 @@ def test_mixture_merges_shared_fits(kind, beta):
     g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=1)
     obs = synthesize(SynthConfig(60, 40, g, NoiseModel.bernoulli(), seed=2, with_second_copy=True))
     grid = default_grid(60, 40)
-    reports = experiments.fit_grid(obs.H, grid, seed=3)
+    reports = fit_grid(obs.H, grid, seed=3)
     models = [reports[e].model for e in grid]
     assert len({id(model) for model in models}) < len(models) // 2
     weights = ewa_weights(sq_residuals(models, obs.H_prime), beta)

@@ -13,7 +13,7 @@ from graphon_lab.aggregation import HyperGrid, ewa_aggregate
 from graphon_lab.cli import main
 from graphon_lab.core import induced_mean
 from graphon_lab.evaluation import delta_tilde
-from graphon_lab.experiments import fit_grid
+from graphon_lab.estimation import fit_grid
 from graphon_lab.io import load_json, load_matrix, model_from_dict, save_matrix
 from graphon_lab.synthesis import make_standard_graphon
 
@@ -279,6 +279,19 @@ def test_fit_infeasible_floor_exits_two(synth_dir, tmp_path, capsys):
     assert rc == 2
     assert "infeasible row sizes" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_fit_random_init_fills_every_cluster(tmp_path):
+    # 12 rows in 12 clusters with a floor of 1: random draws almost never
+    # fill every cluster, and the fit still starts from one that does
+    path = tmp_path / "H.csv"
+    save_matrix(path, (np.random.default_rng(5).random((12, 8)) < 0.5).astype(np.float64))
+    rc = main(
+        ["fit", "--K", "12", "--L", "2", "--n0", "1", "--init", "random",
+         "--input", str(path), "--output", str(tmp_path / "model.json")]
+    )
+    assert rc == 0
+    assert sorted(load_json(tmp_path / "model.json")["row_labels"]) == list(range(12))
 
 
 def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):

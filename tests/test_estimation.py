@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_lab import core, estimation
 from graphon_lab.core import (
@@ -495,6 +497,68 @@ class TestLloydFit:
         assert report.model.z_rows.counts().min() >= 1
 
 
+def test_random_init_with_floors_when_every_draw_leaves_a_cluster_empty():
+    # 12 rows in 12 clusters: a uniform draw fills them all with probability
+    # 12!/12^12 (about 5e-5), so the redraws fail and the labels are completed
+    # from a random permutation; each row ends in a cluster of its own
+    H = (np.random.default_rng(5).random((12, 8)) < 0.5).astype(np.float64)
+    labels = estimation._random_labels(12, 12, substream(0, 1), True)
+    assert sorted(labels) == list(range(12))
+    report = lloyd_fit(H, FitConfig(K=12, L=2, n0=1, init="random", restarts=3, seed=1))
+    assert sorted(report.model.z_rows.labels) == list(range(12))
+    assert (np.diff(report.cost_trajectory) <= 1e-9).all()
+
+
+@st.composite
+def _whole_fit_case(draw):
+    """A small H of one of five kinds and a random fit configuration for it."""
+    kind = draw(st.sampled_from(["binary", "poisson", "gaussian", "constant", "duplicate"]))
+    n, m = draw(st.integers(2, 13)), draw(st.integers(2, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = {
+        "binary": lambda: (rng.random((n, m)) < 0.4).astype(np.float64),
+        "poisson": lambda: rng.poisson(3.0, (n, m)).astype(np.float64),
+        "gaussian": lambda: rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4),
+        "constant": lambda: np.full((n, m), draw(st.sampled_from([0.0, 1.0, 2.5]))),
+        "duplicate": lambda: (rng.random((2, m)) < 0.5)[rng.integers(0, 2, n)] * 1.0,
+    }[kind]()
+    init = draw(st.sampled_from(["spectral", "random", "given"]))
+    # the spectral embedding has min(n, m) columns
+    n_hi, m_hi = (min(n, m),) * 2 if init == "spectral" else (n, m)
+    K, L = draw(st.integers(2, n_hi)), draw(st.integers(2, m_hi))
+    n0, m0 = draw(st.integers(0, n // K)), draw(st.integers(0, m // L))
+    labels = None
+    if init == "given":
+        labels = (rng.integers(0, K, n), rng.integers(0, L, m))
+    cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init=init, restarts=draw(st.integers(1, 3)),
+                    seed=draw(st.integers(0, 2**31)), init_labels=labels)
+    return H, cfg
+
+
+@settings(max_examples=120, deadline=None)
+@given(_whole_fit_case())
+def test_whole_fit_properties(case):
+    # any small H and configuration: a finite Q, floors met, a trajectory
+    # that never increases, a final model no worse than its last recorded
+    # cost, and a seeded rerun that repeats the fit bitwise
+    H, cfg = case
+    report = lloyd_fit(H, cfg)
+    model, traj = report.model, np.asarray(report.cost_trajectory)
+    tol = 1e-9 * max(1.0, float((H * H).sum()))
+    assert np.isfinite(model.Q).all() and np.isfinite(traj).all()
+    assert model.z_rows.counts().min() >= max(cfg.n0, 1)
+    assert model.z_cols.counts().min() >= max(cfg.m0, 1)
+    assert (np.diff(traj) <= tol).all()
+    assert frobenius_cost(H, model) <= traj[-1] + tol
+    again = lloyd_fit(H.copy(), cfg)
+    assert again.model.z_rows.labels.tobytes() == model.z_rows.labels.tobytes()
+    assert again.model.z_cols.labels.tobytes() == model.z_cols.labels.tobytes()
+    assert again.model.Q.tobytes() == model.Q.tobytes()
+    assert [x.hex() for x in again.cost_trajectory] == [x.hex() for x in traj.tolist()]
+    assert (again.traj_min_sizes, again.restart_index) == (
+        report.traj_min_sizes, report.restart_index)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("init", ["spectral", "random", "given"])
 def test_non_finite_input_rejected(bad, init):
@@ -738,10 +802,10 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
                     (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3)]),
         ((40, 30), [(3, 8, 0, 0, 40), (10, 8, 0, 0, 40), (12, 10, 0, 0, 40)]),
     ]:
-        H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
-        Ht = np.ascontiguousarray(H.T)
-        sq_norms = (float(np.einsum("ij,ij->", H, H)),
-                    np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht))
+        prep = estimation._prepare(
+            synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
+        )
+        H, Ht = prep.H, prep.Ht
         row_emb, col_emb = spectral_embedding(H)
         for K, L, n0, m0, max_iters in cases:
             rng = np.random.default_rng(K * 10 + L)
@@ -754,7 +818,7 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
                 cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
                                 init_labels=(rows, cols), max_iters=max_iters)
                 del h_reads[:]
-                model, traj, sizes = estimation._lloyd_run(H, Ht, sq_norms, rows, cols, cfg)
+                model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
                 reads = sum(h_reads)
                 ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg)
                 assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)

@@ -6,21 +6,19 @@ import pytest
 
 from graphon_lab.aggregation import HyperGrid, default_grid, ewa_aggregate
 from graphon_lab.core import NoiseModel
-from graphon_lab.estimation import FitConfig, lloyd_fit
+from graphon_lab.estimation import FitConfig, fit_grid, lloyd_fit
 from graphon_lab.evaluation import mse_theta
-from graphon_lab import experiments
+from graphon_lab import estimation
 from graphon_lab.experiments import (
     ExperimentSpec,
-    cell_seed,
     emit_outputs,
-    fit_grid,
     hoelder_KL_rule,
     load_records_csv,
     run_ewa_experiment,
     run_experiment,
     worker_count,
 )
-from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
+from graphon_lab.synthesis import SynthConfig, cell_seed, make_standard_graphon, synthesize
 from graphon_lab.core import induced_mean
 
 
@@ -242,21 +240,32 @@ class TestFitGrid:
         if a.traj_min_sizes[0] >= 5 and a.traj_min_sizes[1] >= 5:
             assert a is b
 
-    def test_reused_entries_match_direct_runs(self, monkeypatch):
-        # every entry served by an earlier run must equal a direct fit with
-        # the entry's own floors from that run's initial labels
-        runs = []
-
-        def recording_fit(H, config):
-            report = lloyd_fit(H, config)
-            runs.append((config, report))
-            return report
-
-        monkeypatch.setattr(experiments, "lloyd_fit", recording_fit)
+    @staticmethod
+    def _grid_case():
         g = make_standard_graphon("rand", K=3, L=3, rho=0.7, seed=2)
         H = synthesize(SynthConfig(60, 45, g, NoiseModel.bernoulli(), seed=4)).H
         floors = ((0, 0), (2, 2), (5, 3), (8, 6), (14, 10), (19, 14), (19, 2))
-        grid = HyperGrid(tuple((K, K, n0, m0) for K in (2, 3) for n0, m0 in floors))
+        return H, HyperGrid(tuple((K, K, n0, m0) for K in (2, 3) for n0, m0 in floors))
+
+    @staticmethod
+    def _record_runs(monkeypatch):
+        """Record ``(config, report)`` of every run fit_grid performs."""
+        runs = []
+        real = estimation._fit_starts
+
+        def recording_fit(prep, starts, config):
+            report = real(prep, starts, config)
+            runs.append((config, report))
+            return report
+
+        monkeypatch.setattr(estimation, "_fit_starts", recording_fit)
+        return runs
+
+    def test_reused_entries_match_direct_runs(self, monkeypatch):
+        # every entry served by an earlier run must equal a direct fit with
+        # the entry's own floors from that run's initial labels
+        runs = self._record_runs(monkeypatch)
+        H, grid = self._grid_case()
         reports = fit_grid(H, grid, seed=3)
         own = {id(rep): cfg for cfg, rep in runs}
         reused = binding = 0
@@ -272,6 +281,38 @@ class TestFitGrid:
             assert np.array_equal(direct.model.Q, rep.model.Q)
             assert direct.cost_trajectory == rep.cost_trajectory
         assert reused > 0 and binding > 0
+
+    def test_prepares_once_and_own_runs_equal_lloyd_fit(self, monkeypatch):
+        # one preparation of H serves every run, no run goes through
+        # lloyd_fit, and each entry with its own run is bitwise the
+        # lloyd_fit of that run's configuration
+        prepared = []
+        real_prepare = estimation._prepare
+        monkeypatch.setattr(estimation, "_prepare",
+                            lambda H: prepared.append(H) or real_prepare(H))
+        monkeypatch.setattr(estimation, "lloyd_fit", None)
+        runs = self._record_runs(monkeypatch)
+        H, grid = self._grid_case()
+        reports = fit_grid(H, grid, seed=3)
+        assert len(prepared) == 1
+        monkeypatch.undo()
+        own = {id(rep): cfg for cfg, rep in runs}
+        checked = 0
+        for (K, L, n0, m0), rep in reports.items():
+            cfg = own[id(rep)]
+            if (cfg.n0, cfg.m0) != (n0, m0):
+                continue
+            direct = lloyd_fit(H, cfg)
+            assert direct.model.z_rows.labels.tobytes() == rep.model.z_rows.labels.tobytes()
+            assert direct.model.z_cols.labels.tobytes() == rep.model.z_cols.labels.tobytes()
+            assert direct.model.Q.tobytes() == rep.model.Q.tobytes()
+            assert [x.hex() for x in direct.cost_trajectory] == [
+                x.hex() for x in rep.cost_trajectory
+            ]
+            assert direct.traj_min_sizes == rep.traj_min_sizes
+            assert direct.iterations == rep.iterations
+            checked += 1
+        assert checked == len(runs) > 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
