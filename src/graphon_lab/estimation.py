@@ -39,6 +39,13 @@ DEFAULT_TOL_GAMMA = 1e-3
 _KMEANS_RESTARTS = 5
 _KMEANS_MAX_ITERS = 50
 
+# subspace iteration in spectral_embedding: oversampling, power iterations,
+# and the ratio min(n, m) / (rank + oversampling) from which it replaces the
+# Gram eigendecomposition, whose cost does not fall with the rank
+_RSVD_OVERSAMPLE = 10
+_RSVD_POWER_ITERS = 2
+_RSVD_MIN_RATIO = 10
+
 
 # --------------------------------------------------------------------------
 # Coordinate steps
@@ -191,15 +198,30 @@ def _spawned_seeds(seed: int, key: int, count: int) -> list:
     return [int(s) for s in states.generate_state(count, dtype=np.uint64)]
 
 
-def spectral_embedding(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def spectral_embedding(
+    H: np.ndarray, rank: Optional[int] = None, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
     """Singular-value-scaled singular vectors of the degree-trimmed ``H``.
 
-    Returns ``(U S, V S)`` of the trimmed ``A``, singular values descending;
-    the first ``k`` columns of either factor are its rank-``k`` embedding.
-    For ``n >= m`` the eigenpairs ``(S^2, V)`` of ``A^T A`` give ``U S = A V``
-    (mirrored on ``A A^T`` for ``n < m``), so nothing is divided by a singular
-    value.  ``A`` is first scaled by a power of two (1 on 0/1 data) to keep
-    the Gram product finite and normal.  Raises ``ValueError`` for non-finite ``H``.
+    Returns ``(U S, V S)`` of the trimmed ``A``, singular values descending,
+    with ``rank`` columns (all ``min(n, m)`` for ``rank=None``); the first
+    ``k`` columns of either factor are its rank-``k`` embedding.  ``A`` is
+    first scaled by a power of two (1 on 0/1 data) to keep the products
+    finite and normal, and for ``n < m`` everything below runs on ``A^T``.
+
+    Exact path: the eigenpairs ``(S^2, V)`` of ``A^T A`` give ``U S = A V``,
+    so nothing is divided by a singular value.  It serves ``rank=None`` and
+    every rank with ``min(n, m) < 10 (rank + 10)``, and returns the first
+    ``rank`` columns of the full embedding bitwise.
+
+    Randomized path, for smaller ranks: subspace iteration (Halko,
+    Martinsson and Tropp 2011, alg. 4.4) from a Gaussian test matrix with
+    ``rank + 10`` columns drawn from ``substream(seed, 98)``, two power
+    iterations re-orthonormalized by QR, then the SVD of the small
+    projected matrix gives ``V`` and ``S``, and the output is ``(A V, V S)``
+    as above.  The same seed gives the same output bitwise.
+
+    Raises ``ValueError`` for non-finite ``H``.
     """
     H = np.asarray(H, dtype=np.float64)
     if not np.isfinite(H).all():
@@ -208,10 +230,20 @@ def spectral_embedding(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     B = A if A.shape[0] >= A.shape[1] else A.T
     exp = 1 - np.frexp(np.abs(B).max())[1]
     C = np.ldexp(B, exp)
-    lam, V = np.linalg.eigh(C.T @ C)
-    V = V[:, ::-1]
-    s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), -exp)
-    return (B @ V, V * s) if B is A else (V * s, B @ V)
+    if rank is not None and B.shape[1] >= _RSVD_MIN_RATIO * (rank + _RSVD_OVERSAMPLE):
+        omega = substream(seed, 98).standard_normal((B.shape[1], rank + _RSVD_OVERSAMPLE))
+        Q = np.linalg.qr(C @ omega)[0]
+        for _ in range(_RSVD_POWER_ITERS):
+            Q = np.linalg.qr(C @ np.linalg.qr(C.T @ Q)[0])[0]
+        _, s, Vt = np.linalg.svd(Q.T @ C, full_matrices=False)
+        V = Vt[:rank].T
+        s = np.ldexp(s[:rank], -exp)
+    else:
+        lam, V = np.linalg.eigh(C.T @ C)
+        V = V[:, ::-1]
+        s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), -exp)
+    row, col = (B @ V, V * s) if B is A else (V * s, B @ V)
+    return row[:, :rank], col[:, :rank]
 
 
 def spectral_init(
@@ -221,8 +253,9 @@ def spectral_init(
 
     Rows are clustered by k-means on the ``K`` leading left singular
     vectors (scaled by their singular values), columns on the ``L``
-    leading right ones.  If the Gram eigendecomposition fails the
-    initializer falls back to random labels with a warning.
+    leading right ones; the embedding is computed at rank ``max(K, L)``
+    on ``seed``.  If its factorization fails the initializer falls back to
+    random labels with a warning.
     """
     H = np.asarray(H, dtype=np.float64)
     n, m = H.shape
@@ -230,9 +263,9 @@ def spectral_init(
         raise ValueError("truncation ranks must not exceed min(n, m)")
     kseed_r, kseed_c = _spawned_seeds(seed, 8, 2)
     try:
-        row_emb, col_emb = spectral_embedding(H)
+        row_emb, col_emb = spectral_embedding(H, max(K, L), seed)
     except np.linalg.LinAlgError:
-        warnings.warn("Gram eigendecomposition failed; falling back to random initialization")
+        warnings.warn("spectral embedding failed; falling back to random initialization")
         rng = substream(seed, 97)
         return (
             AssignmentMatrix(n, K, _random_labels(n, K, rng, True)),
@@ -508,22 +541,24 @@ def fit_grid(
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
     """Fit every grid entry, sharing work across entries.
 
-    One spectral embedding serves all entries, k-means runs once per
-    distinct K and per distinct L, and H is prepared once for all runs.  For
-    fixed (K, L), a fit whose whole trajectory already respected a tighter
-    pair of size floors is reused for that entry (the two runs provably
-    coincide: an optimal step over the looser feasible set that lands
-    inside the tighter set is optimal there too).  Entries whose floors
-    bind get their own run, warm-started from the loosest fit already
-    performed.  Each run equals :func:`lloyd_fit` with ``init="given"`` from
-    the same labels.  Raises ``ValueError`` when ``H`` is not finite.
+    One spectral embedding, at the largest K or L of the grid, serves all
+    entries, k-means runs once per distinct K and per distinct L, and H is
+    prepared once for all runs.  For fixed (K, L), a fit whose whole
+    trajectory already respected a tighter pair of size floors is reused
+    for that entry (the two runs provably coincide: an optimal step over
+    the looser feasible set that lands inside the tighter set is optimal
+    there too).  Entries whose floors bind get their own run, warm-started
+    from the performed run with the lexicographically largest ``(n0, m0)``
+    among those whose floors are componentwise at most the entry's.  Each
+    run equals :func:`lloyd_fit` with ``init="given"`` from the same
+    labels.  Raises ``ValueError`` when ``H`` is not finite.
     """
     grid.validate_for(*np.shape(H))
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)
 
-    row_emb, col_emb = spectral_embedding(H)
+    row_emb, col_emb = spectral_embedding(H, max(max(p) for p in by_pair), seed)
     row_labels = {K: kmeans(row_emb[:, :K], K, seed=cell_seed(seed, 8, K))
                   for K in sorted({p[0] for p in by_pair})}
     col_labels = {L: kmeans(col_emb[:, :L], L, seed=cell_seed(seed, 9, L))

@@ -15,7 +15,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel, Graphon, NoiseModel, block_means, block_sums
+from .core import (
+    AssignmentMatrix,
+    BlockModel,
+    DimensionMismatch,
+    Graphon,
+    NoiseModel,
+    block_means,
+    block_sums,
+)
 
 __all__ = [
     "mse_theta",
@@ -35,9 +43,16 @@ _BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def mse_theta(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:
-    """Normalized squared error ``||Theta_hat - Theta*||_F^2 / (n m)``."""
+    """Normalized squared error ``||Theta_hat - Theta*||_F^2 / (n m)``.
+
+    Raises :class:`DimensionMismatch` when the two shapes differ.
+    """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     theta_star = np.asarray(theta_star, dtype=np.float64)
+    if theta_hat.shape != theta_star.shape:
+        raise DimensionMismatch(
+            f"estimate has shape {theta_hat.shape}, truth {theta_star.shape}"
+        )
     diff = theta_hat - theta_star
     return float(np.einsum("ij,ij->", diff, diff) / diff.size)
 
@@ -140,7 +155,8 @@ def delta_tilde(
     no grid point.  The grid is evaluated a block of rows at a time, so
     memory grows with ``n m`` and not with ``grid_res**2``.  The true
     distance is an infimum over all rearrangements, so the returned value
-    bounds it from above.  Returns ``sqrt(max(value, 0))``.
+    bounds it from above.  Returns ``sqrt(max(value, 0))``.  Raises
+    :class:`DimensionMismatch` unless ``len(U) == n`` and ``len(V) == m``.
     """
     if grid_res < 100:
         raise ValueError("grid_res must be at least 100")
@@ -148,6 +164,10 @@ def delta_tilde(
         raise ValueError("latent positions are required")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     n, m = theta_hat.shape
+    if (len(U), len(V)) != (n, m):
+        raise DimensionMismatch(
+            f"{len(U)} x {len(V)} latent positions for an {n} x {m} estimate"
+        )
     if grid_res < max(n, m):
         raise ValueError(f"grid_res must be at least max(n, m) = {max(n, m)}")
     cells, w_sq = _cell_integrals(

@@ -313,6 +313,62 @@ def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("metrics, wrong", [("mse", "truth"), ("delta", "latents")])
+def test_eval_shape_mismatch_exits_two(synth_dir, tmp_path, capsys, metrics, wrong):
+    # a one-row truth broadcasts against the 24 x 18 estimate in mse, and a
+    # one-element U and V against its rows and columns in delta
+    model_path = tmp_path / "model.json"
+    assert main(
+        ["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+         "--output", str(model_path)]
+    ) == 0
+    truth, latents = synth_dir / "theta_star.csv", synth_dir / "latents.json"
+    if wrong == "truth":
+        truth = tmp_path / "one_row.csv"
+        save_matrix(truth, load_matrix(synth_dir / "theta_star.csv")[:1])
+    else:
+        lat = load_json(synth_dir / "latents.json")
+        latents = tmp_path / "latents.json"
+        latents.write_text(json.dumps({"U": lat["U"][:1], "V": lat["V"][:1]}))
+    rc = main(
+        [
+            "eval", "--model", str(model_path), "--truth", str(truth),
+            "--latents", str(latents), "--meta", str(synth_dir / "meta.json"),
+            "--metrics", metrics, "--output", str(tmp_path / "metrics.json"),
+        ]
+    )
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[2, 2, True, 4], [2, 2, 4, False], [2, 2, 4], [2, 2, 4, 4, 1], [2, 2, 4.0, 4], 7],
+    ids=["true", "false", "three", "five", "float", "scalar"],
+)
+def test_ewa_grid_entry_not_four_integers_exits_two(synth_dir, tmp_path, capsys,
+                                                     monkeypatch, entry):
+    # JSON true loads as a bool, which is an int: [2, 2, true, 4] used to run
+    # with n0 = 1; [2, 2, 4] failed only when the entry was unpacked
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_grid ran on a malformed grid")
+
+    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"entries": [[3, 3, 0, 0], entry]}))
+    rc = main(
+        [
+            "ewa", "--grid", str(grid), "--beta", "1",
+            "--input", str(synth_dir / "H.csv"),
+            "--input-prime", str(synth_dir / "H_prime.csv"),
+            "--output", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 2
+    assert f"grid entry 1 ({entry!r})" in capsys.readouterr().err
+
+
 def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
     # synth, fit and eval solve no size floor; ewa on this grid solves
     # binding ones (counted through the estimation module's solver name)

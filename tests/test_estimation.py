@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_lab import core, estimation
+from graphon_lab.aggregation import HyperGrid
 from graphon_lab.core import (
     AssignmentMatrix,
     BlockModel,
@@ -17,6 +18,7 @@ from graphon_lab.core import (
 )
 from graphon_lab.estimation import (
     FitConfig,
+    fit_grid,
     kmeans,
     lloyd_fit,
     spectral_embedding,
@@ -403,6 +405,103 @@ class TestSpectralEmbedding:
                 assert np.array_equal(kmeans(emb * np.array(signs), k, seed=3), want)
 
 
+def _synth_h(kind, n, m, seed):
+    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=seed)
+    return synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=seed)).H
+
+
+def _planted_rank_four(seed=0):
+    """A 600 x 300 rank-4 matrix with well separated singular values plus
+    1e-3 Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((600, 4)))[0]
+    V = np.linalg.qr(rng.standard_normal((300, 4)))[0]
+    signal = (U * np.array([40.0, 25.0, 15.0, 8.0])) @ V.T
+    return signal + 1e-3 * rng.standard_normal((600, 300))
+
+
+def _subspace_gap(a, b, k):
+    """Sine of the largest principal angle between the spans of the first
+    ``k`` columns of ``a`` and of ``b``."""
+    qa, qb = np.linalg.qr(a[:, :k])[0], np.linalg.qr(b[:, :k])[0]
+    return np.linalg.norm(qb - qa @ (qa.T @ qb), 2)
+
+
+class TestTruncatedEmbedding:
+    @pytest.mark.parametrize(
+        "kind, n, m, rank",
+        [("cos", 200, 100, 32), ("rand", 256, 128, 4), ("rand", 256, 128, 6),
+         ("rand", 128, 256, 6), ("hoelder", 278, 139, 4)],
+    )
+    def test_exact_path_below_threshold_is_bitwise_a_slice(self, kind, n, m, rank):
+        # min(n, m) < 10 (rank + 10): the Gram path, its first rank columns
+        H = _synth_h(kind, n, m, seed=n + rank)
+        full = spectral_embedding(H)
+        for seed in (0, 7):
+            got = spectral_embedding(H, rank, seed)
+            for g, f in zip(got, full):
+                assert g.shape == (f.shape[0], rank)
+                assert g.tobytes() == np.ascontiguousarray(f[:, :rank]).tobytes()
+
+    @pytest.mark.parametrize("shape, rank, randomized", [
+        ((280, 140), 4, True), ((279, 139), 4, False),
+        ((140, 300), 4, True), ((300, 139), 4, False), ((200, 100), None, False),
+    ])
+    def test_threshold(self, monkeypatch, shape, rank, randomized):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        H = _synth_h("rand", *shape, seed=1)
+        row, col = spectral_embedding(H, rank, seed=3)
+        assert (calls == []) == randomized
+        k = min(shape) if rank is None else rank
+        assert row.shape == (shape[0], k) and col.shape == (shape[1], k)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_randomized_path_matches_exact_on_planted_rank(self, transpose):
+        H = _planted_rank_four()
+        H = H.T if transpose else H
+        exact = spectral_embedding(H)
+        fast = spectral_embedding(H, 8, seed=11)
+        assert fast[0].shape == (H.shape[0], 8) and fast[1].shape == (H.shape[1], 8)
+        # column k of the V S factor has norm s_k
+        s_exact = np.linalg.norm(exact[1][:, :4], axis=0)
+        s_fast = np.linalg.norm(fast[1][:, :4], axis=0)
+        np.testing.assert_allclose(s_fast, s_exact, rtol=1e-8, atol=0)
+        for e, f in zip(exact, fast):
+            assert _subspace_gap(e, f, 4) <= 1e-8
+
+    def test_randomized_path_is_seeded(self):
+        H = _planted_rank_four(seed=2)
+        state = np.random.get_state()
+        a = spectral_embedding(H, 8, seed=5)
+        b = spectral_embedding(H.copy(), 8, seed=5)
+        c = spectral_embedding(H, 8, seed=6)
+        assert np.random.get_state()[1].tobytes() == state[1].tobytes()
+        for x, y, z in zip(a, b, c):
+            assert x.tobytes() == y.tobytes()
+            assert x.tobytes() != z.tobytes()
+
+    def test_seeded_spectral_fit_on_the_randomized_path_reruns_bitwise(self, monkeypatch):
+        H = _synth_h("hoelder", 400, 200, seed=4)
+        cfg = FitConfig(K=8, L=5, init="spectral", seed=12)
+        ranks = []
+        real = estimation.spectral_embedding
+        monkeypatch.setattr(
+            estimation, "spectral_embedding",
+            lambda H, rank=None, seed=0: ranks.append(rank) or real(H, rank, seed),
+        )
+        first = lloyd_fit(H, cfg)
+        again = lloyd_fit(H.copy(), cfg)
+        assert ranks == [8, 8] and 200 >= estimation._RSVD_MIN_RATIO * (
+            8 + estimation._RSVD_OVERSAMPLE)
+        assert first.model.z_rows.labels.tobytes() == again.model.z_rows.labels.tobytes()
+        assert first.model.z_cols.labels.tobytes() == again.model.z_cols.labels.tobytes()
+        assert first.model.Q.tobytes() == again.model.Q.tobytes()
+        assert [x.hex() for x in first.cost_trajectory] == [
+            x.hex() for x in again.cost_trajectory]
+
+
 def planted_block_matrix(n, m, rng=None, noise=0.0):
     rows = np.arange(n) % 2
     cols = np.arange(m) % 2
@@ -557,6 +656,57 @@ def test_whole_fit_properties(case):
     assert [x.hex() for x in again.cost_trajectory] == [x.hex() for x in traj.tolist()]
     assert (again.traj_min_sizes, again.restart_index) == (
         report.traj_min_sizes, report.restart_index)
+
+
+@st.composite
+def _whole_grid_case(draw):
+    """A small 0/1 or Gaussian H and a random grid of feasible entries."""
+    n, m = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        H = (rng.random((n, m)) < 0.4).astype(np.float64)
+    else:
+        H = rng.standard_normal((n, m))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        K, L = draw(st.integers(2, n)), draw(st.integers(2, m))
+        entries.append((K, L, draw(st.integers(0, n // K)), draw(st.integers(0, m // L))))
+    return H, HyperGrid(tuple(entries)), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_whole_grid_case())
+def test_whole_grid_properties(case):
+    # every entry meets its floors, never increases its cost, and equals a
+    # direct lloyd_fit with its own floors from the start labels of the run
+    # that served it, whether that run was its own or a looser one's
+    H, grid, seed = case
+    starts = {}
+    real = estimation._fit_starts
+
+    def recording(prep, run_starts, config):
+        report = real(prep, run_starts, config)
+        starts[id(report)] = run_starts[0]
+        return report
+
+    estimation._fit_starts = recording
+    try:
+        reports = fit_grid(H, grid, seed=seed)
+    finally:
+        estimation._fit_starts = real
+    assert set(reports) == set(grid.entries)
+    tol = 1e-9 * max(1.0, float((H * H).sum()))
+    for (K, L, n0, m0), rep in reports.items():
+        model, traj = rep.model, rep.cost_trajectory
+        assert model.z_rows.counts().min() >= max(n0, 1)
+        assert model.z_cols.counts().min() >= max(m0, 1)
+        assert (np.diff(traj) <= tol).all()
+        direct = lloyd_fit(H, FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
+                                        init_labels=starts[id(rep)], seed=seed))
+        assert direct.model.z_rows.labels.tobytes() == model.z_rows.labels.tobytes()
+        assert direct.model.z_cols.labels.tobytes() == model.z_cols.labels.tobytes()
+        assert direct.model.Q.tobytes() == model.Q.tobytes()
+        assert [x.hex() for x in direct.cost_trajectory] == [x.hex() for x in traj]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

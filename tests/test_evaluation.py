@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphon_lab import evaluation
-from graphon_lab.core import AssignmentMatrix, Graphon, NoiseModel
+from graphon_lab.core import AssignmentMatrix, DimensionMismatch, Graphon, NoiseModel
 from graphon_lab.evaluation import (
     delta_tilde,
     lift_to_graphon,
@@ -137,6 +137,14 @@ class TestDeltaTilde:
         with pytest.raises(ValueError):
             delta_tilde(np.zeros((4, 4)), g, np.zeros(4), np.zeros(4), grid_res=10)
 
+    @pytest.mark.parametrize("sizes", [(1, 20), (30, 1), (29, 20), (30, 21)])
+    def test_latents_must_match_the_estimate(self, sizes):
+        # a one-element U used to broadcast to a distance of 0.0
+        g = make_standard_graphon("hoelder", rho=0.5)
+        U, V = sample_latents(*sizes, seed=6)
+        with pytest.raises(DimensionMismatch, match="30 x 20"):
+            delta_tilde(np.full((30, 20), 0.25), g, U, V)
+
     def test_grid_coarser_than_matrix_rejected(self):
         # at 120 x 60 a grid of 100 points leaves 20 row rectangles empty
         g = make_standard_graphon("hoelder", rho=0.5)
@@ -252,3 +260,12 @@ def test_mse_theta_matches_direct():
     rng = np.random.default_rng(0)
     A, B = rng.random((7, 5)), rng.random((7, 5))
     assert mse_theta(A, B) == pytest.approx(((A - B) ** 2).mean())
+
+
+@pytest.mark.parametrize("shape", [(1, 12), (24, 1), (12, 24), (24,)])
+def test_mse_theta_rejects_a_truth_of_another_shape(shape):
+    # each of these broadcasts against a 24 x 12 estimate
+    theta_hat = np.random.default_rng(3).random((24, 12))
+    with pytest.raises(DimensionMismatch, match="24, 12"):
+        mse_theta(theta_hat, np.zeros(shape))
+    assert mse_theta(theta_hat, theta_hat) == 0.0
