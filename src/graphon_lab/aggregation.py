@@ -46,11 +46,20 @@ WEIGHT_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class HyperGrid:
-    """A set of fit hyperparameters ``(K, L, n0, m0)`` to aggregate over."""
+    """A set of fit hyperparameters ``(K, L, n0, m0)`` to aggregate over.
+
+    Each entry must hold exactly four Python or numpy integers (booleans
+    are refused); they are stored as ints.
+    """
 
     entries: Tuple[Tuple[int, int, int, int], ...]
 
     def __post_init__(self):
+        for i, e in enumerate(self.entries):
+            # bool is an int subclass, and JSON true loads as one
+            if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4 and all(
+                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in e)):
+                raise ValueError(f"grid entry {i} ({e!r}) must be four integers (K, L, n0, m0)")
         object.__setattr__(
             self, "entries", tuple(tuple(int(x) for x in e) for e in self.entries)
         )

@@ -120,12 +120,7 @@ def _cmd_ewa(args) -> int:
         entries = loaded.get("entries") if isinstance(loaded, dict) else None
         if not isinstance(entries, list):
             raise ValueError('a grid file must hold {"entries": [[K, L, n0, m0], ...]} (integers)')
-        for i, e in enumerate(entries):
-            # JSON true and false load as bool, which is an int subclass
-            if not (isinstance(e, list) and len(e) == 4 and all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in e)):
-                raise ValueError(f"grid entry {i} ({e!r}) must be four integers [K, L, n0, m0]")
-        grid = HyperGrid(tuple(tuple(e) for e in entries))
+        grid = HyperGrid(tuple(entries))
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")

@@ -45,6 +45,10 @@ _KMEANS_MAX_ITERS = 50
 _RSVD_OVERSAMPLE = 10
 _RSVD_POWER_ITERS = 2
 _RSVD_MIN_RATIO = 10
+# the sketch is kept only if each returned singular value is at most
+# _RSVD_NOISE or at least _RSVD_RESOLVED times the sketch's smallest one
+_RSVD_NOISE = 1.5
+_RSVD_RESOLVED = 5.0
 
 
 # --------------------------------------------------------------------------
@@ -210,16 +214,23 @@ def spectral_embedding(
     finite and normal, and for ``n < m`` everything below runs on ``A^T``.
 
     Exact path: the eigenpairs ``(S^2, V)`` of ``A^T A`` give ``U S = A V``,
-    so nothing is divided by a singular value.  It serves ``rank=None`` and
-    every rank with ``min(n, m) < 10 (rank + 10)``, and returns the first
-    ``rank`` columns of the full embedding bitwise.
+    so nothing is divided by a singular value.  It serves ``rank=None``,
+    every rank with ``min(n, m) < 10 (rank + 10)`` and every sketch that the
+    randomized path rejects, and returns the first ``rank`` columns of the
+    full embedding bitwise.
 
     Randomized path, for smaller ranks: subspace iteration (Halko,
     Martinsson and Tropp 2011, alg. 4.4) from a Gaussian test matrix with
     ``rank + 10`` columns drawn from ``substream(seed, 98)``, two power
     iterations re-orthonormalized by QR, then the SVD of the small
     projected matrix gives ``V`` and ``S``, and the output is ``(A V, V S)``
-    as above.  The same seed gives the same output bitwise.
+    as above.  The same seed gives the same output bitwise.  The sketch is
+    kept only when every returned singular value is at most 1.5 times its
+    smallest one (the noise floor) or at least 5 times it (resolved: two
+    power iterations shrink such a direction's error by about ``5^-5``).  A
+    value in between marks a weak direction that the sketch has not
+    resolved, and fits on such data followed the exact embedding's poorly,
+    so the exact path runs instead.
 
     Raises ``ValueError`` for non-finite ``H``.
     """
@@ -230,15 +241,18 @@ def spectral_embedding(
     B = A if A.shape[0] >= A.shape[1] else A.T
     exp = 1 - np.frexp(np.abs(B).max())[1]
     C = np.ldexp(B, exp)
+    V = None
     if rank is not None and B.shape[1] >= _RSVD_MIN_RATIO * (rank + _RSVD_OVERSAMPLE):
         omega = substream(seed, 98).standard_normal((B.shape[1], rank + _RSVD_OVERSAMPLE))
         Q = np.linalg.qr(C @ omega)[0]
         for _ in range(_RSVD_POWER_ITERS):
             Q = np.linalg.qr(C @ np.linalg.qr(C.T @ Q)[0])[0]
         _, s, Vt = np.linalg.svd(Q.T @ C, full_matrices=False)
-        V = Vt[:rank].T
-        s = np.ldexp(s[:rank], -exp)
-    else:
+        top = s[:rank]
+        if not ((top > _RSVD_NOISE * s[-1]) & (top < _RSVD_RESOLVED * s[-1])).any():
+            V = Vt[:rank].T
+            s = np.ldexp(top, -exp)
+    if V is None:
         lam, V = np.linalg.eigh(C.T @ C)
         V = V[:, ::-1]
         s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), -exp)

@@ -262,3 +262,18 @@ class TestHyperGrid:
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             HyperGrid(((1, 2, 0, 0),))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(2, 2, True, 4), (2, 2, 4, np.bool_(False)), (2, 2, 4), (2, 2, 4, 4, 1),
+         (2, 2, 4.0, 4), 7],
+        ids=["true", "numpy-false", "three", "five", "float", "scalar"],
+    )
+    def test_entries_must_be_four_integers(self, entry):
+        with pytest.raises(ValueError, match=r"grid entry 1 .* must be four integers"):
+            HyperGrid(((3, 3, 0, 0), entry))
+
+    def test_numpy_integer_entries_become_ints(self):
+        grid = HyperGrid(((2, np.int32(3), 0, 0), np.array([4, 4, 1, 2])))
+        assert grid.entries == ((2, 3, 0, 0), (4, 4, 1, 2))
+        assert all(type(x) is int for e in grid for x in e)

@@ -405,8 +405,8 @@ class TestSpectralEmbedding:
                 assert np.array_equal(kmeans(emb * np.array(signs), k, seed=3), want)
 
 
-def _synth_h(kind, n, m, seed):
-    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=seed)
+def _synth_h(kind, n, m, seed, K=4, rho=0.6):
+    g = make_standard_graphon(kind, K=K, L=K, rho=rho, seed=seed)
     return synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=seed)).H
 
 
@@ -448,14 +448,32 @@ class TestTruncatedEmbedding:
         ((140, 300), 4, True), ((300, 139), 4, False), ((200, 100), None, False),
     ])
     def test_threshold(self, monkeypatch, shape, rank, randomized):
+        # the smooth graphon's sketch is kept: one resolved direction, the
+        # rest at the noise floor
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
-        H = _synth_h("rand", *shape, seed=1)
+        H = _synth_h("hoelder", *shape, seed=1)
         row, col = spectral_embedding(H, rank, seed=3)
         assert (calls == []) == randomized
         k = min(shape) if rank is None else rank
         assert row.shape == (shape[0], k) and col.shape == (shape[1], k)
+
+    @pytest.mark.parametrize("n, rho, seed", [(512, 0.5, 0), (1024, 0.6, 1)])
+    def test_unresolved_sketch_falls_back_to_exact(self, monkeypatch, n, rho, seed):
+        # eight planted blocks: some singular values stand between the noise
+        # floor and five times it, so the sketch is dropped and the output is
+        # the exact path's, bitwise
+        H = _synth_h("rand", n, n // 2, seed, K=8, rho=rho)
+        full = spectral_embedding(H)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        got = spectral_embedding(H, 8, seed=seed)
+        assert n // 2 >= estimation._RSVD_MIN_RATIO * (8 + estimation._RSVD_OVERSAMPLE)
+        assert calls == [(n // 2, n // 2)]
+        for g, f in zip(got, full):
+            assert g.tobytes() == np.ascontiguousarray(f[:, :8]).tobytes()
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_randomized_path_matches_exact_on_planted_rank(self, transpose):
@@ -491,10 +509,10 @@ class TestTruncatedEmbedding:
             estimation, "spectral_embedding",
             lambda H, rank=None, seed=0: ranks.append(rank) or real(H, rank, seed),
         )
+        monkeypatch.setattr(np.linalg, "eigh", None)  # the sketch must be kept
         first = lloyd_fit(H, cfg)
         again = lloyd_fit(H.copy(), cfg)
-        assert ranks == [8, 8] and 200 >= estimation._RSVD_MIN_RATIO * (
-            8 + estimation._RSVD_OVERSAMPLE)
+        assert ranks == [8, 8]
         assert first.model.z_rows.labels.tobytes() == again.model.z_rows.labels.tobytes()
         assert first.model.z_cols.labels.tobytes() == again.model.z_cols.labels.tobytes()
         assert first.model.Q.tobytes() == again.model.Q.tobytes()
