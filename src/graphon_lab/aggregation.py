@@ -55,6 +55,8 @@ class HyperGrid:
     entries: Tuple[Tuple[int, int, int, int], ...]
 
     def __post_init__(self):
+        if len(self.entries) == 0:
+            raise ValueError("a grid needs at least one entry")
         for i, e in enumerate(self.entries):
             # bool is an int subclass, and JSON true loads as one
             if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4 and all(

@@ -21,7 +21,7 @@ import numpy as np
 from .aggregation import HyperGrid
 from .core import AssignmentMatrix, BlockModel, block_means, group_sums
 from .flow import min_cost_assignment
-from .synthesis import cell_seed, substream
+from .synthesis import substream
 
 __all__ = [
     "FitConfig",
@@ -208,7 +208,7 @@ def spectral_embedding(
     """Singular-value-scaled singular vectors of the degree-trimmed ``H``.
 
     Returns ``(U S, V S)`` of the trimmed ``A``, singular values descending,
-    with ``rank`` columns (all ``min(n, m)`` for ``rank=None``); the first
+    with ``min(rank, n, m)`` columns (all for ``rank=None``); the first
     ``k`` columns of either factor are its rank-``k`` embedding.  ``A`` is
     first scaled by a power of two (1 on 0/1 data) to keep the products
     finite and normal, and for ``n < m`` everything below runs on ``A^T``.
@@ -260,34 +260,36 @@ def spectral_embedding(
     return row[:, :rank], col[:, :rank]
 
 
+def _spectral_labels(H: np.ndarray, Ks: Sequence[int], Ls: Sequence[int],
+                     seed: int) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
+    """Start labels ``({K: rows}, {L: columns})``: k-means per distinct count on that many
+    leading columns (or all) of one :func:`spectral_embedding` at the largest count, seeded
+    by spawn keys 7, then 8, of ``seed``; random labels with a warning if that fails."""
+    n, m = np.shape(H)
+    Ks, Ls = sorted(set(Ks)), sorted(set(Ls))
+    (init_seed,) = _spawned_seeds(seed, 7, 1)
+    try:
+        row_emb, col_emb = spectral_embedding(H, max(Ks[-1], Ls[-1]), init_seed)
+    except np.linalg.LinAlgError:
+        warnings.warn("spectral embedding failed; falling back to random initialization")
+        rng = substream(init_seed, 97)
+        return ({K: _random_labels(n, K, rng, True) for K in Ks},
+                {L: _random_labels(m, L, rng, True) for L in Ls})
+    kseed_r, kseed_c = _spawned_seeds(init_seed, 8, 2)
+    return ({K: kmeans(row_emb[:, :K], K, seed=kseed_r) for K in Ks},
+            {L: kmeans(col_emb[:, :L], L, seed=kseed_c) for L in Ls})
+
+
 def spectral_init(
     H: np.ndarray, K: int, L: int, seed: int = 0
 ) -> Tuple[AssignmentMatrix, AssignmentMatrix]:
-    """Initial clusters from the :func:`spectral_embedding` of ``H``.
-
-    Rows are clustered by k-means on the ``K`` leading left singular
-    vectors (scaled by their singular values), columns on the ``L``
-    leading right ones; the embedding is computed at rank ``max(K, L)``
-    on ``seed``.  If its factorization fails the initializer falls back to
-    random labels with a warning.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    n, m = H.shape
-    if K > min(n, m) or L > min(n, m):
-        raise ValueError("truncation ranks must not exceed min(n, m)")
-    kseed_r, kseed_c = _spawned_seeds(seed, 8, 2)
-    try:
-        row_emb, col_emb = spectral_embedding(H, max(K, L), seed)
-    except np.linalg.LinAlgError:
-        warnings.warn("spectral embedding failed; falling back to random initialization")
-        rng = substream(seed, 97)
-        return (
-            AssignmentMatrix(n, K, _random_labels(n, K, rng, True)),
-            AssignmentMatrix(m, L, _random_labels(m, L, rng, True)),
-        )
-    row_labels = kmeans(row_emb[:, :K], K, seed=kseed_r)
-    col_labels = kmeans(col_emb[:, :L], L, seed=kseed_c)
-    return AssignmentMatrix(n, K, row_labels), AssignmentMatrix(m, L, col_labels)
+    """The start of ``lloyd_fit(H, FitConfig(K, L, seed=seed))``: k-means on
+    the ``K`` (``L``) leading columns of the row (column) factor of the
+    :func:`spectral_embedding`, by the rule :func:`fit_grid` shares.  Needs
+    ``K <= n`` and ``L <= m``; random labels with a warning if it fails."""
+    n, m = np.shape(H)
+    rows, cols = _spectral_labels(H, [K], [L], seed)
+    return AssignmentMatrix(n, K, rows[K]), AssignmentMatrix(m, L, cols[L])
 
 
 # --------------------------------------------------------------------------
@@ -511,8 +513,7 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
     # spectral fit at 1024 x 512 peaked 4 MB (one copy of H) higher in RSS
     starts = []
     if config.init == "spectral":
-        (init_seed,) = _spawned_seeds(config.seed, 7, 1)
-        zr, zc = spectral_init(H, config.K, config.L, seed=init_seed)
+        zr, zc = spectral_init(H, config.K, config.L, seed=config.seed)
         starts.append((zr.labels, zc.labels))
     elif config.init == "random":
         for r in range(config.restarts):
@@ -555,28 +556,25 @@ def fit_grid(
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
     """Fit every grid entry, sharing work across entries.
 
-    One spectral embedding, at the largest K or L of the grid, serves all
-    entries, k-means runs once per distinct K and per distinct L, and H is
-    prepared once for all runs.  For fixed (K, L), a fit whose whole
-    trajectory already respected a tighter pair of size floors is reused
-    for that entry (the two runs provably coincide: an optimal step over
-    the looser feasible set that lands inside the tighter set is optimal
-    there too).  Entries whose floors bind get their own run, warm-started
-    from the performed run with the lexicographically largest ``(n0, m0)``
-    among those whose floors are componentwise at most the entry's.  Each
-    run equals :func:`lloyd_fit` with ``init="given"`` from the same
-    labels.  Raises ``ValueError`` when ``H`` is not finite.
+    The starts are :func:`spectral_init`'s rule run once for the grid, so a
+    ``(K, L, 0, 0)`` run is ``lloyd_fit(H, FitConfig(K, L, seed=seed))``
+    whenever the embeddings at the grid's largest count and at ``max(K, L)``
+    agree (exact path, one-pair grids).  H is prepared once for all runs.
+    For fixed (K, L), a fit whose whole trajectory already respected a
+    tighter pair of size floors is reused for that entry (the two runs
+    provably coincide: an optimal step over the looser feasible set that
+    lands inside the tighter set is optimal there too).  Entries whose
+    floors bind get their own run, warm-started from the performed run with
+    the lexicographically largest ``(n0, m0)`` among those whose floors are
+    componentwise at most the entry's.  Each run equals :func:`lloyd_fit`
+    with ``init="given"`` from the same labels.  Raises ``ValueError`` when
+    ``H`` is not finite.
     """
     grid.validate_for(*np.shape(H))
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)
-
-    row_emb, col_emb = spectral_embedding(H, max(max(p) for p in by_pair), seed)
-    row_labels = {K: kmeans(row_emb[:, :K], K, seed=cell_seed(seed, 8, K))
-                  for K in sorted({p[0] for p in by_pair})}
-    col_labels = {L: kmeans(col_emb[:, :L], L, seed=cell_seed(seed, 9, L))
-                  for L in sorted({p[1] for p in by_pair})}
+    row_labels, col_labels = _spectral_labels(H, *zip(*by_pair), seed)
     prep = _prepare(H)
 
     def run(entry, labels) -> FitReport:

@@ -263,6 +263,10 @@ class TestHyperGrid:
         with pytest.raises(ValueError):
             HyperGrid(((1, 2, 0, 0),))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="a grid needs at least one entry"):
+            HyperGrid(())
+
     @pytest.mark.parametrize(
         "entry",
         [(2, 2, True, 4), (2, 2, 4, np.bool_(False)), (2, 2, 4), (2, 2, 4, 4, 1),

@@ -369,6 +369,26 @@ def test_ewa_grid_entry_not_four_integers_exits_two(synth_dir, tmp_path, capsys,
     assert f"grid entry 1 ({entry!r})" in capsys.readouterr().err
 
 
+def test_ewa_empty_grid_exits_two(synth_dir, tmp_path, capsys, monkeypatch):
+    # an empty entry list used to fail inside fit_grid on max() of nothing
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_grid ran on an empty grid")
+
+    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"entries": []}))
+    rc = main(
+        [
+            "ewa", "--grid", str(grid), "--beta", "1",
+            "--input", str(synth_dir / "H.csv"),
+            "--input-prime", str(synth_dir / "H_prime.csv"),
+            "--output", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 2
+    assert "a grid needs at least one entry" in capsys.readouterr().err
+
+
 def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
     # synth, fit and eval solve no size floor; ewa on this grid solves
     # binding ones (counted through the estimation module's solver name)

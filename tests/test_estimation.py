@@ -520,6 +520,86 @@ class TestTruncatedEmbedding:
             x.hex() for x in again.cost_trajectory]
 
 
+def _assert_same_fit(a, b):
+    assert a.model.z_rows.labels.tobytes() == b.model.z_rows.labels.tobytes()
+    assert a.model.z_cols.labels.tobytes() == b.model.z_cols.labels.tobytes()
+    assert a.model.Q.tobytes() == b.model.Q.tobytes()
+    assert [x.hex() for x in a.cost_trajectory] == [x.hex() for x in b.cost_trajectory]
+
+
+class TestSharedStart:
+    """``fit_grid`` and ``lloyd_fit`` take their spectral starts from one rule."""
+
+    @staticmethod
+    def _check_base_runs(H, grid, seed):
+        reports = fit_grid(H, grid, seed=seed)
+        pairs = sorted({(K, L) for K, L, _, _ in grid})
+        for K, L in pairs:
+            _assert_same_fit(reports[(K, L, 0, 0)], lloyd_fit(H, FitConfig(K, L, seed=seed)))
+        return len(pairs)
+
+    @pytest.mark.parametrize("kind, n, m, K, L, floors, seed", [
+        ("rand", 60, 40, 3, 3, [(4, 3)], 1),
+        ("cos", 200, 100, 32, 4, [], 2),
+        ("rand", 256, 128, 6, 4, [(10, 8), (30, 20)], 3),
+        ("hoelder", 600, 300, 4, 4, [(60, 40)], 4),
+    ])
+    def test_single_pair_grid_equals_direct_fit(self, monkeypatch, kind, n, m, K, L,
+                                                floors, seed):
+        # one (K, L) pair asks for the same rank as the direct fit, so the two
+        # agree on either embedding path
+        H = _synth_h(kind, n, m, seed)
+        if min(n, m) >= estimation._RSVD_MIN_RATIO * (max(K, L) + estimation._RSVD_OVERSAMPLE):
+            monkeypatch.setattr(np.linalg, "eigh", None)  # the sketch must be kept
+        grid = HyperGrid(((K, L, 0, 0),) + tuple((K, L, n0, m0) for n0, m0 in floors))
+        assert self._check_base_runs(H, grid, seed) == 1
+
+    @pytest.mark.parametrize("n, m, pairs, seed", [
+        (60, 40, [(2, 2), (3, 5), (6, 4), (8, 8)], 5),
+        (40, 60, [(2, 3), (5, 2), (7, 7)], 6),
+        (30, 8, [(2, 2), (12, 3), (5, 8)], 7),
+    ])
+    def test_multi_pair_grid_on_the_exact_path_equals_direct_fits(self, n, m, pairs, seed):
+        # min(n, m) < 10 (largest count + 10): the grid's embedding is
+        # bitwise the direct fits' leading columns, whatever its rank
+        H = _synth_h("rand", n, m, seed, K=3)
+        top = max(max(p) for p in pairs)
+        assert min(n, m) < estimation._RSVD_MIN_RATIO * (top + estimation._RSVD_OVERSAMPLE)
+        grid = HyperGrid(tuple((K, L, 0, 0) for K, L in pairs)
+                         + tuple((K, L, 1, 1) for K, L in pairs))
+        assert self._check_base_runs(H, grid, seed) == len(pairs)
+
+    def test_counts_above_min_n_m(self):
+        # K = 6 > min(n, m) = 4: k-means runs on all four embedding columns
+        H = (np.random.default_rng(8).random((10, 4)) < 0.5).astype(np.float64)
+        for seed in (0, 1, 2):
+            direct = lloyd_fit(H, FitConfig(K=6, L=2, seed=seed))
+            assert direct.model.z_rows.counts().min() >= 1
+            grid = fit_grid(H, HyperGrid(((6, 2, 0, 0), (2, 3, 0, 0))), seed=seed)
+            _assert_same_fit(grid[(6, 2, 0, 0)], direct)
+
+    def test_factorization_failure_falls_back_to_random_labels(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(estimation, "spectral_embedding", failing)
+        H = _synth_h("rand", 40, 30, seed=9, K=3)
+        with pytest.warns(UserWarning, match="spectral embedding failed"):
+            direct = lloyd_fit(H, FitConfig(K=3, L=4, n0=5, m0=4, seed=3))
+        assert direct.model.z_rows.counts().min() >= 5
+        assert direct.model.z_cols.counts().min() >= 4
+        assert (np.diff(direct.cost_trajectory) <= 1e-9).all()
+        grid = HyperGrid(((2, 2, 0, 0), (3, 4, 5, 4), (5, 3, 2, 9)))
+        with pytest.warns(UserWarning, match="spectral embedding failed"):
+            reports = fit_grid(H, grid, seed=3)
+        assert set(reports) == set(grid.entries)
+        for (K, L, n0, m0), rep in reports.items():
+            assert rep.model.K == K and rep.model.L == L
+            assert rep.model.z_rows.counts().min() >= max(n0, 1)
+            assert rep.model.z_cols.counts().min() >= max(m0, 1)
+            assert (np.diff(rep.cost_trajectory) <= 1e-9).all()
+
+
 def planted_block_matrix(n, m, rng=None, noise=0.0):
     rows = np.arange(n) % 2
     cols = np.arange(m) % 2
@@ -640,9 +720,7 @@ def _whole_fit_case(draw):
         "duplicate": lambda: (rng.random((2, m)) < 0.5)[rng.integers(0, 2, n)] * 1.0,
     }[kind]()
     init = draw(st.sampled_from(["spectral", "random", "given"]))
-    # the spectral embedding has min(n, m) columns
-    n_hi, m_hi = (min(n, m),) * 2 if init == "spectral" else (n, m)
-    K, L = draw(st.integers(2, n_hi)), draw(st.integers(2, m_hi))
+    K, L = draw(st.integers(2, n)), draw(st.integers(2, m))
     n0, m0 = draw(st.integers(0, n // K)), draw(st.integers(0, m // L))
     labels = None
     if init == "given":
