@@ -49,6 +49,7 @@ _RSVD_MIN_RATIO = 10
 # _RSVD_NOISE or at least _RSVD_RESOLVED times the sketch's smallest one
 _RSVD_NOISE = 1.5
 _RSVD_RESOLVED = 5.0
+_F32_EXACT = 2.0 ** 24  # integers below this magnitude are exact in float32
 
 
 # --------------------------------------------------------------------------
@@ -416,8 +417,9 @@ def _axis_step(
 
 
 class _Prepared(NamedTuple):
-    """What every run on one H reads: H as float64, ``H.T`` in C order,
-    ``||H||_F^2`` and the squared row and column norms of H."""
+    """What every run on one H reads: the operands of ``H Z`` and ``H^T Z``
+    (H and ``H.T`` in C order, in float32 when that is exact), ``||H||_F^2``
+    and the squared row and column norms of H."""
 
     H: np.ndarray
     Ht: np.ndarray
@@ -428,13 +430,30 @@ class _Prepared(NamedTuple):
 
 def _prepare(H: np.ndarray) -> _Prepared:
     """The data of a fit, computed once for all its runs.  Raises
-    ``ValueError`` when ``H`` is not finite."""
+    ``ValueError`` when ``H`` is not finite.  The product operands are
+    float32 for integer H whose squared row and column norms, which bound
+    its absolute sums, are below ``2^24``: every partial sum of ``H Z`` is
+    then an integer that float32 holds exactly, as float64 does."""
     H = np.asarray(H, dtype=np.float64)
     if not np.isfinite(H).all():
         raise ValueError("H must be finite")
+    row_sq = np.einsum("ij,ij->i", H, H)
+    H_sq = float(np.einsum("ij,ij->", H, H))
+    if row_sq.max(initial=0.0) < _F32_EXACT:
+        # where kept, these are exact integer sums: equal to H^T's below
+        col_sq = np.einsum("ij,ij->j", H, H)
+        H32 = H.astype(np.float32)
+        if col_sq.max(initial=0.0) < _F32_EXACT and np.array_equal(np.rint(H32), H):
+            return _Prepared(H32, np.ascontiguousarray(H32.T), H_sq, row_sq, col_sq)
     Ht = np.ascontiguousarray(H.T)
-    return _Prepared(H, Ht, float(np.einsum("ij,ij->", H, H)),
-                     np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht))
+    return _Prepared(H, Ht, H_sq, row_sq, np.einsum("ij,ij->i", Ht, Ht))
+
+
+def _times(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``A Z`` summed in the prepared operand's dtype, as float64.  The one-hot
+    ``Z`` stays float64 for the small sums: numpy's mixed-dtype product
+    does not sum in the float64 product's order."""
+    return (A @ Z.astype(A.dtype, copy=False)).astype(np.float64, copy=False)
 
 
 def _lloyd_run(
@@ -454,11 +473,11 @@ def _lloyd_run(
     # one-hot and H product.
     HZc, HtZr = None, None
     if zr.min_size() == 0:
-        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+        HZc = _times(H, Zc)
         zr = _repair_empty_rows(HZc, row_sq, zr.labels, zc, cfg.K)
     Zr = np.eye(cfg.K)[zr.labels]
     if zc.min_size() == 0:
-        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+        HtZr = _times(Ht, Zr)
         zc = _repair_empty_rows(HtZr, col_sq, zc.labels, zr, cfg.L)
         Zc, HZc = np.eye(cfg.L)[zc.labels], None
     traj: list = []
@@ -467,7 +486,7 @@ def _lloyd_run(
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
         if HZc is None:
-            HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
+            HZc = _times(H, Zc)
         Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
@@ -479,7 +498,7 @@ def _lloyd_run(
         if row_floor == 0:
             Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
         if HtZr is None:
-            HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+            HtZr = _times(Ht, Zr)
         zc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
         cols_kept = np.array_equal(start[1], zc.labels)
         if not cols_kept:

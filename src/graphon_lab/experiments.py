@@ -175,20 +175,11 @@ class ExperimentSpec:
 
     def sweep_cells(self) -> List[dict]:
         """One dict of primitive parameters per sweep value."""
-        cells = []
         if self.n_values is not None:
-            for idx, n in enumerate(self.n_values):
-                cells.append(
-                    {"sweep_index": idx, "sweep_value": n, "n": n, "m": n // 2,
-                     "rho": self.rho}
-                )
-        else:
-            for idx, rho in enumerate(self.rho_values):
-                cells.append(
-                    {"sweep_index": idx, "sweep_value": rho, "n": self.n,
-                     "m": self.m, "rho": rho}
-                )
-        return cells
+            return [{"sweep_index": idx, "sweep_value": n, "n": n, "m": n // 2, "rho": self.rho}
+                    for idx, n in enumerate(self.n_values)]
+        return [{"sweep_index": idx, "sweep_value": rho, "n": self.n, "m": self.m, "rho": rho}
+                for idx, rho in enumerate(self.rho_values)]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -354,16 +345,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute every (sweep value, repetition, init) cell of a spec.
 
     Cells run on a worker pool bounded by ``GRAPHON_LAB_THREADS`` (default
-    one); records are keyed and sorted afterwards, so the output does not
-    depend on scheduling.
+    one) and by the number of cells; records are keyed and sorted
+    afterwards, so the output does not depend on scheduling.
     """
     payloads = [
         {"spec": spec.to_dict(), "cell": cell, "rep": rep}
         for cell in spec.sweep_cells()
         for rep in range(spec.reps)
     ]
-    workers = worker_count()
-    if workers > 1 and len(payloads) > 1:
+    workers = min(worker_count(), len(payloads))
+    if workers > 1:
         # imported here: multiprocessing and socket cost every other caller
         # start-up time and memory
         from concurrent.futures import ProcessPoolExecutor

@@ -25,7 +25,9 @@ from graphon_lab.estimation import (
     spectral_init,
 )
 from graphon_lab.flow import min_cost_assignment
-from graphon_lab.synthesis import SynthConfig, make_standard_graphon, substream, synthesize
+from graphon_lab.synthesis import (
+    SynthConfig, apply_missingness, make_standard_graphon, substream, synthesize,
+)
 from graphon_lab.core import NoiseModel
 
 
@@ -1032,15 +1034,24 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     # keeping H Z_c, H^T Z_r and the one-hot of an axis whose labels did not
     # change must leave labels, Q, trajectories and floors bitwise unchanged;
     # H is read at most twice per iteration plus once per axis whose start
-    # labels leave a cluster empty, counting every read, also those through
-    # core's group_sums (as block_sums makes them)
+    # labels leave a cluster empty, counting every read of the product
+    # operands that _prepare holds, float32 (this 0/1 data) or float64: each
+    # ufunc on them, matmul included, and each group_sums call given one,
+    # also through core's (as block_sums makes them)
     g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=2)
     h_reads = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            h_reads.append(True)
+            inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
     for module in (estimation, core):
         monkeypatch.setattr(
             module, "group_sums",
             lambda M, *a, real=module.group_sums, **k:
-                h_reads.append(M is H or M is Ht) or real(M, *a, **k),
+                h_reads.append(isinstance(M, Counted)) or real(M, *a, **k),
         )
     repaired = started_empty = stopped = kept = 0
     for (n, m), cases in [
@@ -1048,12 +1059,16 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
                     (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3)]),
         ((40, 30), [(3, 8, 0, 0, 40), (10, 8, 0, 0, 40), (12, 10, 0, 0, 40)]),
     ]:
-        prep = estimation._prepare(
-            synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
-        )
-        H, Ht = prep.H, prep.Ht
+        H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
+        Ht = np.ascontiguousarray(H.T)
+        preps = [estimation._prepare(H)]
+        with monkeypatch.context() as wide:
+            wide.setattr(estimation, "_F32_EXACT", 0.0)
+            preps.append(estimation._prepare(H))
+        assert [p.H.dtype for p in preps] == [np.float32, np.float64]
         row_emb, col_emb = spectral_embedding(H)
-        for K, L, n0, m0, max_iters in cases:
+        for (K, L, n0, m0, max_iters), prep in itertools.product(cases, preps):
+            prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
             rng = np.random.default_rng(K * 10 + L)
             spectral_cols = kmeans(col_emb[:, :L], L, seed=2)
             for rows, cols in [
@@ -1083,3 +1098,69 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     # the cases cover start and mid-run repairs, a run cut at max_iters and
     # skipped reads
     assert started_empty and repaired and stopped and kept
+
+
+def _integer_data(kind):
+    g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=4)
+    noise = NoiseModel.scaled_poisson(1.0) if kind == "poisson" else NoiseModel.bernoulli()
+    H = synthesize(SynthConfig(60, 40, g, noise, seed=3)).H
+    if kind == "missing":
+        H, _ = apply_missingness(H, 0.5, seed=3)  # entries 0 and 2
+    return H - 1.0 if kind == "signed" else H
+
+
+def _fit_dump(report):
+    m = report.model
+    return (m.z_rows.labels.tolist(), m.z_cols.labels.tolist(), m.Q.tobytes(),
+            [x.hex() for x in report.cost_trajectory], report.traj_min_sizes)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "poisson", "missing", "signed"])
+def test_float32_products_match_float64_path(kind, monkeypatch):
+    # integer-valued H with squared row and column norms below 2^24 takes
+    # float32 products, whose widened sums are exact: every fit and grid
+    # entry equals the one with float64 forced through _prepare, bitwise
+    H = _integer_data(kind)
+    values = np.unique(H).tolist()
+    assert values == {"bernoulli": [0, 1], "missing": [0, 2], "signed": [-1, 0]}.get(kind, values)
+    assert kind != "poisson" or values[-1] >= 2
+    grid = HyperGrid([(K, L, n0, m0) for K, L in ((2, 2), (3, 4))
+                      for n0, m0 in ((0, 0), (12, 6), (18, 9))])
+    configs = [FitConfig(3, 3), FitConfig(4, 2, init="random", restarts=3),
+               FitConfig(3, 3, n0=15, m0=10)]
+
+    def fits():
+        reports = [lloyd_fit(H, cfg) for cfg in configs]
+        reports += [rep for _, rep in sorted(fit_grid(H, grid, seed=2).items())]
+        return [_fit_dump(r) for r in reports]
+
+    prep = estimation._prepare(H)
+    assert prep.H.dtype == prep.Ht.dtype == np.float32
+    narrow = fits()
+    monkeypatch.setattr(estimation, "_F32_EXACT", 0.0)
+    assert estimation._prepare(H).H.dtype == np.float64
+    assert fits() == narrow
+
+
+def _wide_integer(entries):
+    H = np.ones((6, 5))
+    for i, j in entries:
+        H[i, j] = 2.0 ** 23
+    return H
+
+
+@pytest.mark.parametrize("H", [
+    synthesize(SynthConfig(30, 20, make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=4),
+                           NoiseModel.gaussian(0.01), seed=3)).H,
+    synthesize(SynthConfig(30, 20, make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=4),
+                           NoiseModel.binomial(3), seed=3)).H,
+    _wide_integer([(2, 1), (2, 3)]),  # a row's absolute sum reaches 2^24
+    _wide_integer([(1, 2), (4, 2)]),  # as does a column's
+    np.pad([[4096.0]], ((0, 3), (0, 2))),  # a squared norm of exactly 2^24
+], ids=["gaussian", "binomial3", "row_2^24", "col_2^24", "norm_2^24"])
+def test_float64_products_kept(H):
+    prep = estimation._prepare(H)
+    assert prep.H.dtype == prep.Ht.dtype == np.float64
+    assert prep.Ht.flags.c_contiguous and np.array_equal(prep.Ht, H.T)
+    # one step below the bound, the same layout takes float32
+    assert estimation._prepare(np.pad([[4095.0]], ((0, 3), (0, 2)))).H.dtype == np.float32

@@ -336,6 +336,34 @@ def test_worker_count_reads_integer(monkeypatch):
     assert worker_count() == 1
 
 
+def test_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    # a stand-in executor records the pool size and maps in this process, so
+    # no worker starts; a real pool would fork all 64 at the first submit
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor,
+                        raising=False)
+    monkeypatch.setenv("GRAPHON_LAB_THREADS", "64")
+    result = run_experiment(tiny_spec(n_values=(20, 24), reps=2))
+    assert len(result.records) == 4
+    assert sizes == [4]
+
+
 def test_ewa_experiment_matches_ewa_aggregate():
     n, m, seed, beta = 40, 30, 7, 8.0 / 3.0
     graphon = make_standard_graphon("cos", K=2, L=2, rho=0.6)
