@@ -8,6 +8,7 @@ memberships are stored as label vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, Optional, Tuple
@@ -180,15 +181,15 @@ def induced_sq_norm(model: BlockModel) -> float:
     return float((sizes * model.Q * model.Q).sum())
 
 
-def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int, Z=None) -> np.ndarray:
+def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int) -> np.ndarray:
     """Sum the rows (axis=0) or columns (axis=1) of ``H`` by cluster label.
 
-    With ``Z`` the one-hot matrix of ``labels`` (pass it to reuse it), this
-    is ``Z^T H`` (``K x m``) for axis=0 and ``H Z`` (``n x K``) for axis=1;
-    empty clusters produce zero rows/columns.
+    With ``Z`` the one-hot matrix of ``labels``, this is ``Z^T H``
+    (``K x m``) for axis=0 and ``H Z`` (``n x K``) for axis=1; empty
+    clusters produce zero rows/columns.
     """
     H = np.asarray(H, dtype=np.float64)
-    Z = np.eye(K)[labels] if Z is None else Z
+    Z = np.eye(K)[labels]
     return Z.T @ H if axis == 0 else H @ Z
 
 
@@ -198,6 +199,16 @@ def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int, Z=None) -> 
 
 _VALIDATION_GRID = 512
 _VALIDATION_TOL = 1e-12
+
+
+def _positive(x) -> bool:
+    """Whether ``x`` is a finite positive real."""
+    return isinstance(x, Real) and math.isfinite(x) and x > 0
+
+
+def _in_band(values: np.ndarray, rho: float) -> bool:
+    """Whether every value lies in ``[0, rho]`` up to the tolerance; NaN does not."""
+    return bool(values.min() >= -_VALIDATION_TOL and values.max() <= rho + _VALIDATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -212,11 +223,11 @@ class Graphon:
     by a vectorized evaluator together with Hoelder smoothness metadata
     ``(hoelder_alpha, hoelder_L)``.
 
-    ``rho`` is the sup-norm bound; values are validated against
-    ``[0, rho]`` on construction (analytic graphons on a 512 x 512 grid,
-    since the exact supremum is unavailable).  Pass ``validate=False``
-    for derived graphons that may step outside the band, e.g. lifts of
-    estimated matrices.
+    ``rho`` is the sup-norm bound, finite and positive; values are
+    validated against ``[0, rho]`` on construction, NaN failing (analytic
+    graphons on a 512 x 512 grid, since the exact supremum is unavailable).
+    Pass ``validate=False`` for derived graphons that may step outside the
+    band, e.g. lifts of estimated matrices.
     """
 
     rho: float
@@ -255,8 +266,8 @@ class Graphon:
         )
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not _positive(self.rho):
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
         if self.family == "piecewise_constant":
             self._check_piecewise()
         elif self.family == "analytic":
@@ -279,7 +290,7 @@ class Graphon:
                 f"values has shape {V.shape}, expected "
                 f"({len(a) - 1}, {len(b) - 1})"
             )
-        if self.validate and (V.min() < -_VALIDATION_TOL or V.max() > self.rho + _VALIDATION_TOL):
+        if self.validate and not _in_band(V, self.rho):
             raise ValueError("graphon values fall outside [0, rho]")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -294,8 +305,7 @@ class Graphon:
             raise ValueError("hoelder_L must be positive")
         if self.validate:
             g = (np.arange(_VALIDATION_GRID) + 0.5) / _VALIDATION_GRID
-            vals = self.evaluate_grid(g, g)
-            if vals.min() < -_VALIDATION_TOL or vals.max() > self.rho + _VALIDATION_TOL:
+            if not _in_band(self.evaluate_grid(g, g), self.rho):
                 raise ValueError("graphon values fall outside [0, rho] on the validation grid")
 
     @property
@@ -368,10 +378,10 @@ class NoiseModel:
         # isinstance first: a JSON noise object may carry any value here
         if self.kind == "binomial" and not (isinstance(self.N, Integral) and self.N >= 1):
             raise ValueError("binomial noise needs a positive integer N")
-        if self.kind == "scaled_poisson" and not (isinstance(self.T, Real) and self.T > 0):
-            raise ValueError("scaled_poisson noise needs a positive T")
-        if self.kind == "gaussian" and not (isinstance(self.sigma2, Real) and self.sigma2 > 0):
-            raise ValueError("gaussian noise needs a positive sigma2")
+        if self.kind == "scaled_poisson" and not _positive(self.T):
+            raise ValueError("scaled_poisson noise needs a finite positive T")
+        if self.kind == "gaussian" and not _positive(self.sigma2):
+            raise ValueError("gaussian noise needs a finite positive sigma2")
 
     @staticmethod
     def bernoulli() -> "NoiseModel":

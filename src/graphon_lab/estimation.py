@@ -487,7 +487,7 @@ def _lloyd_run(
         start = (zr.labels, zc.labels)
         if HZc is None:
             HZc = _times(H, Zc)
-        Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        Q = block_means(Zr.T @ HZc, zr, zc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
@@ -496,7 +496,7 @@ def _lloyd_run(
         if not rows_kept:
             Zr, HtZr = np.eye(cfg.K)[zr.labels], None
         if row_floor == 0:
-            Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+            Q = block_means(Zr.T @ HZc, zr, zc)
         if HtZr is None:
             HtZr = _times(Ht, Zr)
         zc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
@@ -504,7 +504,7 @@ def _lloyd_run(
         if not cols_kept:
             Zc, HZc = np.eye(cfg.L)[zc.labels], None
         if col_floor == 0:
-            Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+            Q = block_means((Zc.T @ HtZr).T, zr, zc)
             c = _linear_costs(HtZr, Q.T, zr.counts())
         # the linearized objective differs from the squared error by ||H||_F^2
         phi = float(c[np.arange(m), zc.labels].sum())
@@ -515,7 +515,7 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+    Q = block_means((Zc.T @ HtZr).T, zr, zc)
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 

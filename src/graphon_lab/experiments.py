@@ -10,6 +10,7 @@ reruns are deterministic.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -166,6 +167,9 @@ class ExperimentSpec:
             object.__setattr__(
                 self, "rho_values", tuple(float(v) for v in self.rho_values)
             )
+        for rho in (self.rho,) + (self.rho_values or ()):
+            if not (math.isfinite(rho) and rho > 0):
+                raise ValueError(f"rho must be finite and positive, got {rho!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs
@@ -242,7 +246,7 @@ def _build_graphon(setup: str, K: Optional[int], L: Optional[int], rho: float,
 
 def _run_cell(payload: dict) -> List[dict]:
     """All records for one (sweep value, repetition) cell."""
-    spec = ExperimentSpec.from_dict(payload["spec"])
+    spec = payload["spec"]
     cell = payload["cell"]
     rep = payload["rep"]
     n, m, rho = cell["n"], cell["m"], cell["rho"]
@@ -349,7 +353,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     afterwards, so the output does not depend on scheduling.
     """
     payloads = [
-        {"spec": spec.to_dict(), "cell": cell, "rep": rep}
+        {"spec": spec, "cell": cell, "rep": rep}
         for cell in spec.sweep_cells()
         for rep in range(spec.reps)
     ]
@@ -410,7 +414,7 @@ def _csv_value(v) -> str:
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return "%.17g" % float(v)
+    return repr(float(v))
 
 
 def emit_outputs(

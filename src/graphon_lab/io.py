@@ -1,8 +1,10 @@
 """File formats: CSV matrices and JSON sidecars.
 
 Matrices travel as plain CSV (one row per line, comma-separated decimal
-floats).  Structured results travel as JSON.  All floats are emitted with
-17 significant digits so that values round-trip exactly.
+floats, 17 significant digits).  Structured results travel as JSON, whose
+floats are Python's shortest round-trip repr (``NaN``, ``Infinity`` and
+``-Infinity`` for the non-finite ones).  Either way every float reads
+back exactly.
 
 Fixed field names
 -----------------
@@ -61,39 +63,16 @@ def load_matrix(path: PathLike) -> np.ndarray:
     return M
 
 
-def _render(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_render(v) for v in seq) + "]"
-        items = ",\n".join(f"{pad}  {_render(v, indent + 2)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return FLOAT_FMT % float(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent)
-    return json.dumps(obj)
+def _plain(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(path: PathLike, obj) -> None:
-    """Write JSON with floats at full (17 significant digit) precision."""
-    Path(path).write_text(_render(obj) + "\n")
+    """Write JSON whose floats (NaN and +-inf too) read back exactly."""
+    Path(path).write_text(json.dumps(obj, default=_plain) + "\n")
 
 
 def load_json(path: PathLike):

@@ -14,7 +14,7 @@ from graphon_lab.cli import main
 from graphon_lab.core import induced_mean
 from graphon_lab.evaluation import delta_tilde
 from graphon_lab.estimation import fit_grid
-from graphon_lab.io import load_json, load_matrix, model_from_dict, save_matrix
+from graphon_lab.io import dump_json, load_json, load_matrix, model_from_dict, save_matrix
 from graphon_lab.synthesis import make_standard_graphon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,6 +223,57 @@ def test_load_matrix_rejects_non_finite(tmp_path, bad):
     path.write_text(f"1,2,3\n4,{bad},6\n")
     with pytest.raises(ValueError, match="M.csv"):
         load_matrix(path)
+
+
+def _typed(x):
+    """A JSON value with every float as its hex string and every leaf typed."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+def test_dump_json_round_trips_every_value(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))
+    nan, inf = float("nan"), float("inf")
+    obj = {
+        "nan": nan, "inf": inf, "ninf": -np.inf, "zero": -0.0, "one": 1.0,
+        "f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(2**62 + 1),
+        "floats": floats, "ints": np.arange(6, dtype=np.int64).reshape(2, 3),
+        "nested": [[np.float32(2.5), np.nan], {"deep": np.array([-0.0, 5e-324, -inf])}],
+        "flag": np.bool_(True), "none": None,
+    }
+    want = {
+        "nan": nan, "inf": inf, "ninf": -inf, "zero": -0.0, "one": 1.0,
+        "f32": float(np.float32(0.1)), "f64": 1 / 3, "i64": 2**62 + 1,
+        "floats": [[float(v) for v in row] for row in floats], "ints": [[0, 1, 2], [3, 4, 5]],
+        "nested": [[2.5, nan], {"deep": [-0.0, 5e-324, -inf]}],
+        "flag": True, "none": None,
+    }
+    path = tmp_path / "values.json"
+    dump_json(path, obj)
+    assert _typed(load_json(path)) == _typed(want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--setup", "rand", "--n", "20", "--m", "10", "--K", "2", "--L", "2", "--rho", "nan"],
+        ["--setup", "hoelder", "--n", "20", "--m", "10", "--rho", "inf"],
+        ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "gaussian",
+         "--noise-param", "inf"],
+        ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "scaled_poisson",
+         "--noise-param", "nan"],
+    ],
+    ids=["rho-nan", "rho-inf", "sigma2-inf", "T-nan"],
+)
+def test_synth_non_finite_parameter_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "d"
+    assert main(["synth", *argv, "--outdir", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--truth", "--input"])

@@ -184,8 +184,6 @@ def test_group_sums_match_label_loop(axis, K):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     if K == 7:
         assert not np.take(got, range(3, 7), axis=axis).any()
-    # a one-hot built once by the caller gives the same sums bitwise
-    assert group_sums(floats, labels, K, axis, Z=np.eye(K)[labels]).tobytes() == got.tobytes()
 
 
 class TestAssignmentMatrix:
@@ -244,6 +242,23 @@ class TestGraphon:
         with pytest.raises(ValueError):
             Graphon.piecewise_constant([0, 0.5, 0.5, 1], [0, 1], np.zeros((3, 1)), rho=1)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rho_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[0.0]], rho=rho)
+        with pytest.raises(ValueError, match="rho"):
+            Graphon.analytic(lambda u, v: 0 * u * v, rho=rho, hoelder_alpha=1.0, hoelder_L=1.0)
+
+    def test_nan_values_rejected(self):
+        # every comparison with NaN is false, so a range check alone passes it
+        with pytest.raises(ValueError, match="outside"):
+            Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[float("nan")]], rho=1.0)
+        with pytest.raises(ValueError, match="outside"):
+            Graphon.analytic(
+                lambda u, v: np.where(u > 0.5, np.nan, 0.5 + 0 * v),
+                rho=1.0, hoelder_alpha=1.0, hoelder_L=1.0,
+            )
+
 
 class TestNoiseModel:
     @pytest.mark.parametrize(
@@ -273,6 +288,16 @@ class TestNoiseModel:
             NoiseModel.binomial(0)
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel.gaussian(value)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel.scaled_poisson(value)
+        for d in ({"kind": "gaussian", "sigma2": value}, {"kind": "scaled_poisson", "T": value}):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel.from_dict(d)
 
 
 class TestObservationSet:

@@ -1005,19 +1005,17 @@ def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
     Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
     for _ in range(cfg.max_iters):
         start = (zr.labels, zc.labels)
-        HZc = group_sums(H, zc.labels, cfg.L, axis=1, Z=Zc)
-        Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
+        HZc = H @ Zc
+        Q = block_means(Zr.T @ HZc, zr, zc)
         zr, row_floor, _ = estimation._axis_step(HZc, row_sq, Q, zc, cfg.n0)
         Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
-            Q = block_means(group_sums(HZc, zr.labels, cfg.K, axis=0, Z=Zr), zr, zc)
-        HtZr = group_sums(Ht, zr.labels, cfg.K, axis=1, Z=Zr)
+            Q = block_means(Zr.T @ HZc, zr, zc)
+        HtZr = Ht @ Zr
         zc, col_floor, c = estimation._axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
         Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
-            Q = block_means(
-                group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc
-            )
+            Q = block_means((Zc.T @ HtZr).T, zr, zc)
             c = estimation._linear_costs(HtZr, Q.T, zr.counts())
         traj.append(max(H_sq + float(c[np.arange(m), zc.labels].sum()), 0.0))
         min_row, min_col = min(min_row, row_floor), min(min_col, col_floor)
@@ -1025,7 +1023,7 @@ def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = block_means(group_sums(HtZr, zc.labels, cfg.L, axis=0, Z=Zc).T, zr, zc)
+    Q = block_means((Zc.T @ HtZr).T, zr, zc)
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 

@@ -161,6 +161,25 @@ class TestRunExperiment:
             with pytest.raises(ValueError):
                 ExperimentSpec.from_dict(bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_rho_checked_at_construction(self, bad):
+        # every value, before any cell runs
+        with pytest.raises(ValueError, match="rho"):
+            tiny_spec(rho=bad)
+        with pytest.raises(ValueError, match="rho"):
+            tiny_spec(n_values=None, rho_values=(0.5, bad), n=20, m=16)
+        spec = tiny_spec().to_dict()
+        with pytest.raises(ValueError, match="rho"):
+            ExperimentSpec.from_dict({**spec, "n_values": None, "rho_values": [bad],
+                                      "n": 20, "m": 16})
+
+    def test_cells_get_the_spec_itself(self, monkeypatch):
+        # no cell parses the spec's dict form again
+        monkeypatch.setattr(
+            ExperimentSpec, "from_dict", staticmethod(lambda d: pytest.fail("re-parsed"))
+        )
+        assert len(run_experiment(tiny_spec(reps=2)).records) == 2
+
     @pytest.mark.parametrize(
         "sweep, delta_grid",
         [
@@ -199,6 +218,23 @@ class TestEmitOutputs:
                     assert got[key] == pytest.approx(val, rel=1e-15)
                 else:
                     assert got[key] == val
+
+    def test_records_read_back_with_value_and_type(self, tmp_path):
+        # a rho sweep holding 1.0 must read back floats, not the int 1
+        spec = ExperimentSpec(
+            name="rho", setup="cos_graphon", K=2, L=2, rho_values=(0.5, 1.0),
+            n=20, m=16, reps=1, inits=("spectral",), n0=3, m0=3, seed=4,
+        )
+        result = run_experiment(spec)
+        paths = emit_outputs(result, tmp_path, formats=("csv",))
+        parsed = load_records_csv(paths["csv"])
+        assert [r["sweep_value"] for r in parsed] == [0.5, 1.0]
+
+        def typed(rec):
+            return {k: (type(v).__name__, v.hex() if isinstance(v, float) else v)
+                    for k, v in rec.items()}
+
+        assert [typed(r) for r in parsed] == [typed(r) for r in result.records]
 
     def test_svg_curve_count(self, tmp_path):
         result = run_experiment(tiny_spec(reps=2, inits=("spectral", "random")))
