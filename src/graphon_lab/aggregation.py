@@ -24,6 +24,7 @@ from .core import (
     DimensionMismatch,
     NoiseModel,
     block_inner,
+    finite_positive,
     induced_mean,
     induced_sq_norm,
 )
@@ -111,20 +112,15 @@ def default_grid(n: int, m: int) -> HyperGrid:
     """
     if n < 10 or m < 10:
         raise ValueError("the default grid needs n, m >= 10")
-
-    def cluster_counts(size: int) -> List[int]:
-        i_max = int(np.floor(2 * np.log2(size / 10) + 1e-12))
-        vals: List[int] = []
-        for i in range(i_max + 1):
-            v = int(np.floor(2 ** (1 + i / 2)))
-            if v not in vals:
-                vals.append(v)
-        return vals
-
+    # K_i for i <= i_max: the deduplicated half-steps up to 2^(1 + i_max/2)
+    Ks, Ls = (
+        _geometric_halfsteps(1.0, 2 ** (1 + np.floor(2 * np.log2(size / 10) + 1e-12) / 2))
+        for size in (n, m)
+    )
     entries = []
     seen = set()
-    for K in cluster_counts(n):
-        for L in cluster_counts(m):
+    for K in Ks:
+        for L in Ls:
             for n0 in _geometric_halfsteps(2.0, n / K):
                 for m0 in _geometric_halfsteps(2.0, m / L):
                     e = (K, L, n0, m0)
@@ -197,8 +193,8 @@ def sq_residuals(models: Sequence[BlockModel], M: np.ndarray) -> np.ndarray:
 
 def ewa_weights(sq_residuals: np.ndarray, beta: float) -> np.ndarray:
     """Normalized weights ``exp(-r_l / beta)`` via a log-sum-exp shift."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not finite_positive(beta):
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
     r = np.asarray(sq_residuals, dtype=np.float64)
     if r.size == 0:
         raise ValueError("need at least one candidate")

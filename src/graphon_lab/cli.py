@@ -38,11 +38,8 @@ def _noise_from_args(args) -> NoiseModel:
         return NoiseModel.bernoulli()
     if args.noise_param is None:
         raise ValueError(f"--noise {kind} needs --noise-param")
-    if kind == "binomial":
-        return NoiseModel.binomial(int(args.noise_param))
-    if kind == "scaled_poisson":
-        return NoiseModel.scaled_poisson(float(args.noise_param))
-    return NoiseModel.gaussian(float(args.noise_param))
+    # binomial, scaled_poisson and gaussian: the constructor of that name
+    return getattr(NoiseModel, kind)(args.noise_param)
 
 
 def _graphon_from_meta(meta: dict):
@@ -127,8 +124,6 @@ def _cmd_ewa(args) -> int:
         beta = temperature(_noise_from_args(args))
     else:
         beta = float(args.beta)
-        if not beta > 0:
-            raise ValueError("beta must be positive")
     reports = fit_grid(H, grid, seed=args.seed)
     result = ewa_aggregate([reports[e].model for e in grid], H_prime, beta)
     out = Path(args.output)

@@ -9,7 +9,7 @@ memberships are stored as label vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from typing import Callable, Optional, Tuple
 
@@ -22,9 +22,11 @@ __all__ = [
     "NoiseModel",
     "ObservationSet",
     "DimensionMismatch",
+    "finite_positive",
     "induced_mean",
     "frobenius_cost",
     "group_sums",
+    "bin_sums",
     "block_sums",
     "block_means",
     "block_inner",
@@ -181,6 +183,13 @@ def induced_sq_norm(model: BlockModel) -> float:
     return float((sizes * model.Q * model.Q).sum())
 
 
+def bin_sums(X: np.ndarray, bins: np.ndarray, K: int) -> np.ndarray:
+    """``K x w`` sums of the rows of the ``P x w`` matrix ``X`` by bin, each bin in row order."""
+    w = X.shape[1]
+    flat = (bins[:, None] * w + np.arange(w)).ravel()
+    return np.bincount(flat, weights=X.ravel(), minlength=K * w).reshape(K, w)
+
+
 def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int) -> np.ndarray:
     """Sum the rows (axis=0) or columns (axis=1) of ``H`` by cluster label.
 
@@ -201,7 +210,7 @@ _VALIDATION_GRID = 512
 _VALIDATION_TOL = 1e-12
 
 
-def _positive(x) -> bool:
+def finite_positive(x) -> bool:
     """Whether ``x`` is a finite positive real."""
     return isinstance(x, Real) and math.isfinite(x) and x > 0
 
@@ -219,9 +228,10 @@ class Graphon:
     breakpoints ``0 = a_0 < ... < a_K = 1`` and ``0 = b_0 < ... < b_L = 1``
     together with a ``K x L`` value matrix; the function equals
     ``values[k, l]`` on the half-open cell ``[a_k, a_{k+1}) x [b_l, b_{l+1})``
-    (the last cell on each axis is closed).  An analytic graphon is given
-    by a vectorized evaluator together with Hoelder smoothness metadata
-    ``(hoelder_alpha, hoelder_L)``.
+    (the last cell on each axis is closed).  An analytic graphon has factors
+    ``W(u, v) = A(u) S B(v)^T`` (``row_factor`` and ``col_factor`` map an
+    array ``x`` to ``len(x) x r`` and ``len(x) x s`` matrices, ``core`` is the
+    ``r x s`` matrix ``S``) and Hoelder metadata ``(hoelder_alpha, hoelder_L)``.
 
     ``rho`` is the sup-norm bound, finite and positive; values are
     validated against ``[0, rho]`` on construction, NaN failing (analytic
@@ -235,7 +245,9 @@ class Graphon:
     breaks_u: Optional[np.ndarray] = None
     breaks_v: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    row_factor: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    core: Optional[np.ndarray] = None
+    col_factor: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hoelder_alpha: Optional[float] = None
     hoelder_L: Optional[float] = None
     validate: bool = field(default=True, repr=False)
@@ -244,30 +256,23 @@ class Graphon:
     def piecewise_constant(
         breaks_u, breaks_v, values, rho: float, validate: bool = True
     ) -> "Graphon":
-        return Graphon(
-            rho=rho,
-            family="piecewise_constant",
-            breaks_u=np.asarray(breaks_u, dtype=np.float64),
-            breaks_v=np.asarray(breaks_v, dtype=np.float64),
-            values=np.asarray(values, dtype=np.float64),
-            validate=validate,
-        )
+        return Graphon(rho, "piecewise_constant", breaks_u, breaks_v, values, validate=validate)
 
     @staticmethod
     def analytic(
-        evaluator, rho: float, hoelder_alpha: float, hoelder_L: float
+        row_factor, core, col_factor, rho: float, hoelder_alpha: float, hoelder_L: float
     ) -> "Graphon":
-        return Graphon(
-            rho=rho,
-            family="analytic",
-            evaluator=evaluator,
-            hoelder_alpha=hoelder_alpha,
-            hoelder_L=hoelder_L,
-        )
+        return Graphon(rho, "analytic", row_factor=row_factor, core=core, col_factor=col_factor,
+                       hoelder_alpha=hoelder_alpha, hoelder_L=hoelder_L)
 
     def __post_init__(self):
-        if not _positive(self.rho):
+        if not finite_positive(self.rho):
             raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        for name in ("breaks_u", "breaks_v", "values", "core"):
+            if getattr(self, name) is not None:
+                array = np.array(getattr(self, name), dtype=np.float64)  # a private copy
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
         if self.family == "piecewise_constant":
             self._check_piecewise()
         elif self.family == "analytic":
@@ -278,9 +283,6 @@ class Graphon:
     def _check_piecewise(self):
         if self.breaks_u is None or self.breaks_v is None or self.values is None:
             raise ValueError("piecewise-constant graphon needs breaks and values")
-        object.__setattr__(self, "breaks_u", np.array(self.breaks_u, dtype=np.float64, copy=True))
-        object.__setattr__(self, "breaks_v", np.array(self.breaks_v, dtype=np.float64, copy=True))
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64, copy=True))
         a, b, V = self.breaks_u, self.breaks_v, self.values
         for name, br in (("breaks_u", a), ("breaks_v", b)):
             if br[0] != 0.0 or br[-1] != 1.0 or np.any(np.diff(br) <= 0):
@@ -292,17 +294,14 @@ class Graphon:
             )
         if self.validate and not _in_band(V, self.rho):
             raise ValueError("graphon values fall outside [0, rho]")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        V.setflags(write=False)
 
     def _check_analytic(self):
-        if self.evaluator is None:
-            raise ValueError("analytic graphon needs an evaluator")
+        if self.row_factor is None or self.core is None or self.col_factor is None:
+            raise ValueError("analytic graphon needs a row factor, a core and a column factor")
         if self.hoelder_alpha is None or not (0 < self.hoelder_alpha <= 1):
             raise ValueError("hoelder_alpha must lie in (0, 1]")
-        if self.hoelder_L is None or self.hoelder_L <= 0:
-            raise ValueError("hoelder_L must be positive")
+        if not finite_positive(self.hoelder_L):
+            raise ValueError(f"hoelder_L must be finite and positive, got {self.hoelder_L!r}")
         if self.validate:
             g = (np.arange(_VALIDATION_GRID) + 0.5) / _VALIDATION_GRID
             if not _in_band(self.evaluate_grid(g, g), self.rho):
@@ -339,7 +338,7 @@ class Graphon:
             iu = self.cell_indices(u, axis=0)
             iv = self.cell_indices(v, axis=1)
             return self.values[np.ix_(iu, iv)]
-        return np.asarray(self.evaluator(u[:, None], v[None, :]), dtype=np.float64)
+        return self.row_factor(u) @ self.core @ self.col_factor(v).T
 
     def __call__(self, u: float, v: float) -> float:
         return float(self.evaluate_grid([u], [v])[0, 0])
@@ -377,10 +376,10 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         # isinstance first: a JSON noise object may carry any value here
         if self.kind == "binomial" and not (isinstance(self.N, Integral) and self.N >= 1):
-            raise ValueError("binomial noise needs a positive integer N")
-        if self.kind == "scaled_poisson" and not _positive(self.T):
+            raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r}")
+        if self.kind == "scaled_poisson" and not finite_positive(self.T):
             raise ValueError("scaled_poisson noise needs a finite positive T")
-        if self.kind == "gaussian" and not _positive(self.sigma2):
+        if self.kind == "gaussian" and not finite_positive(self.sigma2):
             raise ValueError("gaussian noise needs a finite positive sigma2")
 
     @staticmethod
@@ -389,7 +388,10 @@ class NoiseModel:
 
     @staticmethod
     def binomial(N: int) -> "NoiseModel":
-        return NoiseModel("binomial", N=int(N))
+        # an integral float (a CLI value) is N; 2.5 must not truncate to 2
+        if isinstance(N, Real) and float(N).is_integer():
+            N = int(N)
+        return NoiseModel("binomial", N=N)
 
     @staticmethod
     def scaled_poisson(T: float) -> "NoiseModel":
@@ -410,14 +412,7 @@ class NoiseModel:
         return self.sigma2, 0.0
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.N is not None:
-            d["N"] = self.N
-        if self.T is not None:
-            d["T"] = self.T
-        if self.sigma2 is not None:
-            d["sigma2"] = self.sigma2
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseModel":

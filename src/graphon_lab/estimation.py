@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .aggregation import HyperGrid
-from .core import AssignmentMatrix, BlockModel, block_means, group_sums
+from .core import AssignmentMatrix, BlockModel, bin_sums, block_means, finite_positive, group_sums
 from .flow import min_cost_assignment
 from .synthesis import substream
 
@@ -104,13 +104,11 @@ def _update_centers(
 ) -> None:
     """Move each non-empty cluster's center to its members' mean, in place.
 
-    One bincount over (label, coordinate) bins adds each cluster's members
-    in point order, as a per-cluster ``mean(axis=0)`` does for two or more
-    coordinates, so the centers match that loop bitwise.
+    ``bin_sums`` adds each cluster's members in point order, as a
+    per-cluster ``mean(axis=0)`` does for two or more coordinates, so the
+    centers match that loop bitwise.
     """
-    k, d = centers.shape
-    bins = (labels[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
+    sums = bin_sums(points, labels, len(centers))
     present = counts > 0
     centers[present] = sums[present] / counts[present][:, None]
 
@@ -333,8 +331,8 @@ class FitConfig:
             raise ValueError("restarts must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.tol_gamma < 0:
-            raise ValueError("tol_gamma must be nonnegative")
+        if not (finite_positive(self.tol_gamma) or self.tol_gamma == 0):
+            raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
 
     def validate_for(self, n: int, m: int) -> None:
         if self.K > n or self.L > m:

@@ -21,6 +21,7 @@ from .core import (
     DimensionMismatch,
     Graphon,
     NoiseModel,
+    bin_sums,
     block_means,
     block_sums,
 )
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_DELTA_GRID = 1000
-
-# bytes of W evaluated at once by _cell_integrals (128 grid rows at 2048)
-_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def mse_theta(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:
@@ -95,10 +93,10 @@ def pc_l2_sq_distance(g1: Graphon, g2: Graphon) -> float:
     return float((diff * diff * areas).sum())
 
 
-def _runs(bins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Start positions and values of the runs of a nondecreasing vector."""
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
-    return starts, bins[starts]
+def _overlaps(bins: np.ndarray, cells: np.ndarray, K: int):
+    """Rectangle, graphon cell and grid-point count of each distinct overlap."""
+    keys, counts = np.unique(bins * K + cells, return_counts=True)
+    return keys // K, keys % K, counts
 
 
 def _cell_integrals(
@@ -108,27 +106,37 @@ def _cell_integrals(
 
     Returns the n x m matrix of rectangle integrals, with the integral over
     rectangle ``(a, b)`` at ``(row_order[a], col_order[b])``, together with
-    the squared L2 norm of W on the same global grid.  W is evaluated a
-    block of grid rows at a time, so besides the result memory stays at a
-    few times ``_BLOCK_BYTES``, whatever ``grid_res``.
+    the squared L2 norm of W on the same global grid.  For ``W = A S B^T``
+    (analytic factors, or cell indicators and values) the sums are
+    ``R_r S R_c^T``, row ``a`` of ``R_r`` summing A over the grid points of
+    row rectangle ``a``, and the norm is ``tr(S G_c S^T G_r)`` with
+    ``G = F^T F`` for each factor's grid values F.  Indicators are never
+    built: both indices being nondecreasing on the grid, an axis has at
+    most ``n + K - 1`` (rectangle, cell) overlaps.
     """
     n, m = len(row_order), len(col_order)
     g = (np.arange(grid_res) + 0.5) / grid_res
     row_bins = np.minimum((g * n).astype(np.int64), n - 1)
-    col_starts, col_ids = _runs(np.minimum((g * m).astype(np.int64), m - 1))
-    step = max(1, _BLOCK_BYTES // (8 * grid_res))
-    sums = np.zeros((n, m))
-    w_sq = 0.0
-    for lo in range(0, grid_res, step):
-        W = graphon.evaluate_grid(g[lo : lo + step], g)
-        w_sq += float(np.einsum("ij,ij->", W, W))
-        # bins are nondecreasing in g, so each rectangle is a run of grid
-        # rows by a run of grid columns; a rectangle cut by a block edge
-        # gets its two parts from consecutive blocks, and empty bins stay 0
-        row_starts, row_ids = _runs(row_bins[lo : lo + step])
-        part = np.add.reduceat(np.add.reduceat(W, col_starts, axis=1), row_starts, axis=0)
-        sums[np.ix_(row_order[row_ids], col_order[col_ids])] += part
-    return sums / grid_res**2, w_sq / grid_res**2
+    col_bins = np.minimum((g * m).astype(np.int64), m - 1)
+    if graphon.family == "analytic":
+        A, B, S = graphon.row_factor(g), graphon.col_factor(g), graphon.core
+        w_sq = float(np.trace(S @ (B.T @ B) @ S.T @ (A.T @ A)))
+        left = np.empty((n, S.shape[1]))
+        left[row_order] = bin_sums(A, row_bins, n) @ S / grid_res**2
+        right = np.empty((m, S.shape[1]))
+        right[col_order] = bin_sums(B, col_bins, m)
+        return left @ right.T, w_sq / grid_res**2
+    V, K, L = graphon.values, graphon.K, graphon.L
+    iu, iv = graphon.cell_indices(g, axis=0), graphon.cell_indices(g, axis=1)
+    w_sq = float(np.bincount(iu, minlength=K) @ (V * V) @ np.bincount(iv, minlength=L))
+    rect_r, cell_r, count_r = _overlaps(row_bins, iu, K)
+    rect_c, cell_c, count_c = _overlaps(col_bins, iv, L)
+    # column-major, so that both products sum contiguous rows
+    left = np.empty((n, L), order="F")
+    left[row_order] = bin_sums(V[cell_r] * count_r[:, None], rect_r, n)
+    cells = np.empty((n, m), order="F")
+    cells.T[col_order] = bin_sums(left.T[cell_c] * (count_c[:, None] / grid_res**2), rect_c, m)
+    return cells, w_sq / grid_res**2
 
 
 def delta_tilde(
@@ -152,11 +160,12 @@ def delta_tilde(
     midpoint rule on a ``grid_res x grid_res`` global grid; ``grid_res``
     should comfortably exceed ``max(n, m)``, and a grid coarser than
     ``max(n, m)`` raises ``ValueError`` because some rectangles would hold
-    no grid point.  The grid is evaluated a block of rows at a time, so
-    memory grows with ``n m`` and not with ``grid_res**2``.  The true
-    distance is an infimum over all rearrangements, so the returned value
-    bounds it from above.  Returns ``sqrt(max(value, 0))``.  Raises
-    :class:`DimensionMismatch` unless ``len(U) == n`` and ``len(V) == m``.
+    no grid point.  W is never evaluated on the grid: its factors are summed
+    over each axis's rectangles (see ``Graphon``), so neither time nor
+    memory grows with ``grid_res**2``.  The true distance is an infimum
+    over all rearrangements, so the returned value bounds it from above.
+    Returns ``sqrt(max(value, 0))``.  Raises :class:`DimensionMismatch`
+    unless ``len(U) == n`` and ``len(V) == m``.
     """
     if grid_res < 100:
         raise ValueError("grid_res must be at least 100")

@@ -10,7 +10,6 @@ reruns are deterministic.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -29,7 +28,7 @@ from .aggregation import (
     sq_residuals,
     temperature,
 )
-from .core import AssignmentMatrix, Graphon, NoiseModel, induced_mean
+from .core import AssignmentMatrix, Graphon, NoiseModel, finite_positive, induced_mean
 from .estimation import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL_GAMMA,
@@ -168,8 +167,10 @@ class ExperimentSpec:
                 self, "rho_values", tuple(float(v) for v in self.rho_values)
             )
         for rho in (self.rho,) + (self.rho_values or ()):
-            if not (math.isfinite(rho) and rho > 0):
+            if not finite_positive(rho):
                 raise ValueError(f"rho must be finite and positive, got {rho!r}")
+        if not (finite_positive(self.tol_gamma) or self.tol_gamma == 0):
+            raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs

@@ -92,6 +92,9 @@ def model_to_dict(model: BlockModel) -> dict:
 
 
 def model_from_dict(d: dict) -> BlockModel:
+    keys = ("K", "L", "n", "m", "Q", "row_labels", "col_labels")
+    if missing := [k for k in keys if not isinstance(d, dict) or k not in d]:
+        raise ValueError(f"model JSON has no key {missing[0]!r}")
     K, L = int(d["K"]), int(d["L"])
     Q = np.asarray(d["Q"], dtype=np.float64).reshape(K, L)
     zr = AssignmentMatrix(int(d["n"]), K, np.asarray(d["row_labels"]))

@@ -156,6 +156,11 @@ def _regular_breaks(k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, k + 1)
 
 
+def _bump_factor(x: np.ndarray) -> np.ndarray:
+    """The bump's factor: columns ``1`` and ``a(x) = exp(-10*(x-1/2)^2)``."""
+    return np.column_stack([np.ones_like(x), np.exp(-10 * (x - 0.5) ** 2)])
+
+
 def make_standard_graphon(kind: str, **params) -> Graphon:
     """Construct one of the three experimental graphon families.
 
@@ -165,7 +170,8 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
                   ``2*rho/3 + rho/3 * cos(3*pi*k*l)`` on cell (k, l).
     ``hoelder`` - the smooth bump
                   ``rho/2 * (1 + exp(-10*((u-1/2)^2 + (v-1/2)^2)))``,
-                  which is Lipschitz (alpha = 1).
+                  which is Lipschitz (alpha = 1), as the rank-2 factors
+                  ``rho/2 + rho/2 * a(u) a(v)``, ``a(x) = exp(-10*(x-1/2)^2)``.
     """
     if kind == "rand":
         K, L, rho, seed = params["K"], params["L"], params["rho"], params["seed"]
@@ -183,13 +189,10 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
         )
     if kind == "hoelder":
         rho = params["rho"]
-
-        def bump(u, v):
-            return rho / 2 * (1 + np.exp(-10 * ((u - 0.5) ** 2 + (v - 0.5) ** 2)))
-
         # sup of the gradient norm: max_r 10*rho*r*exp(-10 r^2) at r = 1/sqrt(20)
         lip = 10 * rho * math.exp(-0.5) / (2 * math.sqrt(5))
-        return Graphon.analytic(bump, rho=rho, hoelder_alpha=1.0, hoelder_L=lip)
+        return Graphon.analytic(_bump_factor, np.diag([rho / 2, rho / 2]), _bump_factor, rho,
+                                hoelder_alpha=1.0, hoelder_L=lip)
     raise ValueError(f"unknown standard graphon kind {kind!r}")
 
 

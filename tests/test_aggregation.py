@@ -100,6 +100,9 @@ class TestEwaWeights:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             ewa_weights(np.array([1.0]), beta=0.0)
+        for beta in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="beta"):
+                ewa_weights(np.array([1.0]), beta=beta)
         with pytest.raises(ValueError):
             ewa_weights(np.array([]), beta=1.0)
 

@@ -266,8 +266,11 @@ def test_dump_json_round_trips_every_value(tmp_path):
          "--noise-param", "inf"],
         ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "scaled_poisson",
          "--noise-param", "nan"],
+        # int(2.5) used to make this N = 2
+        ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "binomial",
+         "--noise-param", "2.5"],
     ],
-    ids=["rho-nan", "rho-inf", "sigma2-inf", "T-nan"],
+    ids=["rho-nan", "rho-inf", "sigma2-inf", "T-nan", "N-2.5"],
 )
 def test_synth_non_finite_parameter_exits_two(tmp_path, capsys, argv):
     out = tmp_path / "d"
@@ -299,6 +302,54 @@ def test_eval_non_finite_exits_two(synth_dir, tmp_path, flag):
     )
     assert rc == 2
     assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--beta", "inf"], "beta must be finite and positive, got inf"),
+        (["--beta", "auto", "--noise", "binomial", "--noise-param", "2.5"],
+         "positive integer N, got 2.5"),
+    ],
+    ids=["beta-inf", "N-2.5"],
+)
+def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, argv, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"entries": [[2, 2, 0, 0]]}))
+    out = tmp_path / "e.json"
+    rc = main(
+        ["ewa", "--grid", str(grid), *argv, "--input", str(synth_dir / "H.csv"),
+         "--input-prime", str(synth_dir / "H_prime.csv"), "--output", str(out)]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "e_aggregate.csv").exists()
+
+
+def test_fit_nan_tolerance_exits_two(synth_dir, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    rc = main(["fit", "--K", "2", "--L", "2", "--tol", "nan",
+               "--input", str(synth_dir / "H.csv"), "--output", str(out)])
+    assert rc == 2
+    assert "tol_gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["drop K", "a number"])
+def test_eval_model_without_a_key_exits_two(synth_dir, tmp_path, capsys, edit):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    model = load_json(model_path)
+    del model["K"]
+    dump_json(model_path, model if edit == "drop K" else 3)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--metrics", "mse", "--output", str(out)])
+    assert rc == 2
+    assert "model JSON has no key 'K'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ewa_non_finite_prime_exits_two_before_fit(synth_dir, tmp_path, monkeypatch):

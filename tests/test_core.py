@@ -218,6 +218,14 @@ class TestAssignmentMatrix:
         assert cases[4].counts().tolist() == [1, 1, 4, 0]
 
 
+def _ones(x):
+    return np.ones((len(x), 1))
+
+
+def _affine(x):
+    return np.column_stack([np.ones_like(x), x])
+
+
 class TestGraphon:
     def test_piecewise_cell_conventions(self):
         g = Graphon.piecewise_constant(
@@ -234,8 +242,9 @@ class TestGraphon:
 
     def test_analytic_validated_on_grid(self):
         with pytest.raises(ValueError):
+            # 0.5 + u * v
             Graphon.analytic(
-                lambda u, v: 0.5 + u * v, rho=0.5, hoelder_alpha=1.0, hoelder_L=1.0
+                _affine, np.diag([0.5, 1.0]), _affine, rho=0.5, hoelder_alpha=1.0, hoelder_L=1.0
             )
 
     def test_breaks_must_increase(self):
@@ -247,7 +256,7 @@ class TestGraphon:
         with pytest.raises(ValueError, match="rho"):
             Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[0.0]], rho=rho)
         with pytest.raises(ValueError, match="rho"):
-            Graphon.analytic(lambda u, v: 0 * u * v, rho=rho, hoelder_alpha=1.0, hoelder_L=1.0)
+            Graphon.analytic(_ones, [[0.0]], _ones, rho=rho, hoelder_alpha=1.0, hoelder_L=1.0)
 
     def test_nan_values_rejected(self):
         # every comparison with NaN is false, so a range check alone passes it
@@ -255,9 +264,30 @@ class TestGraphon:
             Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[float("nan")]], rho=1.0)
         with pytest.raises(ValueError, match="outside"):
             Graphon.analytic(
-                lambda u, v: np.where(u > 0.5, np.nan, 0.5 + 0 * v),
+                lambda u: np.where(u > 0.5, np.nan, 0.5)[:, None], [[1.0]], _ones,
                 rho=1.0, hoelder_alpha=1.0, hoelder_L=1.0,
             )
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf"), 0.0, None])
+    def test_hoelder_L_finite_and_positive(self, L):
+        # NaN <= 0 is false, so a sign check alone passes a NaN
+        with pytest.raises(ValueError, match="hoelder_L"):
+            Graphon.analytic(_ones, [[0.5]], _ones, rho=1.0, hoelder_alpha=1.0, hoelder_L=L)
+
+    @pytest.mark.parametrize("core", [[[0.5]], [0.5], [[0.5, 0.5]]])
+    def test_factors_must_fit_the_core(self, core):
+        # the validation grid's product fails unless A, S and B line up
+        with pytest.raises(ValueError):
+            Graphon.analytic(_affine, core, _affine, rho=1.0, hoelder_alpha=1.0, hoelder_L=1.0)
+
+    def test_analytic_grid_is_the_factor_product(self):
+        g = Graphon.analytic(
+            _affine, [[0.1, 0.2], [0.3, 0.4]], _affine, rho=1.0, hoelder_alpha=1.0, hoelder_L=1.0
+        )
+        u, v = np.array([0.0, 0.25, 1.0]), np.array([0.5, 0.75])
+        want = 0.1 + 0.2 * v[None, :] + 0.3 * u[:, None] + 0.4 * np.outer(u, v)
+        np.testing.assert_allclose(g.evaluate_grid(u, v), want, rtol=1e-15)
+        assert g(0.25, 0.5) == pytest.approx(0.1 + 0.1 + 0.075 + 0.05, rel=1e-15)
 
 
 class TestNoiseModel:
@@ -274,6 +304,10 @@ class TestNoiseModel:
         s2, b = noise.bernstein_params(rho)
         assert (s2, b) == pytest.approx(expected)
 
+    def test_integral_binomial_N_accepted(self):
+        assert NoiseModel.binomial(5.0).N == 5
+        assert NoiseModel.binomial(np.int64(5)) == NoiseModel.binomial(5)
+
     def test_dict_round_trip(self):
         for noise in (
             NoiseModel.bernoulli(),
@@ -286,6 +320,9 @@ class TestNoiseModel:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.binomial(0)
+        for N in (2.5, float("nan"), float("inf"), "3"):
+            with pytest.raises(ValueError, match="N"):
+                NoiseModel.binomial(N)
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-1.0)
 

@@ -663,6 +663,13 @@ class TestLloydFit:
         with pytest.raises(ValueError):
             lloyd_fit(np.eye(4), FitConfig(K=2, L=2, n0=3))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_tolerance_finite_and_nonnegative(self, tol):
+        # NaN < 0 is false, and a NaN tolerance would switch the stop off
+        with pytest.raises(ValueError, match="tol_gamma"):
+            FitConfig(K=2, L=2, tol_gamma=tol)
+        assert FitConfig(K=2, L=2, tol_gamma=0.0).tol_gamma == 0.0
+
     def test_missing_data_p_one_bit_identical(self):
         g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=4)
         noise = NoiseModel.bernoulli()

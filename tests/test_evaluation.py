@@ -154,11 +154,15 @@ class TestDeltaTilde:
             delta_tilde(theta_hat, g, U, V, grid_res=100)
         assert delta_tilde(theta_hat, g, U, V, grid_res=120) >= 0
 
-    def test_memory_does_not_grow_with_the_grid_squared(self):
+    @pytest.mark.parametrize("truth", ["bump", "lift"])
+    def test_memory_does_not_grow_with_the_grid_squared(self, truth):
         # a 2048 x 2048 grid is 33.5 MB of doubles; the result is 4.2 MB
         g = make_standard_graphon("hoelder", rho=0.5)
         U, V = sample_latents(1024, 512, seed=6)
         theta_hat = g.evaluate_grid(U, V)
+        if truth == "lift":
+            # 1024 x 512 cells: the grid's cell indicators alone would be 25 MB
+            g = lift_to_graphon(theta_hat)
         tracemalloc.start()
         try:
             delta_tilde(theta_hat, g, U, V, grid_res=2048)

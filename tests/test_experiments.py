@@ -173,6 +173,13 @@ class TestRunExperiment:
             ExperimentSpec.from_dict({**spec, "n_values": None, "rho_values": [bad],
                                       "n": 20, "m": 16})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+    def test_tol_gamma_checked_at_construction(self, bad):
+        with pytest.raises(ValueError, match="tol_gamma"):
+            tiny_spec(tol_gamma=bad)
+        with pytest.raises(ValueError, match="tol_gamma"):
+            ExperimentSpec.from_dict({**tiny_spec().to_dict(), "tol_gamma": bad})
+
     def test_cells_get_the_spec_itself(self, monkeypatch):
         # no cell parses the spec's dict form again
         monkeypatch.setattr(

@@ -145,6 +145,15 @@ class TestStandardGraphons:
         assert g(0.5, 0.5) == pytest.approx(0.9)
         assert g.hoelder_alpha == 1.0
 
+    def test_hoelder_factors_give_the_bump(self):
+        # the product of the rank-2 factors rounds differently from the
+        # closed form, in the last few bits only
+        rho = 0.7
+        g = make_standard_graphon("hoelder", rho=rho)
+        u, v = np.random.default_rng(4).random((2, 300))
+        want = rho / 2 * (1 + np.exp(-10 * ((u[:, None] - 0.5) ** 2 + (v[None, :] - 0.5) ** 2)))
+        np.testing.assert_allclose(g.evaluate_grid(u, v), want, rtol=1e-15, atol=0)
+
     def test_rand_deterministic(self):
         g1 = make_standard_graphon("rand", K=3, L=2, rho=0.4, seed=8)
         g2 = make_standard_graphon("rand", K=3, L=2, rho=0.4, seed=8)
@@ -189,7 +198,9 @@ class TestSynthesize:
         bump = Graphon(
             rho=0.5,
             family="analytic",
-            evaluator=lambda u, v: 0.6 + 0.0 * u * v,
+            row_factor=lambda u: np.ones((len(u), 1)),
+            core=[[0.6]],
+            col_factor=lambda v: np.ones((len(v), 1)),
             hoelder_alpha=1.0,
             hoelder_L=1.0,
             validate=False,
