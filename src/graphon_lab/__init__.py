@@ -37,6 +37,8 @@ from .flow import InfeasibleSizeError, min_cost_assignment
 from .estimation import (
     FitConfig,
     FitReport,
+    HyperGrid,
+    default_grid,
     fit_grid,
     kmeans,
     lloyd_fit,
@@ -45,8 +47,6 @@ from .estimation import (
 )
 from .aggregation import (
     EwaResult,
-    HyperGrid,
-    default_grid,
     ewa_aggregate,
     ewa_weights,
     mixture,

@@ -30,9 +30,8 @@ from .core import (
 )
 
 __all__ = [
-    "HyperGrid",
     "EwaResult",
-    "default_grid",
+    "check_temperature",
     "temperature",
     "ewa_aggregate",
     "ewa_weights",
@@ -43,91 +42,6 @@ __all__ = [
 # Mixture terms with a weight at or below this are skipped: adding them
 # changes no entry by more than double-precision rounding.
 WEIGHT_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class HyperGrid:
-    """A set of fit hyperparameters ``(K, L, n0, m0)`` to aggregate over.
-
-    Each entry must hold exactly four Python or numpy integers (booleans
-    are refused); they are stored as ints.
-    """
-
-    entries: Tuple[Tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        if len(self.entries) == 0:
-            raise ValueError("a grid needs at least one entry")
-        for i, e in enumerate(self.entries):
-            # bool is an int subclass, and JSON true loads as one
-            if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4 and all(
-                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in e)):
-                raise ValueError(f"grid entry {i} ({e!r}) must be four integers (K, L, n0, m0)")
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in e) for e in self.entries)
-        )
-        for K, L, n0, m0 in self.entries:
-            if K < 2 or L < 2:
-                raise ValueError("grid entries need K, L >= 2")
-            if n0 < 0 or m0 < 0:
-                raise ValueError("grid entries need nonnegative n0, m0")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def validate_for(self, n: int, m: int) -> None:
-        for K, L, n0, m0 in self.entries:
-            if K > n or L > m or K * n0 > n or L * m0 > m:
-                raise ValueError(
-                    f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}) is "
-                    f"infeasible for an {n} x {m} matrix"
-                )
-
-
-def _geometric_halfsteps(base_exp: float, limit: float) -> List[int]:
-    """Deduplicated floors of 2**(base_exp + l/2) while <= limit."""
-    out: List[int] = []
-    step = 0
-    while True:
-        val = int(np.floor(2 ** (base_exp + step / 2)))
-        if val > limit:
-            break
-        if not out or val != out[-1]:
-            out.append(val)
-        step += 1
-    return out
-
-
-def default_grid(n: int, m: int) -> HyperGrid:
-    """The geometric hyperparameter grid used for aggregation.
-
-    Cluster counts are ``K_i = floor(2^(1 + i/2))`` for
-    ``0 <= i <= 2*log2(n/10)`` (same for ``L_j`` in ``m``); for each pair
-    the minimum sizes range over ``floor(2^(2 + l/2))`` subject to
-    ``n0 <= n / K`` and ``m0 <= m / L``.  Duplicate quadruplets produced
-    by the floors are removed.
-    """
-    if n < 10 or m < 10:
-        raise ValueError("the default grid needs n, m >= 10")
-    # K_i for i <= i_max: the deduplicated half-steps up to 2^(1 + i_max/2)
-    Ks, Ls = (
-        _geometric_halfsteps(1.0, 2 ** (1 + np.floor(2 * np.log2(size / 10) + 1e-12) / 2))
-        for size in (n, m)
-    )
-    entries = []
-    seen = set()
-    for K in Ks:
-        for L in Ls:
-            for n0 in _geometric_halfsteps(2.0, n / K):
-                for m0 in _geometric_halfsteps(2.0, m / L):
-                    e = (K, L, n0, m0)
-                    if e not in seen:
-                        seen.add(e)
-                        entries.append(e)
-    return HyperGrid(tuple(entries))
 
 
 def temperature(noise: NoiseModel) -> float:
@@ -191,10 +105,15 @@ def sq_residuals(models: Sequence[BlockModel], M: np.ndarray) -> np.ndarray:
     return out
 
 
-def ewa_weights(sq_residuals: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized weights ``exp(-r_l / beta)`` via a log-sum-exp shift."""
+def check_temperature(beta) -> None:
+    """Raise ``ValueError`` unless ``beta`` is a finite positive real."""
     if not finite_positive(beta):
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
+
+
+def ewa_weights(sq_residuals: np.ndarray, beta: float) -> np.ndarray:
+    """Normalized weights ``exp(-r_l / beta)`` via a log-sum-exp shift."""
+    check_temperature(beta)
     r = np.asarray(sq_residuals, dtype=np.float64)
     if r.size == 0:
         raise ValueError("need at least one candidate")

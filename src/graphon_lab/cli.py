@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import HyperGrid, default_grid, ewa_aggregate, temperature
+from .aggregation import check_temperature, ewa_aggregate, temperature
 from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, induced_mean
-from .estimation import FitConfig, fit_grid, lloyd_fit
+from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
 from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .io import (
@@ -45,6 +45,15 @@ def _noise_from_args(args) -> NoiseModel:
 def _graphon_from_meta(meta: dict):
     g = meta["graphon"]
     return make_standard_graphon(g["kind"], **g["params"])
+
+
+def _key(path, d, *keys):
+    """``d[keys[0]][keys[1]]...``, or ``ValueError`` naming the file and the dotted key."""
+    for depth, key in enumerate(keys):
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"{path} has no key {'.'.join(keys[:depth + 1])!r}")
+        d = d[key]
+    return d
 
 
 def _cmd_synth(args) -> int:
@@ -113,8 +122,7 @@ def _cmd_ewa(args) -> int:
     if args.grid == "default":
         grid = default_grid(*H.shape)
     else:
-        loaded = load_json(args.grid)
-        entries = loaded.get("entries") if isinstance(loaded, dict) else None
+        entries = _key(args.grid, load_json(args.grid), "entries")
         if not isinstance(entries, list):
             raise ValueError('a grid file must hold {"entries": [[K, L, n0, m0], ...]} (integers)')
         grid = HyperGrid(tuple(entries))
@@ -124,6 +132,7 @@ def _cmd_ewa(args) -> int:
         beta = temperature(_noise_from_args(args))
     else:
         beta = float(args.beta)
+    check_temperature(beta)
     reports = fit_grid(H, grid, seed=args.seed)
     result = ewa_aggregate([reports[e].model for e in grid], H_prime, beta)
     out = Path(args.output)
@@ -162,7 +171,9 @@ def _cmd_eval(args) -> int:
         if meta is None or args.latents is None:
             raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
-        U, V = np.asarray(lat["U"]), np.asarray(lat["V"])
+        U, V = (np.asarray(_key(args.latents, lat, k)) for k in "UV")
+        for key in ("kind", "params"):
+            _key(args.meta, meta, "graphon", key)
         graphon = _graphon_from_meta(meta)
     if "delta" in metrics:
         # delta_tilde needs a grid comfortably finer than max(n, m)
@@ -183,9 +194,9 @@ def _cmd_eval(args) -> int:
     if "rate" in metrics:
         if meta is None:
             raise ValueError("--metrics rate needs --meta")
-        noise = NoiseModel.from_dict(meta["noise_model"])
+        noise = NoiseModel.from_dict(_key(args.meta, meta, "noise_model"))
         out["rate_bound"] = rate_bound(
-            noise, meta["rho"], model.n, model.m, model.K, model.L
+            noise, _key(args.meta, meta, "rho"), model.n, model.m, model.K, model.L
         )
     dump_json(args.output, out)
     print(f"wrote metrics {sorted(out)} -> {args.output}")
@@ -233,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one block model")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--m0", type=int, default=0)
-    p.add_argument("--init", choices=("spectral", "random"), default="spectral")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n0", type=int, default=FitConfig.n0)
+    p.add_argument("--m0", type=int, default=FitConfig.m0)
+    p.add_argument("--init", choices=("spectral", "random"), default=FitConfig.init)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    p.add_argument("--tol", type=float, default=FitConfig.tol_gamma)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_fit)

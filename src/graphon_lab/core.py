@@ -375,8 +375,9 @@ class NoiseModel:
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         # isinstance first: a JSON noise object may carry any value here
-        if self.kind == "binomial" and not (isinstance(self.N, Integral) and self.N >= 1):
-            raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r}")
+        if self.kind == "binomial" and not (isinstance(self.N, Integral) and 1 <= self.N < 2**63):
+            raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r} "
+                             "(numpy's sampler takes N < 2**63)")
         if self.kind == "scaled_poisson" and not finite_positive(self.T):
             raise ValueError("scaled_poisson noise needs a finite positive T")
         if self.kind == "gaussian" and not finite_positive(self.sigma2):

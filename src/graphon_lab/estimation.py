@@ -18,7 +18,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .aggregation import HyperGrid
 from .core import AssignmentMatrix, BlockModel, bin_sums, block_means, finite_positive, group_sums
 from .flow import min_cost_assignment
 from .synthesis import substream
@@ -26,15 +25,14 @@ from .synthesis import substream
 __all__ = [
     "FitConfig",
     "FitReport",
+    "HyperGrid",
+    "default_grid",
     "kmeans",
     "spectral_embedding",
     "spectral_init",
     "lloyd_fit",
     "fit_grid",
 ]
-
-DEFAULT_MAX_ITERS = 40
-DEFAULT_TOL_GAMMA = 1e-3
 
 _KMEANS_RESTARTS = 5
 _KMEANS_MAX_ITERS = 50
@@ -304,7 +302,8 @@ class FitConfig:
     ``restarts`` independent seeds) or ``"given"`` (explicit initial
     labels in ``init_labels``).  Iteration stops when the cost decreases
     by at most ``tol_gamma``, when the labels reach a fixed point, or
-    after ``max_iters`` rounds.
+    after ``max_iters`` rounds.  These checks and :meth:`validate_for` are
+    the one copy of the ``(K, L, n0, m0)`` rules, for grids and specs too.
     """
 
     K: int
@@ -313,8 +312,8 @@ class FitConfig:
     m0: int = 0
     init: str = "spectral"
     restarts: int = 10
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol_gamma: float = DEFAULT_TOL_GAMMA
+    max_iters: int = 40
+    tol_gamma: float = 1e-3
     seed: int = 0
     init_labels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -335,6 +334,7 @@ class FitConfig:
             raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
 
     def validate_for(self, n: int, m: int) -> None:
+        """``ValueError`` unless ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
         if self.K > n or self.L > m:
             raise ValueError("more clusters than rows/columns")
         if self.K * self.n0 > n:
@@ -568,6 +568,79 @@ def _fit_starts(prep: _Prepared, starts: list, config: FitConfig) -> FitReport:
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class HyperGrid:
+    """A set of fit hyperparameters ``(K, L, n0, m0)`` to aggregate over.
+
+    Each entry must hold exactly four Python or numpy integers (booleans
+    are refused); they are stored as ints.  :func:`fit_grid` checks each
+    entry by :class:`FitConfig`'s rules for the data's shape.
+    """
+
+    entries: Tuple[Tuple[int, int, int, int], ...]
+
+    def __post_init__(self):
+        if len(self.entries) == 0:
+            raise ValueError("a grid needs at least one entry")
+        for i, e in enumerate(self.entries):
+            # bool is an int subclass, and JSON true loads as one
+            if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4 and all(
+                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in e)):
+                raise ValueError(f"grid entry {i} ({e!r}) must be four integers (K, L, n0, m0)")
+        object.__setattr__(
+            self, "entries", tuple(tuple(int(x) for x in e) for e in self.entries)
+        )
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+
+def _geometric_halfsteps(base_exp: float, limit: float) -> List[int]:
+    """Deduplicated floors of 2**(base_exp + l/2) while <= limit."""
+    out: List[int] = []
+    step = 0
+    while True:
+        val = int(np.floor(2 ** (base_exp + step / 2)))
+        if val > limit:
+            break
+        if not out or val != out[-1]:
+            out.append(val)
+        step += 1
+    return out
+
+
+def default_grid(n: int, m: int) -> HyperGrid:
+    """The geometric hyperparameter grid used for aggregation.
+
+    Cluster counts are ``K_i = floor(2^(1 + i/2))`` for
+    ``0 <= i <= 2*log2(n/10)`` (same for ``L_j`` in ``m``); for each pair
+    the minimum sizes range over ``floor(2^(2 + l/2))`` subject to
+    ``n0 <= n / K`` and ``m0 <= m / L``.  Duplicate quadruplets produced
+    by the floors are removed.
+    """
+    if n < 10 or m < 10:
+        raise ValueError("the default grid needs n, m >= 10")
+    # K_i for i <= i_max: the deduplicated half-steps up to 2^(1 + i_max/2)
+    Ks, Ls = (
+        _geometric_halfsteps(1.0, 2 ** (1 + np.floor(2 * np.log2(size / 10) + 1e-12) / 2))
+        for size in (n, m)
+    )
+    entries = []
+    seen = set()
+    for K in Ks:
+        for L in Ls:
+            for n0 in _geometric_halfsteps(2.0, n / K):
+                for m0 in _geometric_halfsteps(2.0, m / L):
+                    e = (K, L, n0, m0)
+                    if e not in seen:
+                        seen.add(e)
+                        entries.append(e)
+    return HyperGrid(tuple(entries))
+
+
 def fit_grid(
     H: np.ndarray, grid: HyperGrid, seed: int
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
@@ -584,10 +657,16 @@ def fit_grid(
     floors bind get their own run, warm-started from the performed run with
     the lexicographically largest ``(n0, m0)`` among those whose floors are
     componentwise at most the entry's.  Each run equals :func:`lloyd_fit`
-    with ``init="given"`` from the same labels.  Raises ``ValueError`` when
-    ``H`` is not finite.
+    with ``init="given"`` from the same labels.  Raises ``ValueError``,
+    before any work, when an entry breaks :class:`FitConfig`'s rules for
+    the shape of ``H`` (the message names the entry) or ``H`` is not finite.
     """
-    grid.validate_for(*np.shape(H))
+    n, m = np.shape(H)
+    for K, L, n0, m0 in grid:
+        try:
+            FitConfig(K, L, n0, m0).validate_for(n, m)
+        except ValueError as exc:
+            raise ValueError(f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}): {exc}") from None
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)

@@ -25,6 +25,7 @@ from .core import (
     block_means,
     block_sums,
 )
+from .estimation import FitConfig
 
 __all__ = [
     "mse_theta",
@@ -231,8 +232,7 @@ def rate_bound(
     are the noise model's moment parameters.  This is an MSE-scale
     quantity, matching how the experiment plots report errors.
     """
-    if K < 2 or L < 2:
-        raise ValueError("K and L must be at least 2")
+    FitConfig(K, L)  # the fitted counts' rule: K, L >= 2
     sigma2, b = noise.bernstein_params(rho)
     r_sq = 3.0 * K * L / (n * m) + np.log(K) / m + np.log(L) / n
     return float((25.0 * sigma2 + 4.0 * b * rho) * r_sq)

@@ -20,22 +20,9 @@ from typing import (
 
 import numpy as np
 
-from .aggregation import (
-    HyperGrid,
-    default_grid,
-    ewa_weights,
-    mixture,
-    sq_residuals,
-    temperature,
-)
+from .aggregation import check_temperature, ewa_weights, mixture, sq_residuals, temperature
 from .core import AssignmentMatrix, Graphon, NoiseModel, finite_positive, induced_mean
-from .estimation import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL_GAMMA,
-    FitConfig,
-    fit_grid,
-    lloyd_fit,
-)
+from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import (
     delta_tilde,
     mse_theta,
@@ -140,9 +127,9 @@ class ExperimentSpec:
     m0: int = 0
     reps: int = 50
     inits: Tuple[str, ...] = ("spectral", "random")
-    restarts: int = 10
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol_gamma: float = DEFAULT_TOL_GAMMA
+    restarts: int = FitConfig.restarts
+    max_iters: int = FitConfig.max_iters
+    tol_gamma: float = FitConfig.tol_gamma
     seed: int = 0
     delta_grid: int = 1000
 
@@ -153,13 +140,11 @@ class ExperimentSpec:
             raise ValueError("give exactly one of n_values or rho_values")
         if self.rho_values is not None and (self.n is None or self.m is None):
             raise ValueError("a rho sweep needs fixed n and m")
-        if self.setup != "hoelder" and (self.K is None or self.L is None):
-            raise ValueError("piecewise-constant setups need K and L")
+        both_omitted = self.K is None and self.L is None
+        if (self.K is None or self.L is None) and not (both_omitted and self.setup == "hoelder"):
+            raise ValueError("give K and L (only the hoelder setup may omit both)")
         if self.reps < 1:
             raise ValueError("reps must be positive")
-        for init in self.inits:
-            if init not in ("spectral", "random"):
-                raise ValueError(f"unknown init {init!r}")
         if self.n_values is not None:
             object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         if self.rho_values is not None:
@@ -169,14 +154,20 @@ class ExperimentSpec:
         for rho in (self.rho,) + (self.rho_values or ()):
             if not finite_positive(rho):
                 raise ValueError(f"rho must be finite and positive, got {rho!r}")
-        if not (finite_positive(self.tol_gamma) or self.tol_gamma == 0):
-            raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
+        for init in self.inits:
+            # the cells' own configs, with the Hoelder rule's K = L = 2 standing in
+            self._fit_config(init, *((self.K, self.L) if self.K is not None else (2, 2)))
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs
             floor = max([100] + [max(c["n"], c["m"]) for c in self.sweep_cells()])
             if self.delta_grid < floor:
                 raise ValueError(f"delta_grid must be at least {floor}")
+
+    def _fit_config(self, init: str, K: int, L: int, seed: int = 0) -> FitConfig:
+        """The fit of a cell with ``K x L`` clusters; ``ValueError`` by its rules."""
+        return FitConfig(K=K, L=L, n0=self.n0, m0=self.m0, init=init, restarts=self.restarts,
+                         max_iters=self.max_iters, tol_gamma=self.tol_gamma, seed=seed)
 
     def sweep_cells(self) -> List[dict]:
         """One dict of primitive parameters per sweep value."""
@@ -280,11 +271,7 @@ def _run_cell(payload: dict) -> List[dict]:
 
     records = []
     for init in spec.inits:
-        cfg = FitConfig(
-            K=K, L=L, n0=spec.n0, m0=spec.m0, init=init,
-            restarts=spec.restarts, max_iters=spec.max_iters,
-            tol_gamma=spec.tol_gamma, seed=seed,
-        )
+        cfg = spec._fit_config(init, K, L, seed)
         try:
             cfg.validate_for(n, m)
         except ValueError as exc:
@@ -515,6 +502,7 @@ def run_ewa_experiment(
     """
     grid = grid if grid is not None else default_grid(n, m)
     beta = beta if beta is not None else temperature(noise)
+    check_temperature(beta)
     records = []
     for rep in range(reps):
         rep_seed = cell_seed(seed, 3, rep)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from graphon_lab.aggregation import (
     WEIGHT_FLOOR,
-    HyperGrid,
-    default_grid,
     ewa_aggregate,
     ewa_weights,
     mixture,
@@ -22,7 +20,8 @@ from graphon_lab.core import (
     NoiseModel,
     induced_mean,
 )
-from graphon_lab.estimation import fit_grid
+from graphon_lab import estimation
+from graphon_lab.estimation import FitConfig, HyperGrid, default_grid, fit_grid
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 
 
@@ -42,7 +41,8 @@ class TestDefaultGrid:
     def test_every_entry_feasible(self):
         for n, m in [(10, 10), (37, 22), (400, 200)]:
             grid = default_grid(n, m)
-            grid.validate_for(n, m)  # raises on an infeasible entry
+            for entry in grid:
+                FitConfig(*entry).validate_for(n, m)  # raises on an infeasible entry
             for K, L, n0, m0 in grid:
                 assert K * n0 <= n and L * m0 <= m
                 assert n0 >= 4 and m0 >= 4
@@ -256,15 +256,26 @@ class TestEwaAggregate:
 
 
 class TestHyperGrid:
+    # the ranges and the feasibility of entries are FitConfig's rules, which
+    # fit_grid applies to every entry for the shape of H
     def test_feasibility_validation(self):
         grid = HyperGrid(((4, 4, 10, 10),))
-        with pytest.raises(ValueError):
-            grid.validate_for(30, 100)
-        grid.validate_for(40, 40)
+        with pytest.raises(ValueError, match=r"grid entry \(K=4, L=4, n0=10, m0=10\): infeasible"):
+            fit_grid(np.random.default_rng(0).random((30, 100)), grid, seed=0)
+        reports = fit_grid(np.random.default_rng(0).random((40, 40)), grid, seed=0)
+        assert reports[(4, 4, 10, 10)].model.z_rows.counts().min() >= 10
 
-    def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            HyperGrid(((1, 2, 0, 0),))
+    def test_entry_validation(self, monkeypatch):
+        # every entry is checked before any embedding or run starts
+        monkeypatch.setattr(estimation, "spectral_embedding", lambda *a: pytest.fail("fitted"))
+        monkeypatch.setattr(estimation, "_prepare", lambda *a: pytest.fail("fitted"))
+        for entry, message in [((1, 2, 0, 0), "K and L must be at least 2"),
+                               ((2, 2, -1, 0), "minimum sizes must be nonnegative"),
+                               ((2, 2, 6, 0), "infeasible row sizes: 2 \\* 6 > 10")]:
+            grid = HyperGrid(((2, 2, 0, 0), (3, 3, 0, 0), entry))
+            K, L, n0, m0 = entry
+            with pytest.raises(ValueError, match=rf"\(K={K}, L={L}, n0={n0}, m0={m0}\): {message}"):
+                fit_grid(np.ones((10, 10)), grid, seed=0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="a grid needs at least one entry"):

@@ -1,19 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_lab import cli
-from graphon_lab.aggregation import HyperGrid, ewa_aggregate
+from graphon_lab.aggregation import ewa_aggregate
 from graphon_lab.cli import main
 from graphon_lab.core import induced_mean
 from graphon_lab.evaluation import delta_tilde
-from graphon_lab.estimation import fit_grid
+from graphon_lab.estimation import HyperGrid, fit_grid
 from graphon_lab.io import dump_json, load_json, load_matrix, model_from_dict, save_matrix
 from graphon_lab.synthesis import make_standard_graphon
 
@@ -269,8 +274,11 @@ def test_dump_json_round_trips_every_value(tmp_path):
         # int(2.5) used to make this N = 2
         ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "binomial",
          "--noise-param", "2.5"],
+        # numpy's binomial sampler raised OverflowError from N = 2**63 on
+        ["--setup", "cos", "--n", "20", "--m", "10", "--noise", "binomial",
+         "--noise-param", "1e308"],
     ],
-    ids=["rho-nan", "rho-inf", "sigma2-inf", "T-nan", "N-2.5"],
+    ids=["rho-nan", "rho-inf", "sigma2-inf", "T-nan", "N-2.5", "N-1e308"],
 )
 def test_synth_non_finite_parameter_exits_two(tmp_path, capsys, argv):
     out = tmp_path / "d"
@@ -310,10 +318,21 @@ def test_eval_non_finite_exits_two(synth_dir, tmp_path, flag):
         (["--beta", "inf"], "beta must be finite and positive, got inf"),
         (["--beta", "auto", "--noise", "binomial", "--noise-param", "2.5"],
          "positive integer N, got 2.5"),
+        (["--beta", "0"], "beta must be finite and positive, got 0.0"),
+        (["--beta", "-1"], "beta must be finite and positive, got -1.0"),
+        (["--beta", "nan"], "beta must be finite and positive, got nan"),
+        # sigma2 = 1e308 is finite, but its temperature 4 sigma2 is not
+        (["--beta", "auto", "--noise", "gaussian", "--noise-param", "1e308"],
+         "beta must be finite and positive, got inf"),
+        (["--beta", "auto", "--noise", "binomial", "--noise-param", "1e308"],
+         "positive integer N, got 1000000"),
     ],
-    ids=["beta-inf", "N-2.5"],
+    ids=["beta-inf", "N-2.5", "beta-zero", "beta-negative", "beta-nan", "auto-inf", "N-1e308"],
 )
-def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, argv, message):
+def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, monkeypatch, argv,
+                                       message):
+    # refused before any grid entry is fitted
+    monkeypatch.setattr(cli, "fit_grid", lambda *a, **k: pytest.fail("fit_grid ran"))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"entries": [[2, 2, 0, 0]]}))
     out = tmp_path / "e.json"
@@ -325,6 +344,35 @@ def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "e_aggregate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, metrics",
+    [("meta.json", "graphon", "delta"), ("meta.json", "graphon.kind", "delta"),
+     ("meta.json", "graphon.params", "oracle"), ("meta.json", "noise_model", "rate"),
+     ("meta.json", "rho", "rate"), ("latents.json", "U", "delta"),
+     ("latents.json", "V", "oracle")],
+)
+def test_eval_sidecar_without_a_key_exits_two(synth_dir, tmp_path, capsys, name, key, metrics):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    paths = {f: synth_dir / f for f in ("meta.json", "latents.json")}
+    sidecar = load_json(paths[name])
+    *parents, last = key.split(".")
+    holder = sidecar
+    for k in parents:
+        holder = holder[k]
+    del holder[last]
+    paths[name] = tmp_path / name
+    dump_json(paths[name], sidecar)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--meta", str(paths["meta.json"]), "--latents", str(paths["latents.json"]),
+               "--input", str(synth_dir / "H.csv"), "--metrics", metrics, "--output", str(out)])
+    assert rc == 2
+    assert f"{paths[name]} has no key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_nan_tolerance_exits_two(synth_dir, tmp_path, capsys):
@@ -537,6 +585,70 @@ def test_synth_fit_eval_leave_scipy_unloaded(tmp_path):
     )
     states = [line for line in out.stdout.splitlines() if line.startswith("state ")]
     assert states == ["state False False", "state False True"]
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "2.5", "1e308")
+FUZZ_FLAGS = {
+    "synth": ("--n", "--m", "--K", "--L", "--rho", "--noise-param", "--seed", "--missing-p"),
+    "fit": ("--K", "--L", "--n0", "--m0", "--restarts", "--max-iters", "--tol", "--seed"),
+    "ewa": ("--beta", "--noise-param", "--seed"),
+}
+FUZZ_NOISE = {
+    "synth": ("bernoulli", "binomial", "scaled_poisson", "gaussian"),
+    "fit": (None,),
+    "ewa": (None, "bernoulli", "binomial", "gaussian"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz") / "data"
+    assert main(["synth", "--n", "20", "--m", "10", "--K", "2", "--L", "2", "--seed", "1",
+                 "--second-copy", "--outdir", str(d)]) == 0
+    return d
+
+
+@st.composite
+def _numeric_flags(draw):
+    """A command, a noise family and some of its numeric flags with hostile values."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    noise = draw(st.sampled_from(FUZZ_NOISE[command]))
+    values = draw(st.dictionaries(st.sampled_from(FUZZ_FLAGS[command]),
+                                  st.sampled_from(FUZZ_VALUES)))
+    extra = [] if noise is None else ["--noise", noise]
+    return command, extra + [x for item in values.items() for x in item]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite token {token}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_numeric_flags())
+def test_numeric_flags_exit_zero_or_two(fuzz_data, case):
+    # a drawn flag follows the base one, and argparse keeps the last
+    command, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        base = {
+            "synth": ["synth", "--n", "20", "--m", "10", "--K", "2", "--L", "2",
+                      "--second-copy", "--outdir", str(out / "data")],
+            "fit": ["fit", "--K", "2", "--L", "2", "--input", str(fuzz_data / "H.csv"),
+                    "--output", str(out / "model.json")],
+            "ewa": ["ewa", "--grid", "default", "--input", str(fuzz_data / "H.csv"),
+                    "--input-prime", str(fuzz_data / "H_prime.csv"),
+                    "--output", str(out / "ewa.json")],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = main(base + extra)
+            except SystemExit as exc:  # argparse refusing a value
+                rc = exc.code
+        assert rc in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        if rc == 0:
+            for path in out.rglob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_experiment_subcommand(tmp_path):

@@ -307,6 +307,12 @@ class TestNoiseModel:
     def test_integral_binomial_N_accepted(self):
         assert NoiseModel.binomial(5.0).N == 5
         assert NoiseModel.binomial(np.int64(5)) == NoiseModel.binomial(5)
+        # numpy's binomial sampler takes N up to 2**63 - 1 and overflows above
+        big = NoiseModel.binomial(2**63 - 1)
+        assert np.random.default_rng(0).binomial(big.N, 0.5) > 0
+        for N in (2**63, 1e308):
+            with pytest.raises(ValueError, match=f"positive integer N, got {int(N)}"):
+                NoiseModel.binomial(N)
 
     def test_dict_round_trip(self):
         for noise in (

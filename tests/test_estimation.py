@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_lab import core, estimation
-from graphon_lab.aggregation import HyperGrid
 from graphon_lab.core import (
     AssignmentMatrix,
     BlockModel,
@@ -18,6 +17,7 @@ from graphon_lab.core import (
 )
 from graphon_lab.estimation import (
     FitConfig,
+    HyperGrid,
     fit_grid,
     kmeans,
     lloyd_fit,

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from graphon_lab.aggregation import HyperGrid, default_grid, ewa_aggregate
+from graphon_lab.aggregation import ewa_aggregate
 from graphon_lab.core import NoiseModel
-from graphon_lab.estimation import FitConfig, fit_grid, lloyd_fit
+from graphon_lab.estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from graphon_lab.evaluation import mse_theta
-from graphon_lab import estimation
+from graphon_lab import estimation, experiments
 from graphon_lab.experiments import (
     ExperimentSpec,
     emit_outputs,
@@ -179,6 +179,33 @@ class TestRunExperiment:
             tiny_spec(tol_gamma=bad)
         with pytest.raises(ValueError, match="tol_gamma"):
             ExperimentSpec.from_dict({**tiny_spec().to_dict(), "tol_gamma": bad})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(dict(n0=-1), "minimum sizes"), (dict(m0=-1), "minimum sizes"),
+         (dict(restarts=0), "restarts"), (dict(max_iters=0), "max_iters"),
+         (dict(K=1), "K and L"), (dict(L=1), "K and L"),
+         (dict(inits=("spectral", "given")), "init_labels"),
+         (dict(inits=("lloyd",)), "unknown init"),
+         (dict(setup="hoelder", K=None, L=None, n0=-1), "minimum sizes"),
+         (dict(setup="hoelder", K=3, L=None), "give K and L")],
+        ids=["n0", "m0", "restarts", "max_iters", "K", "L", "given", "unknown", "hoelder-n0",
+             "hoelder-K-only"],
+    )
+    def test_fit_rules_checked_at_construction(self, bad, message, monkeypatch):
+        # FitConfig's rules, before any cell draws its data
+        monkeypatch.setattr(experiments, "synthesize", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**bad)
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict({**tiny_spec().to_dict(), **bad})
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_ewa_experiment_checks_beta_before_any_draw(self, beta, monkeypatch):
+        monkeypatch.setattr(experiments, "synthesize", lambda *a: pytest.fail("data drawn"))
+        graphon = make_standard_graphon("cos", K=2, L=2, rho=0.6)
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            run_ewa_experiment(20, 20, graphon, NoiseModel.bernoulli(), reps=1, seed=0, beta=beta)
 
     def test_cells_get_the_spec_itself(self, monkeypatch):
         # no cell parses the spec's dict form again

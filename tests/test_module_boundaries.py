@@ -81,3 +81,13 @@ def test_no_scipy_import_at_load(path):
         if module == "scipy" or module.startswith("scipy.")
     ]
     assert not found
+
+
+def test_aggregation_imports_core_only():
+    # the grids and their rules live in estimation, beside FitConfig; the
+    # EWA code needs neither
+    def siblings(stem):
+        return {module for module, _, _ in _sibling_imports(PACKAGE / f"{stem}.py")}
+
+    assert siblings("aggregation") == {"core"}
+    assert "aggregation" not in siblings("estimation")
