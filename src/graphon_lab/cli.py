@@ -42,26 +42,49 @@ def _noise_from_args(args) -> NoiseModel:
     return getattr(NoiseModel, kind)(args.noise_param)
 
 
+# the graphon.params of meta.json for each setup, all synth flags of these names
+_GRAPHON_PARAMS = {"rand": ("rho", "K", "L", "seed"), "cos": ("rho", "K", "L"), "hoelder": ("rho",)}
+_PARAM_TYPES = {"K": int, "L": int, "rho": float, "seed": int}
+_JSON_TYPES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
+
+
+def _key(path, d, *keys, of=None):
+    """``d[keys[0]][keys[1]]...``, or ``ValueError`` naming the file and the dotted key
+    when it is missing or, given ``of`` (a key of ``_JSON_TYPES``), holds another JSON
+    type; ``float`` takes integers too, and no type takes ``true`` or ``false``."""
+    for depth, key in enumerate(keys):
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"{path} has no key {'.'.join(keys[:depth + 1])!r}")
+        d = d[key]
+    allowed = (int, float) if of is float else of
+    if of is not None and (isinstance(d, bool) or not isinstance(d, allowed)):
+        raise ValueError(f"{path} key {'.'.join(keys)!r} must be {_JSON_TYPES[of]}, got {d!r}")
+    return d
+
+
+def _check_graphon(path, meta: dict) -> None:
+    """``ValueError`` naming ``path`` and the key unless ``meta`` holds a
+    ``graphon`` that :func:`_graphon_from_meta` can build."""
+    kind = _key(path, meta, "graphon", "kind", of=str)
+    params = _key(path, meta, "graphon", "params", of=dict)
+    if kind not in _GRAPHON_PARAMS:
+        raise ValueError(f"{path} key 'graphon.kind' must be one of {', '.join(_GRAPHON_PARAMS)}, "
+                         f"got {kind!r}")
+    for name in params:
+        if name not in _GRAPHON_PARAMS[kind]:
+            raise ValueError(f"{path} key 'graphon.params.{name}' is not a parameter of the "
+                             f"{kind} graphon ({', '.join(_GRAPHON_PARAMS[kind])})")
+    for name in _GRAPHON_PARAMS[kind]:
+        _key(path, meta, "graphon", "params", name, of=_PARAM_TYPES[name])
+
+
 def _graphon_from_meta(meta: dict):
     g = meta["graphon"]
     return make_standard_graphon(g["kind"], **g["params"])
 
 
-def _key(path, d, *keys):
-    """``d[keys[0]][keys[1]]...``, or ``ValueError`` naming the file and the dotted key."""
-    for depth, key in enumerate(keys):
-        if not isinstance(d, dict) or key not in d:
-            raise ValueError(f"{path} has no key {'.'.join(keys[:depth + 1])!r}")
-        d = d[key]
-    return d
-
-
 def _cmd_synth(args) -> int:
-    params = {"rho": args.rho}
-    if args.setup in ("rand", "cos"):
-        params.update({"K": args.K, "L": args.L})
-    if args.setup == "rand":
-        params["seed"] = args.seed
+    params = {name: getattr(args, name) for name in _GRAPHON_PARAMS[args.setup]}
     graphon = make_standard_graphon(args.setup, **params)
     noise = _noise_from_args(args)
     config = SynthConfig(
@@ -172,8 +195,7 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
         U, V = (np.asarray(_key(args.latents, lat, k)) for k in "UV")
-        for key in ("kind", "params"):
-            _key(args.meta, meta, "graphon", key)
+        _check_graphon(args.meta, meta)
         graphon = _graphon_from_meta(meta)
     if "delta" in metrics:
         # delta_tilde needs a grid comfortably finer than max(n, m)
@@ -194,9 +216,11 @@ def _cmd_eval(args) -> int:
     if "rate" in metrics:
         if meta is None:
             raise ValueError("--metrics rate needs --meta")
-        noise = NoiseModel.from_dict(_key(args.meta, meta, "noise_model"))
+        noise_dict = _key(args.meta, meta, "noise_model", of=dict)
+        _key(args.meta, meta, "noise_model", "kind", of=str)
+        noise = NoiseModel.from_dict(noise_dict)
         out["rate_bound"] = rate_bound(
-            noise, _key(args.meta, meta, "rho"), model.n, model.m, model.K, model.L
+            noise, _key(args.meta, meta, "rho", of=float), model.n, model.m, model.K, model.L
         )
     dump_json(args.output, out)
     print(f"wrote metrics {sorted(out)} -> {args.output}")

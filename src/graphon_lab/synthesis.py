@@ -139,12 +139,15 @@ def apply_missingness(
     Returns the inverse-probability-weighted matrix ``H * mask / p``
     (whose mean matches the mean of ``H``) together with the 0/1 mask.
     """
+    mask = _reveal_mask(np.shape(H), p, seed)
+    return np.asarray(H, dtype=np.float64) * mask / p, mask
+
+
+def _reveal_mask(shape: Tuple[int, int], p: float, seed: int) -> np.ndarray:
+    """The 0/1 mask of :func:`apply_missingness`, drawn alone."""
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
-    H = np.asarray(H, dtype=np.float64)
-    rng = substream(seed, STREAM_MASK)
-    mask = (rng.random(H.shape) < p).astype(np.float64)
-    return H * mask / p, mask
+    return (substream(seed, STREAM_MASK).random(shape) < p).astype(np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def synthesize(config: SynthConfig) -> ObservationSet:
         )
     mask = None
     if config.missing_p is not None:
-        _, mask = apply_missingness(H, config.missing_p, config.seed)
+        mask = _reveal_mask(H.shape, config.missing_p, config.seed)
     return ObservationSet(
         H=H,
         noise=config.noise,

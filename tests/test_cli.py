@@ -350,6 +350,7 @@ def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, monkeypatch,
     "name, key, metrics",
     [("meta.json", "graphon", "delta"), ("meta.json", "graphon.kind", "delta"),
      ("meta.json", "graphon.params", "oracle"), ("meta.json", "noise_model", "rate"),
+     ("meta.json", "noise_model.kind", "rate"),
      ("meta.json", "rho", "rate"), ("latents.json", "U", "delta"),
      ("latents.json", "V", "oracle")],
 )
@@ -372,6 +373,40 @@ def test_eval_sidecar_without_a_key_exits_two(synth_dir, tmp_path, capsys, name,
                "--input", str(synth_dir / "H.csv"), "--metrics", metrics, "--output", str(out)])
     assert rc == 2
     assert f"{paths[name]} has no key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, metrics, message",
+    [("graphon.params", [0.6, 2, 2], "delta", "key 'graphon.params' must be an object"),
+     ("noise_model", ["bernoulli"], "rate", "key 'noise_model' must be an object"),
+     ("rho", "0.6", "rate", "key 'rho' must be a number, got '0.6'"),
+     ("graphon.params.bogus", 1, "delta",
+      "key 'graphon.params.bogus' is not a parameter of the cos graphon (rho, K, L)"),
+     ("graphon.params.K", 2.5, "oracle", "key 'graphon.params.K' must be an integer, got 2.5"),
+     ("rho", True, "rate", "key 'rho' must be a number, got True")],
+    ids=["params-list", "noise-list", "rho-string", "params-unknown", "K-float", "rho-bool"],
+)
+def test_eval_meta_of_a_wrong_json_type_exits_two(synth_dir, tmp_path, capsys, key, value,
+                                                  metrics, message):
+    # these used to exit 1 with a TypeError traceback, or 0 for the unknown key
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    meta = load_json(synth_dir / "meta.json")
+    *parents, last = key.split(".")
+    holder = meta
+    for k in parents:
+        holder = holder[k]
+    holder[last] = value
+    meta_path = tmp_path / "meta.json"
+    dump_json(meta_path, meta)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--meta", str(meta_path), "--latents", str(synth_dir / "latents.json"),
+               "--input", str(synth_dir / "H.csv"), "--metrics", metrics, "--output", str(out)])
+    assert rc == 2
+    assert f"{meta_path} {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1034,16 +1034,11 @@ def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
     return BlockModel(Q, zr, zc), traj, (min_row, min_col)
 
 
-@pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
-def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
-    # keeping H Z_c, H^T Z_r and the one-hot of an axis whose labels did not
-    # change must leave labels, Q, trajectories and floors bitwise unchanged;
-    # H is read at most twice per iteration plus once per axis whose start
-    # labels leave a cluster empty, counting every read of the product
-    # operands that _prepare holds, float32 (this 0/1 data) or float64: each
-    # ufunc on them, matmul included, and each group_sums call given one,
-    # also through core's (as block_sums makes them)
-    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=2)
+def _h_read_counter(monkeypatch):
+    """``(reads, Counted)``: ``reads`` gains an entry for each read of an
+    array viewed as ``Counted``: each ufunc on it, matmul included (also on
+    a row subset of it), and each group_sums call given one, also through
+    core's (as block_sums makes them)."""
     h_reads = []
 
     class Counted(np.ndarray):
@@ -1058,6 +1053,40 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
             lambda M, *a, real=module.group_sums, **k:
                 h_reads.append(isinstance(M, Counted)) or real(M, *a, **k),
         )
+    return h_reads, Counted
+
+
+def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads):
+    """Run ``_lloyd_run`` from ``(rows, cols)``; assert it equals the
+    recomputing loop bitwise and reads H at most twice per iteration plus
+    once per axis whose start labels leave a cluster empty.  Returns
+    ``(reads, bound, traj, sizes)``."""
+    del h_reads[:]
+    model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
+    reads = sum(h_reads)
+    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg)
+    assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
+    assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
+    assert model.Q.tobytes() == ref.Q.tobytes()
+    assert [x.hex() for x in traj] == [x.hex() for x in ref_traj]
+    assert sizes == ref_sizes
+    start_repairs = sum(
+        np.bincount(x, minlength=k).min() == 0 for x, k in ((rows, cfg.K), (cols, cfg.L))
+    )
+    bound = 2 * len(traj) + start_repairs
+    assert reads <= bound
+    return reads, bound, traj, sizes
+
+
+@pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
+def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
+    # keeping H Z_c, H^T Z_r and the one-hot of an axis whose labels did not
+    # change must leave labels, Q, trajectories and floors bitwise unchanged;
+    # H is read at most twice per iteration plus once per axis whose start
+    # labels leave a cluster empty, counting every read of the product
+    # operands that _prepare holds, float32 (this 0/1 data) or float64
+    g = make_standard_graphon(kind, K=4, L=4, rho=0.6, seed=2)
+    h_reads, Counted = _h_read_counter(monkeypatch)
     repaired = started_empty = stopped = kept = 0
     for (n, m), cases in [
         ((90, 60), [(3, 3, 0, 0, 40), (4, 3, 12, 10, 40), (6, 5, 8, 0, 40),
@@ -1083,26 +1112,66 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
             ]:
                 cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
                                 init_labels=(rows, cols), max_iters=max_iters)
-                del h_reads[:]
-                model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
-                reads = sum(h_reads)
-                ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg)
-                assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
-                assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
-                assert model.Q.tobytes() == ref.Q.tobytes()
-                assert [x.hex() for x in traj] == [x.hex() for x in ref_traj]
-                assert sizes == ref_sizes
-                start_repairs = sum(
-                    np.bincount(x, minlength=k).min() == 0 for x, k in ((rows, K), (cols, L))
-                )
-                assert reads <= 2 * len(traj) + start_repairs
-                kept += reads < 2 * len(traj) + start_repairs
-                started_empty += start_repairs > 0
+                reads, bound, traj, sizes = _assert_run_matches_recomputing(
+                    prep, H, Ht, rows, cols, cfg, h_reads)
+                kept += reads < bound
+                started_empty += bound > 2 * len(traj)
                 repaired += 0 in sizes
                 stopped += len(traj) == max_iters < 40
     # the cases cover start and mid-run repairs, a run cut at max_iters and
     # skipped reads
     assert started_empty and repaired and stopped and kept
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "poisson"])
+def test_incremental_products_match_recomputing_loop(noise, monkeypatch):
+    # on exact float32 operands, a product whose labels moved by at most a
+    # quarter of the axis is updated from the moved rows of H or H^T; the
+    # update and the fallback to the whole product leave every result
+    # bitwise equal to the loop that reads all of H on every iteration,
+    # within the same read bound.  The 90 x 60 data runs with the size rule
+    # at 0; the 480 x 300 data is above it as it stands.
+    g = make_standard_graphon("rand", K=4, L=4, rho=0.6, seed=2)
+    model = NoiseModel.scaled_poisson(1.0) if noise == "poisson" else NoiseModel.bernoulli()
+    h_reads, Counted = _h_read_counter(monkeypatch)
+    # one entry per product made from an earlier one: True for an update,
+    # whose operand is a row subset of H or H^T read transposed
+    contiguous, updates = [], []
+    times, times_moved = estimation._times, estimation._times_moved
+
+    def counted_times_moved(A, At, Z, labels, prod, prev):
+        out = times_moved(A, At, Z, labels, prod, prev)
+        if prod is not None:
+            updates.append(not contiguous[-1])
+        return out
+
+    monkeypatch.setattr(estimation, "_times",
+                        lambda M, Z: contiguous.append(M.flags.c_contiguous) or times(M, Z))
+    monkeypatch.setattr(estimation, "_times_moved", counted_times_moved)
+    for (n, m), min_entries in [((90, 60), 0), ((480, 300), estimation._UPDATE_MIN_ENTRIES)]:
+        monkeypatch.setattr(estimation, "_UPDATE_MIN_ENTRIES", min_entries)
+        H = synthesize(SynthConfig(n, m, g, model, seed=7)).H
+        assert noise == "bernoulli" or H.max() >= 2
+        Ht = np.ascontiguousarray(H.T)
+        prep = estimation._prepare(H)
+        assert prep.H.dtype == np.float32 and n * m >= min_entries
+        prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
+        row_emb, col_emb = spectral_embedding(H)
+        del updates[:]
+        for K, L, n0, m0, max_iters in [(3, 3, 0, 0, 40), (6, 5, 0, 0, 40), (12, 10, 0, 0, 40),
+                                        (4, 3, n // 5, m // 4, 40), (6, 5, 0, 0, 2)]:
+            rng = np.random.default_rng(K * 10 + L)
+            spectral_cols = kmeans(col_emb[:, :L], L, seed=2)
+            for rows, cols in [
+                (kmeans(row_emb[:, :K], K, seed=1), spectral_cols),
+                (rng.integers(0, K, n), rng.integers(0, L, m)),
+                (rng.integers(0, K // 2, n), spectral_cols),  # half the row clusters empty
+            ]:
+                cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given",
+                                init_labels=(rows, cols), max_iters=max_iters)
+                _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads)
+        # both the update and the fallback (random starts move many labels) ran
+        assert any(updates) and not all(updates)
 
 
 def _integer_data(kind):

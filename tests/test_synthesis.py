@@ -192,6 +192,17 @@ class TestSynthesize:
         assert np.array_equal(plain.theta_star, extras.theta_star)
         assert not np.array_equal(extras.H, extras.H_prime)
 
+    def test_mask_drawn_without_weighting(self, monkeypatch):
+        # synthesize stores the raw H and the mask, so it draws the mask
+        # alone: the bytes of apply_missingness's mask, and no weighted copy
+        import graphon_lab.synthesis as synthesis
+
+        obs = synthesize(self._config(missing_p=0.3))
+        assert obs.mask.tobytes() == apply_missingness(obs.H, 0.3, seed=77)[1].tobytes()
+        monkeypatch.setattr(synthesis, "apply_missingness",
+                            lambda *a, **k: pytest.fail("weighted matrix built"))
+        assert synthesize(self._config(missing_p=0.3)).mask.tobytes() == obs.mask.tobytes()
+
     def test_gaussian_out_of_band_warns(self):
         # declared sup-norm bound rho=0.5 but means sit at 0.6: allowed for
         # the gaussian model, flagged with a warning instead of rejected
