@@ -152,10 +152,15 @@ def _cmd_ewa(args) -> int:
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")
-        beta = temperature(_noise_from_args(args))
+        noise = _noise_from_args(args)
+        beta = temperature(noise)
+        try:
+            check_temperature(beta)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: --beta auto from {noise.to_dict()}") from None
     else:
         beta = float(args.beta)
-    check_temperature(beta)
+        check_temperature(beta)
     reports = fit_grid(H, grid, seed=args.seed)
     result = ewa_aggregate([reports[e].model for e in grid], H_prime, beta)
     out = Path(args.output)
@@ -218,7 +223,10 @@ def _cmd_eval(args) -> int:
             raise ValueError("--metrics rate needs --meta")
         noise_dict = _key(args.meta, meta, "noise_model", of=dict)
         _key(args.meta, meta, "noise_model", "kind", of=str)
-        noise = NoiseModel.from_dict(noise_dict)
+        try:
+            noise = NoiseModel.from_dict(noise_dict, "noise_model")
+        except ValueError as exc:
+            raise ValueError(f"{args.meta}: {exc}") from None
         out["rate_bound"] = rate_bound(
             noise, _key(args.meta, meta, "rho", of=float), model.n, model.m, model.K, model.L
         )

@@ -23,6 +23,7 @@ __all__ = [
     "ObservationSet",
     "DimensionMismatch",
     "finite_positive",
+    "check_seed",
     "induced_mean",
     "frobenius_cost",
     "group_sums",
@@ -215,6 +216,13 @@ def finite_positive(x) -> bool:
     return isinstance(x, Real) and math.isfinite(x) and x > 0
 
 
+def check_seed(seed) -> None:
+    """``ValueError`` naming the seed unless it is a non-negative integer, as
+    numpy's ``SeedSequence`` needs.  A bool is refused: JSON ``true`` loads as 1."""
+    if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _in_band(values: np.ndarray, rho: float) -> bool:
     """Whether every value lies in ``[0, rho]`` up to the tolerance; NaN does not."""
     return bool(values.min() >= -_VALIDATION_TOL and values.max() <= rho + _VALIDATION_TOL)
@@ -348,7 +356,11 @@ class Graphon:
 # Noise models
 # --------------------------------------------------------------------------
 
-_NOISE_KINDS = ("bernoulli", "binomial", "scaled_poisson", "gaussian")
+# each noise kind and the one parameter it takes
+_NOISE_PARAMS = {
+    "bernoulli": (), "binomial": ("N",), "scaled_poisson": ("T",), "gaussian": ("sigma2",)
+}
+_NOISE_KINDS = tuple(_NOISE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -374,6 +386,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("N", "T", "sigma2"):
+            if getattr(self, name) is not None and name not in _NOISE_PARAMS[self.kind]:
+                raise ValueError(f"{self.kind} noise takes no {name}")
         # isinstance first: a JSON noise object may carry any value here
         if self.kind == "binomial" and not (isinstance(self.N, Integral) and 1 <= self.N < 2**63):
             raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r} "
@@ -416,7 +431,15 @@ class NoiseModel:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
     @staticmethod
-    def from_dict(d: dict) -> "NoiseModel":
+    def from_dict(d: dict, name: str = "noise") -> "NoiseModel":
+        """The model of a :meth:`to_dict` object.  Raises ``ValueError`` naming,
+        as ``name.key``, each key other than ``kind`` and the kind's parameter."""
+        if d["kind"] in _NOISE_KINDS:
+            allowed = ("kind",) + _NOISE_PARAMS[d["kind"]]
+            extra = [f"{name}.{key}" for key in d if key not in allowed]
+            if extra:
+                raise ValueError(f"unknown key(s) {', '.join(extra)}: {d['kind']} noise "
+                                 f"takes only {' and '.join(allowed)}")
         return NoiseModel(
             d["kind"], N=d.get("N"), T=d.get("T"), sigma2=d.get("sigma2")
         )

@@ -18,7 +18,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel, bin_sums, block_means, finite_positive, group_sums
+from .core import (
+    AssignmentMatrix, BlockModel, block_means, check_seed, finite_positive, group_sums,
+)
 from .flow import min_cost_assignment
 from .synthesis import substream
 
@@ -82,19 +84,23 @@ def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndar
 # --------------------------------------------------------------------------
 
 
-def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each point (squared norms ``sq_norms``) to each center."""
-    d = sq_norms[:, None] - 2.0 * points @ centers.T + (centers * centers).sum(axis=1)[None, :]
-    return np.maximum(d, 0.0)
+def _sq_dists(neg2: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared distances, clamped at 0 and in ``out`` if given, from the points
+    (``neg2 = -2 P``; squared norms ``n x 1`` or ``n x k``) to each center:
+    per entry ``-2 P C^T``, plus the point's norm, plus the center's."""
+    out = np.matmul(neg2, centers.T, out=out)
+    out += sq_norms
+    out += (centers * centers).sum(axis=1)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _kmeans_pp(
-    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
+def _kmeans_pp(points: np.ndarray, neg2: np.ndarray, sq_norms: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, sq_norms, centers[:1]).ravel()
+    d2 = _sq_dists(neg2, sq_norms, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -102,20 +108,23 @@ def _kmeans_pp(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, sq_norms, centers[j : j + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(neg2, sq_norms, centers[j : j + 1]).ravel())
     return centers
 
 
 def _update_centers(
-    points: np.ndarray, labels: np.ndarray, counts: np.ndarray, centers: np.ndarray
+    Pt: np.ndarray, labels: np.ndarray, counts: np.ndarray, centers: np.ndarray
 ) -> None:
     """Move each non-empty cluster's center to its members' mean, in place.
 
-    ``bin_sums`` adds each cluster's members in point order, as a
-    per-cluster ``mean(axis=0)`` does for two or more coordinates, so the
-    centers match that loop bitwise.
+    ``Pt`` holds the points as columns, in C order.  One ``bincount`` over
+    (coordinate, cluster) bins adds each cluster's members in point order,
+    as a per-cluster ``mean(axis=0)`` does for two or more coordinates, so
+    the centers match that loop bitwise.
     """
-    sums = bin_sums(points, labels, len(centers))
+    w, k = Pt.shape[0], len(centers)
+    bins = (np.arange(w)[:, None] * k + labels).ravel()
+    sums = np.bincount(bins, weights=Pt.ravel(), minlength=w * k).reshape(w, k).T
     present = counts > 0
     centers[present] = sums[present] / counts[present][:, None]
 
@@ -128,22 +137,28 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     points are first scaled by the power of two that puts their largest
     magnitude in [1, 2), which is exact, so the labels do not depend on the
     data's scale and squared distances neither overflow nor underflow.
-    Returns the labels of the best restart.
+    Returns the labels of the best restart.  Raises ``ValueError`` for
+    non-finite points.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k > n:
         raise ValueError("cannot form more clusters than points")
+    if not np.isfinite(points).all():
+        raise ValueError("k-means points must be finite")
     points = np.ldexp(points, 1 - np.frexp(np.abs(points).max(initial=0.0))[1])
-    sq_norms = (points * points).sum(axis=1)
+    neg2, Pt = -2.0 * points, np.ascontiguousarray(points.T)
+    # -2 P C^T has the bits of (2 P) C^T negated; one buffer serves every iteration
+    sq_rep = np.repeat((points * points).sum(axis=1), k).reshape(n, k)
+    d2 = np.empty((n, k))
     rows = np.arange(n)
     best_labels, best_wcss = None, np.inf
     for r in range(_KMEANS_RESTARTS):
         rng = substream(seed, 50 + r)
-        centers = _kmeans_pp(points, sq_norms, k, rng)
+        centers = _kmeans_pp(points, neg2, sq_rep[:, :1], k, rng)
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(_KMEANS_MAX_ITERS):
-            d2 = _sq_dists(points, sq_norms, centers)
+            _sq_dists(neg2, sq_rep, centers, d2)
             new_labels = np.argmin(d2, axis=1)
             counts = np.bincount(new_labels, minlength=k)
             if counts.min() == 0:
@@ -158,10 +173,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            _update_centers(points, labels, counts, centers)
+            _update_centers(Pt, labels, counts, centers)
         else:
             # unconverged: the centers moved after the last distance matrix
-            d2 = _sq_dists(points, sq_norms, centers)
+            _sq_dists(neg2, sq_rep, centers, d2)
         wcss = float(d2[rows, labels].sum())
         if wcss < best_wcss - 1e-12:
             best_labels, best_wcss = labels, wcss
@@ -174,10 +189,13 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _degree_trim(H: np.ndarray) -> np.ndarray:
-    """Rescale rows/columns with more than twice the average absolute mass."""
-    out = np.array(H, dtype=np.float64, copy=True)
+    """Rescale rows/columns with more than twice the average absolute mass.
+    Without a negative entry, the masses are sums of the matrix itself; H is
+    copied only to rescale, so with no heavy row or column it is returned."""
+    out = np.asarray(H, dtype=np.float64)
+    signed = out.min(initial=0.0) < 0
     for axis in (0, 1):
-        mass = np.abs(out).sum(axis=1 - axis)
+        mass = (np.abs(out) if signed else out).sum(axis=1 - axis)
         avg = mass.mean()
         if avg <= 0:
             continue
@@ -185,7 +203,7 @@ def _degree_trim(H: np.ndarray) -> np.ndarray:
         if heavy.any():
             scale = np.ones_like(mass)
             scale[heavy] = avg / mass[heavy]
-            out *= scale[:, None] if axis == 0 else scale[None, :]
+            out = out * (scale[:, None] if axis == 0 else scale[None, :])
     return out
 
 
@@ -245,8 +263,8 @@ def spectral_embedding(
         raise ValueError("H must be finite")
     A = _degree_trim(H)
     B = A if A.shape[0] >= A.shape[1] else A.T
-    exp = 1 - np.frexp(np.abs(B).max())[1]
-    C = np.ldexp(B, exp)
+    exp = 1 - np.frexp(max(B.max(), -B.min()))[1]
+    C = B if exp == 0 else np.ldexp(B, exp)
     V = None
     if rank is not None and B.shape[1] >= _RSVD_MIN_RATIO * (rank + _RSVD_OVERSAMPLE):
         omega = substream(seed, 98).standard_normal((B.shape[1], rank + _RSVD_OVERSAMPLE))
@@ -330,7 +348,7 @@ class FitConfig:
         if self.K < 2 or self.L < 2:
             raise ValueError("K and L must be at least 2")
         if self.n0 < 0 or self.m0 < 0:
-            raise ValueError("minimum sizes must be nonnegative")
+            raise ValueError(f"minimum sizes must be nonnegative, got n0={self.n0}, m0={self.m0}")
         if self.init not in ("spectral", "random", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.init_labels is None:
@@ -341,6 +359,7 @@ class FitConfig:
             raise ValueError("max_iters must be positive")
         if not (finite_positive(self.tol_gamma) or self.tol_gamma == 0):
             raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
+        check_seed(self.seed)
 
     def validate_for(self, n: int, m: int) -> None:
         """``ValueError`` unless ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
@@ -706,8 +725,10 @@ def fit_grid(
     componentwise at most the entry's.  Each run equals :func:`lloyd_fit`
     with ``init="given"`` from the same labels.  Raises ``ValueError``,
     before any work, when an entry breaks :class:`FitConfig`'s rules for
-    the shape of ``H`` (the message names the entry) or ``H`` is not finite.
+    the shape of ``H`` (the message names the entry), ``seed`` is not a
+    non-negative integer or ``H`` is not finite.
     """
+    check_seed(seed)
     n, m = np.shape(H)
     for K, L, n0, m0 in grid:
         try:

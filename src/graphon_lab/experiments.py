@@ -21,7 +21,7 @@ from typing import (
 import numpy as np
 
 from .aggregation import check_temperature, ewa_weights, mixture, sq_residuals, temperature
-from .core import AssignmentMatrix, Graphon, NoiseModel, finite_positive, induced_mean
+from .core import AssignmentMatrix, Graphon, NoiseModel, check_seed, finite_positive, induced_mean
 from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import (
     delta_tilde,
@@ -145,6 +145,7 @@ class ExperimentSpec:
             raise ValueError("give K and L (only the hoelder setup may omit both)")
         if self.reps < 1:
             raise ValueError("reps must be positive")
+        check_seed(self.seed)
         if self.n_values is not None:
             object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         if self.rho_values is not None:

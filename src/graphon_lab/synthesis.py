@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Graphon, NoiseModel, ObservationSet
+from .core import Graphon, NoiseModel, ObservationSet, check_seed
 
 __all__ = [
     "SynthConfig",
@@ -47,6 +48,8 @@ STREAM_NOISE = 1
 STREAM_MASK = 2
 STREAM_SECOND = 3
 STREAM_GRAPHON = 4
+# the largest mean numpy's Poisson sampler takes
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -80,6 +83,7 @@ class SynthConfig:
             raise ValueError("n and m must be positive")
         if self.missing_p is not None and not (0 < self.missing_p <= 1):
             raise ValueError("missing_p must lie in (0, 1]")
+        check_seed(self.seed)
 
 
 def sample_latents(n: int, m: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,7 +130,11 @@ def sample_observations(
     if noise.kind == "scaled_poisson":
         if theta.min() < 0:
             raise ValueError("poisson means must be nonnegative")
-        return rng.poisson(noise.T * theta).astype(np.float64) / noise.T
+        lam = noise.T * theta
+        if lam.max(initial=0.0) > _POISSON_LAM_MAX:
+            raise ValueError(f"scaled_poisson T = {noise.T!r} puts a mean T * theta above "
+                             f"{_POISSON_LAM_MAX:.4g}, the limit of numpy's Poisson sampler")
+        return rng.poisson(lam).astype(np.float64) / noise.T
     # gaussian
     return theta + math.sqrt(noise.sigma2) * rng.standard_normal(theta.shape)
 
@@ -175,8 +183,16 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
                   ``rho/2 * (1 + exp(-10*((u-1/2)^2 + (v-1/2)^2)))``,
                   which is Lipschitz (alpha = 1), as the rank-2 factors
                   ``rho/2 + rho/2 * a(u) a(v)``, ``a(x) = exp(-10*(x-1/2)^2)``.
+
+    Raises ``ValueError`` naming ``K``, ``L`` or ``seed`` when a cell count is
+    not a positive integer or the seed not a non-negative one.
     """
+    if kind in ("rand", "cos"):
+        for name in ("K", "L"):
+            if not (isinstance(params[name], Integral) and params[name] >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {params[name]!r}")
     if kind == "rand":
+        check_seed(params["seed"])
         K, L, rho, seed = params["K"], params["L"], params["rho"], params["seed"]
         rng = substream(seed, STREAM_GRAPHON)
         values = rho * rng.random((K, L))
@@ -220,6 +236,9 @@ def synthesize(config: SynthConfig) -> ObservationSet:
     """
     U, V = sample_latents(config.n, config.m, config.seed)
     theta = build_theta(config.graphon, U, V)
+    if config.noise.kind in ("bernoulli", "binomial") and theta.max() > 1:
+        raise ValueError(f"{config.noise.kind} means must lie in [0, 1]; the graphon's "
+                         f"rho = {config.graphon.rho!r} gives {theta.max():.6g}")
     if config.noise.kind == "gaussian" and (
         theta.min() < -1e-12 or theta.max() > config.graphon.rho + 1e-12
     ):

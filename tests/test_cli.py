@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -410,6 +411,68 @@ def test_eval_meta_of_a_wrong_json_type_exits_two(synth_dir, tmp_path, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "noise_model, key",
+    [({"kind": "bernoulli", "N": "x", "bogus": 1}, "noise_model.N"),
+     ({"kind": "binomial", "N": 4, "sigma2": 0.5}, "noise_model.sigma2"),
+     ({"kind": "gaussian", "sigma2": 0.5, "T": None}, "noise_model.T")],
+    ids=["bernoulli-N", "binomial-sigma2", "gaussian-null-T"],
+)
+def test_eval_meta_noise_model_with_an_unknown_key_exits_two(synth_dir, tmp_path, capsys,
+                                                              noise_model, key):
+    # these keys used to be ignored, and the rate bound written with exit 0
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    meta = load_json(synth_dir / "meta.json")
+    meta["noise_model"] = noise_model
+    meta_path = tmp_path / "meta.json"
+    dump_json(meta_path, meta)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--meta", str(meta_path), "--metrics", "rate", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and key in err
+    assert not out.exists()
+
+
+def test_experiment_noise_with_an_unknown_key_exits_two(tmp_path, capsys):
+    spec = {"name": "bad", "setup": "rand_graphon", "K": 2, "L": 2, "n_values": [16],
+            "reps": 1, "noise": {"kind": "bernoulli", "sigma2": "oops"}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    rc = main(["experiment", "--config", str(tmp_path / "spec.json"),
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "noise.sigma2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "ewa"])
+def test_negative_seed_exits_two_naming_the_seed(synth_dir, tmp_path, capsys, command):
+    # numpy's SeedSequence refused it with "expected non-negative integer"
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--n", "20", "--m", "10", "--outdir", str(out)],
+        "fit": ["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                "--output", str(out)],
+        "ewa": ["ewa", "--grid", "default", "--beta", "1", "--input", str(synth_dir / "H.csv"),
+                "--input-prime", str(synth_dir / "H_prime.csv"), "--output", str(out)],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--K", "--L"])
+def test_synth_zero_clusters_exits_two_naming_the_count(tmp_path, capsys, flag):
+    # the rand graphon used to fail on its breakpoints
+    rc = main(["synth", "--n", "20", "--m", "10", flag, "0", "--outdir", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"{flag[2:]} must be a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_fit_nan_tolerance_exits_two(synth_dir, tmp_path, capsys):
     out = tmp_path / "model.json"
     rc = main(["fit", "--K", "2", "--L", "2", "--tol", "nan",
@@ -633,6 +696,20 @@ FUZZ_NOISE = {
     "fit": (None,),
     "ewa": (None, "bernoulli", "binomial", "gaussian"),
 }
+# the names a refusal may give for each flag: the flag or its field
+FUZZ_NAMES = {
+    "--n": ("n",), "--m": ("m",), "--K": ("K",), "--L": ("L",), "--rho": ("rho",),
+    "--noise-param": ("N", "T", "sigma2"), "--seed": ("seed",), "--missing-p": ("missing_p",),
+    "--n0": ("n0",), "--m0": ("m0",), "--restarts": ("restarts",),
+    "--max-iters": ("max_iters",), "--tol": ("tol_gamma",), "--beta": ("beta",),
+    "--noise": ("--noise-param",),
+}
+
+
+def _names_a_flag(message, flags):
+    """Whether ``message`` holds one of ``flags`` or a field name of one, as a word."""
+    names = [name for flag in flags for name in (flag,) + FUZZ_NAMES[flag]]
+    return any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", message) for name in names)
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +729,15 @@ def _numeric_flags(draw):
                                   st.sampled_from(FUZZ_VALUES)))
     extra = [] if noise is None else ["--noise", noise]
     return command, extra + [x for item in values.items() for x in item]
+
+
+def _fuzzed_flags(command, extra):
+    """The flags a refusal of ``extra`` may name: the drawn ones, and for ewa
+    without ``--noise`` also ``--beta``, whose default ``auto`` needs one."""
+    flags = [x for x in extra if x.startswith("--")]
+    if command == "ewa" and "--noise" not in flags:
+        flags.append("--beta")
+    return flags
 
 
 def _reject_constant(token):
@@ -681,6 +767,8 @@ def test_numeric_flags_exit_zero_or_two(fuzz_data, case):
             except SystemExit as exc:  # argparse refusing a value
                 rc = exc.code
         assert rc in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        if rc == 2:
+            assert _names_a_flag(err.getvalue(), _fuzzed_flags(command, extra)), err.getvalue()
         if rc == 0:
             for path in out.rglob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)

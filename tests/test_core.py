@@ -15,6 +15,7 @@ from graphon_lab.core import (
     block_inner,
     block_means,
     block_sums,
+    check_seed,
     frobenius_cost,
     group_sums,
     induced_mean,
@@ -323,6 +324,29 @@ class TestNoiseModel:
         ):
             assert NoiseModel.from_dict(noise.to_dict()) == noise
 
+    @pytest.mark.parametrize(
+        "d, keys",
+        [({"kind": "bernoulli", "N": "x", "bogus": 1}, "noise.N, noise.bogus"),
+         ({"kind": "binomial", "N": 3, "T": 2.0}, "noise.T"),
+         ({"kind": "scaled_poisson", "T": 2.0, "sigma2": None}, "noise.sigma2"),
+         ({"kind": "gaussian", "sigma2": 1.0, "N": 2}, "noise.N")],
+    )
+    def test_from_dict_refuses_keys_of_other_kinds(self, d, keys):
+        # these used to be ignored
+        with pytest.raises(ValueError, match=f"unknown key\\(s\\) {keys}: {d['kind']} noise"):
+            NoiseModel.from_dict(d)
+        with pytest.raises(ValueError, match=keys.replace("noise.", "noise_model.")):
+            NoiseModel.from_dict(d, "noise_model")
+
+    def test_parameters_of_other_kinds_rejected(self):
+        # so that to_dict writes only keys that from_dict reads back
+        for kind, name, value in [("bernoulli", "N", 5), ("binomial", "T", 1.0),
+                                  ("gaussian", "T", 2.0), ("scaled_poisson", "sigma2", 1.0)]:
+            params = {"binomial": {"N": 2}, "gaussian": {"sigma2": 1.0},
+                      "scaled_poisson": {"T": 1.0}}.get(kind, {})
+            with pytest.raises(ValueError, match=f"{kind} noise takes no {name}"):
+                NoiseModel(kind, **params, **{name: value})
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.binomial(0)
@@ -341,6 +365,17 @@ class TestNoiseModel:
         for d in ({"kind": "gaussian", "sigma2": value}, {"kind": "scaled_poisson", "T": value}):
             with pytest.raises(ValueError, match="finite"):
                 NoiseModel.from_dict(d)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**70])
+def test_check_seed_accepts_non_negative_integers(seed):
+    check_seed(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.0, True, "3", None])
+def test_check_seed_names_the_parameter(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got"):
+        check_seed(seed)
 
 
 class TestObservationSet:

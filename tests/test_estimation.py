@@ -150,7 +150,7 @@ class TestKMeans:
             counts = np.bincount(labels, minlength=k)
             start = rng.standard_normal((k, d))
             got, want = start.copy(), start.copy()
-            estimation._update_centers(points, labels, counts, got)
+            estimation._update_centers(np.ascontiguousarray(points.T), labels, counts, got)
             _update_centers_loop(points, labels, counts, want)
             assert got.tobytes() == want.tobytes()
 
@@ -164,7 +164,8 @@ class TestKMeans:
         cases = [(emb[:, :k], k) for emb in (row_emb, col_emb) for k in (1, 2, 4, 7)]
         cases.append((clouds, 8))
         grouped = [kmeans(points, k, seed=k) for points, k in cases]
-        monkeypatch.setattr(estimation, "_update_centers", _update_centers_loop)
+        monkeypatch.setattr(estimation, "_update_centers",
+                            lambda Pt, *args: _update_centers_loop(Pt.T, *args))
         for (points, k), labels in zip(cases, grouped):
             assert np.array_equal(kmeans(points, k, seed=k), labels)
 
@@ -290,6 +291,113 @@ class TestKMeansReference:
             assert np.array_equal(scaled, kmeans(points, k, seed=i))
 
 
+def _kmeans_point_major(points, k, seed):
+    """k-means as one point-major loop: per iteration the ``n x k`` matrix
+    ``|p|^2 - (2 P) C^T + |c|^2`` clamped at 0, labels by ``argmin(axis=1)``
+    and the centers from ``bin_sums`` of the points.  :func:`kmeans` must give
+    its labels bitwise: its distances take the same operations per entry."""
+
+    def sq_dists(centers):
+        d = sq_norms[:, None] - 2.0 * points @ centers.T + (centers * centers).sum(axis=1)[None, :]
+        return np.maximum(d, 0.0)
+
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    points = np.ldexp(points, 1 - np.frexp(np.abs(points).max(initial=0.0))[1])
+    sq_norms = (points * points).sum(axis=1)
+    rows = np.arange(n)
+    best_labels, best_wcss = None, np.inf
+    for r in range(estimation._KMEANS_RESTARTS):
+        rng = substream(seed, 50 + r)
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        d2 = sq_dists(centers[:1]).ravel()
+        for j in range(1, k):
+            total = d2.sum()
+            idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+            centers[j] = points[idx]
+            d2 = np.minimum(d2, sq_dists(centers[j : j + 1]).ravel())
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(estimation._KMEANS_MAX_ITERS):
+            d2 = sq_dists(centers)
+            new_labels = np.argmin(d2, axis=1)
+            counts = np.bincount(new_labels, minlength=k)
+            if counts.min() == 0:
+                assigned = d2[rows, new_labels]
+                for empty in np.flatnonzero(counts == 0):
+                    far = int(np.argmax(np.where(counts[new_labels] > 1, assigned, -1.0)))
+                    counts[new_labels[far]] -= 1
+                    counts[empty] = 1
+                    new_labels[far] = empty
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            present = counts > 0
+            centers[present] = core.bin_sums(points, labels, k)[present] / counts[present][:, None]
+        else:
+            d2 = sq_dists(centers)
+        wcss = float(d2[rows, labels].sum())
+        if wcss < best_wcss - 1e-12:
+            best_labels, best_wcss = labels, wcss
+    return best_labels
+
+
+@st.composite
+def _kmeans_case(draw):
+    """Points, k, a seed and an iteration cap (1 to 3 cut most runs).  The
+    points are continuous, small integers (ties), or copies of fewer distinct
+    points than clusters (every restart repairs empty clusters), times
+    ``c 2^e`` with ``c`` in {1, 0.7, 3} and ``|e| <= 30``."""
+    kind = draw(st.sampled_from(["continuous", "integer", "few"]))
+    n, w = draw(st.integers(1, 400)), draw(st.integers(1, 24))
+    k = draw(st.integers(1, min(n, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "continuous":
+        points = rng.standard_normal((n, w))
+    elif kind == "integer":
+        points = rng.integers(-2, 3, (n, w)).astype(np.float64)
+    else:
+        distinct = draw(st.integers(1, max(1, k - 1)))
+        points = rng.standard_normal((distinct, w))[rng.integers(0, distinct, n)]
+    scale = draw(st.sampled_from([1.0, 0.7, 3.0])) * 2.0 ** draw(st.integers(-30, 30))
+    max_iters = draw(st.sampled_from([1, 2, 3, estimation._KMEANS_MAX_ITERS]))
+    return points * scale, k, draw(st.integers(0, 2**31)), max_iters
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kmeans_case())
+def test_kmeans_matches_point_major_loop(case):
+    # the distances run on a reused buffer from -2 P and the centers from P^T:
+    # labels equal the point-major loop's bitwise, cut runs and repairs too
+    points, k, seed, max_iters = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_KMEANS_MAX_ITERS", max_iters)
+        assert np.array_equal(kmeans(points, k, seed), _kmeans_point_major(points, k, seed))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 8, 20])
+def test_kmeans_matches_point_major_loop_on_near_copies(seed):
+    # copies of 2 to 15 points in 16 to 24 coordinates: the centers are means of
+    # copies, so a point's distances to several of them differ in the last bits.
+    # On these inputs OpenBLAS 0.3.31 (Haswell) gave C P^T other bits than
+    # (P C^T)^T, and k-means on that k x n product other labels
+    rng = np.random.default_rng(seed)
+    n, w = int(rng.integers(100, 600)), int(rng.integers(16, 25))
+    k = int(rng.integers(4, 16))
+    distinct = int(rng.integers(2, k))
+    points = rng.standard_normal((distinct, w))[rng.integers(0, distinct, n)]
+    assert np.array_equal(kmeans(points, k, seed), _kmeans_point_major(points, k, seed))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_refuses_non_finite_points(bad):
+    # NaN used to reach rng.choice ("Probabilities contain NaN")
+    points = np.ones((6, 2))
+    points[3, 1] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        kmeans(points, 2, seed=0)
+
+
 class TestSpectralInit:
     def test_rank_one_row_scales(self):
         rng = np.random.default_rng(1)
@@ -375,6 +483,87 @@ def _embedding_inputs():
         "times-1e200": (tall * 1e200, (1, 2, 3, 5)),
         "times-1e-200": (tall * 1e-200, (1, 2, 3, 5)),
     }
+
+
+def _abs_trim_embedding(H, rank=None, seed=0):
+    """:func:`spectral_embedding` with the masses and the prescale read from
+    ``np.abs`` copies of the trimmed matrix, whatever its signs, on a copy of
+    H and its scaled copy."""
+    A = np.array(H, dtype=np.float64, copy=True)
+    for axis in (0, 1):
+        mass = np.abs(A).sum(axis=1 - axis)
+        avg = mass.mean()
+        if avg <= 0:
+            continue
+        heavy = mass > 2 * avg
+        if heavy.any():
+            scale = np.ones_like(mass)
+            scale[heavy] = avg / mass[heavy]
+            A *= scale[:, None] if axis == 0 else scale[None, :]
+    B = A if A.shape[0] >= A.shape[1] else A.T
+    exp = 1 - np.frexp(np.abs(B).max())[1]
+    C = np.ldexp(B, exp)
+    V = None
+    if rank is not None and B.shape[1] >= estimation._RSVD_MIN_RATIO * (
+            rank + estimation._RSVD_OVERSAMPLE):
+        omega = substream(seed, 98).standard_normal(
+            (B.shape[1], rank + estimation._RSVD_OVERSAMPLE))
+        Q = np.linalg.qr(C @ omega)[0]
+        for _ in range(estimation._RSVD_POWER_ITERS):
+            Q = np.linalg.qr(C @ np.linalg.qr(C.T @ Q)[0])[0]
+        _, s, Vt = np.linalg.svd(Q.T @ C, full_matrices=False)
+        top = s[:rank]
+        if not ((top > estimation._RSVD_NOISE * s[-1])
+                & (top < estimation._RSVD_RESOLVED * s[-1])).any():
+            V = Vt[:rank].T
+            s = np.ldexp(top, -exp)
+    if V is None:
+        lam, V = np.linalg.eigh(C.T @ C)
+        V = V[:, ::-1]
+        s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), -exp)
+    row, col = (B @ V, V * s) if B is A else (V * s, B @ V)
+    return row[:, :rank], col[:, :rank]
+
+
+def _heavy(H):
+    """``H`` with three rows and two columns scaled up past twice the average mass."""
+    H = H.copy()
+    H[[0, 5, 9]] *= 6.0
+    H[:, [1, 4]] *= 9.0
+    return H
+
+
+def _trim_inputs():
+    g = make_standard_graphon("rand", K=4, L=4, rho=0.6, seed=8)
+    draw = lambda n, m, noise: synthesize(SynthConfig(n, m, g, noise, seed=n + m)).H
+    binary = draw(300, 150, NoiseModel.bernoulli())
+    return {
+        "binary-heavy": _heavy(binary),
+        "binary-wide-heavy": _heavy(draw(120, 240, NoiseModel.bernoulli())),
+        "counts-heavy": _heavy(draw(200, 140, NoiseModel.scaled_poisson(2.0))),
+        "gaussian-heavy": _heavy(draw(300, 150, NoiseModel.gaussian(1.0))),
+        "nonpositive": -_heavy(binary),
+        # the prescale is exact, so only a scale it must undo shows a wrong one
+        "nonpositive-times-1e200": -_heavy(binary) * 1e200,
+        "all-zero": np.zeros((30, 20)),
+        "negative-zeros": np.full((30, 20), -0.0),
+        # no heavy row or column and a prescale of 1: nothing is copied
+        "binary": binary,
+        "binary-fortran": np.asfortranarray(binary),
+        "binary-strided": binary[::2, ::2],
+        "binary-transposed": binary.T,
+    }
+
+
+@pytest.mark.parametrize("case", list(_trim_inputs()))
+@pytest.mark.parametrize("rank", [None, 3])
+def test_embedding_matches_abs_trim(case, rank):
+    # without a negative entry the trim sums H or its copy and the prescale
+    # reads max(B.max(), -B.min()); H is copied only to rescale, and not
+    # prescaled by 1, in any layout: the same bytes as the copies give
+    H = _trim_inputs()[case]
+    got, want = spectral_embedding(H, rank, seed=4), _abs_trim_embedding(H, rank, seed=4)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 class TestSpectralEmbedding:
@@ -669,6 +858,16 @@ class TestLloydFit:
         with pytest.raises(ValueError, match="tol_gamma"):
             FitConfig(K=2, L=2, tol_gamma=tol)
         assert FitConfig(K=2, L=2, tol_gamma=0.0).tol_gamma == 0.0
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed, monkeypatch):
+        # numpy's SeedSequence used to refuse -1 without naming the seed; a
+        # grid refuses it before its spectral start
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            FitConfig(K=2, L=2, seed=seed)
+        monkeypatch.setattr(estimation, "spectral_embedding", lambda *a: pytest.fail("embedded"))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            fit_grid(np.eye(6), HyperGrid(((2, 2, 0, 0),)), seed=seed)
 
     def test_missing_data_p_one_bit_identical(self):
         g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=4)

@@ -27,6 +27,12 @@ class TestLatents:
         with pytest.raises(ValueError):
             SynthConfig(0, 5, g, NoiseModel.bernoulli(), seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seed_rejected_at_config(self, seed):
+        g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SynthConfig(5, 5, g, NoiseModel.bernoulli(), seed=seed)
+
     def test_uniform_mean(self):
         # 4 standard errors for Uniform[0,1] variance 1/12 at n = 10^4
         U, _ = sample_latents(10**4, 1, seed=42)
@@ -62,6 +68,18 @@ class TestObservations:
         H = sample_observations(theta, NoiseModel.binomial(10), seed=11)
         se = math.sqrt(0.3 * 0.7 / 10) / 100
         assert abs(H.mean() - 0.3) <= 4 * se
+
+    def test_poisson_mean_beyond_the_sampler_names_T(self):
+        # numpy refused it with "lam value too large", naming no parameter
+        theta = np.full((2, 3), 0.5)
+        assert sample_observations(theta, NoiseModel.scaled_poisson(1e18), seed=0).max() > 0
+        with pytest.raises(ValueError, match="scaled_poisson T = 1e\\+308"):
+            sample_observations(theta, NoiseModel.scaled_poisson(1e308), seed=0)
+
+    def test_bernoulli_means_above_one_name_rho(self):
+        g = make_standard_graphon("cos", K=2, L=2, rho=2.5)
+        with pytest.raises(ValueError, match="rho = 2.5"):
+            synthesize(SynthConfig(6, 4, g, NoiseModel.bernoulli(), seed=0))
 
     def test_mean_range_checked(self):
         with pytest.raises(ValueError):
@@ -159,6 +177,17 @@ class TestStandardGraphons:
         g2 = make_standard_graphon("rand", K=3, L=2, rho=0.4, seed=8)
         assert np.array_equal(g1.values, g2.values)
         assert g1.values.max() <= 0.4
+
+    @pytest.mark.parametrize("kind", ["rand", "cos"])
+    @pytest.mark.parametrize("name, value", [("K", 0), ("L", -1), ("K", 2.5)])
+    def test_cell_counts_must_be_positive_integers(self, kind, name, value):
+        params = {"K": 2, "L": 2, "rho": 0.5, **({"seed": 0} if kind == "rand" else {})}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            make_standard_graphon(kind, **{**params, name: value})
+
+    def test_rand_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            make_standard_graphon("rand", K=2, L=2, rho=0.5, seed=-1)
 
     def test_true_assignments_bins(self):
         g = make_standard_graphon("cos", K=4, L=2, rho=0.5)
