@@ -186,7 +186,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"unknown metric(s) {','.join(unknown)}; choose from {','.join(EVAL_METRICS)}"
         )
-    model = model_from_dict(load_json(args.model))
+    model = model_from_dict(load_json(args.model), args.model)
     theta_star = load_matrix(args.truth)
     theta_hat = induced_mean(model)
     out = {}

@@ -95,6 +95,14 @@ def _sq_dists(neg2: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
+def _draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)``: the same draw from the
+    same stream, without the checks of ``p`` that precede it there."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp(points: np.ndarray, neg2: np.ndarray, sq_norms: np.ndarray, k: int,
                rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
@@ -103,10 +111,7 @@ def _kmeans_pp(points: np.ndarray, neg2: np.ndarray, sq_norms: np.ndarray, k: in
     d2 = _sq_dists(neg2, sq_norms, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
+        idx = int(rng.integers(n)) if total <= 0 else _draw(d2, total, rng)
         centers[j] = points[idx]
         d2 = np.minimum(d2, _sq_dists(neg2, sq_norms, centers[j : j + 1]).ravel())
     return centers
@@ -424,22 +429,27 @@ def _repair_empty_rows(
 
 def _axis_step(
     sums: np.ndarray, sq_norms: np.ndarray, Q: np.ndarray,
-    fixed: AssignmentMatrix, floor: int,
-) -> Tuple[AssignmentMatrix, int, np.ndarray]:
+    fixed: np.ndarray, fixed_counts: np.ndarray, floor: int,
+) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Exact reassignment of the rows of H under size floor ``floor``.
 
-    ``sums`` is ``H Z`` for the fixed column assignment ``Z``.  The column
-    update is the same step on ``H^T Z_r`` and ``Q.T``.  An empty cluster
-    left by a floor-0 step is repaired.  Returns the assignment, its
-    smallest cluster size before any repair, and the cost matrix.
+    ``sums`` is ``H Z`` for the one-hot ``Z`` of the fixed column labels
+    ``fixed``, whose cluster sizes are ``fixed_counts``.  The column update
+    is the same step on ``H^T Z_r`` and ``Q.T``.  An empty cluster left by
+    a floor-0 step is repaired.  Returns the labels as the solver gave
+    them (unchecked), their cluster sizes, the smallest size before any
+    repair, and the cost matrix.
     """
-    c = _linear_costs(sums, Q, fixed.counts())
+    c = _linear_costs(sums, Q, fixed_counts)
     K = Q.shape[0]
-    z = AssignmentMatrix(len(sums), K, min_cost_assignment(c, floor))
-    size = z.min_size()
+    labels = min_cost_assignment(c, floor)
+    counts = np.bincount(labels, minlength=K)
+    size = int(counts.min())
     if size == 0:
-        z = _repair_empty_rows(sums, sq_norms, z.labels, fixed, K)
-    return z, size, c
+        z_fixed = AssignmentMatrix(len(fixed), len(fixed_counts), fixed)
+        z = _repair_empty_rows(sums, sq_norms, labels, z_fixed, K)
+        labels, counts = z.labels, z.counts()
+    return labels, counts, size, c
 
 
 class _Prepared(NamedTuple):
@@ -520,6 +530,10 @@ def _lloyd_run(
     """One run from the given labels on the prepared data of H."""
     H, Ht, H_sq, row_sq, col_sq = prep
     n, m = H.shape
+    # the start labels are checked here and the returned ones by the model;
+    # in between each axis is its labels, as the solver returns them, and
+    # their counts, which the repairs keep positive: every block mean below
+    # divides by a nonzero size
     zr = AssignmentMatrix(n, cfg.K, row_labels)
     zc = AssignmentMatrix(m, cfg.L, col_labels)
     Zc = np.eye(cfg.L)[zc.labels]
@@ -542,36 +556,37 @@ def _lloyd_run(
         HZc_from = zc.labels
         zc = _repair_empty_rows(HtZr, col_sq, zc.labels, zr, cfg.L)
         Zc = np.eye(cfg.L)[zc.labels]
+    rl, rc, cl, cc = zr.labels, zr.counts(), zc.labels, zc.counts()
     traj: list = []
     min_row = n
     min_col = m
     for _ in range(cfg.max_iters):
-        start = (zr.labels, zc.labels)
+        start = (rl, cl)
         if HZc is None or HZc_from is not None:
-            HZc = _times_moved(H, Ht, Zc, zc.labels, HZc, HZc_from)
+            HZc = _times_moved(H, Ht, Zc, cl, HZc, HZc_from)
             HZc_from = None
-        Q = block_means(Zr.T @ HZc, zr, zc)
+        Q = (Zr.T @ HZc) / np.outer(rc, cc)
         # a repaired step is only an exact minimizer for floor 0, so the
         # recorded per-step floor is the pre-repair minimum size; a repair
         # (floor 0) re-averages the blocks for the new labels
-        zr, row_floor, _ = _axis_step(HZc, row_sq, Q, zc, cfg.n0)
-        rows_kept = np.array_equal(start[0], zr.labels)
+        rl, rc, row_floor, _ = _axis_step(HZc, row_sq, Q, cl, cc, cfg.n0)
+        rows_kept = bool((start[0] == rl).all())
         if not rows_kept:
-            Zr, HtZr_from = np.eye(cfg.K)[zr.labels], start[0]
+            Zr, HtZr_from = np.eye(cfg.K)[rl], start[0]
         if row_floor == 0:
-            Q = block_means(Zr.T @ HZc, zr, zc)
+            Q = (Zr.T @ HZc) / np.outer(rc, cc)
         if HtZr is None or HtZr_from is not None:
-            HtZr = _times_moved(Ht, H, Zr, zr.labels, HtZr, HtZr_from)
+            HtZr = _times_moved(Ht, H, Zr, rl, HtZr, HtZr_from)
             HtZr_from = None
-        zc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
-        cols_kept = np.array_equal(start[1], zc.labels)
+        cl, cc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, rl, rc, cfg.m0)
+        cols_kept = bool((start[1] == cl).all())
         if not cols_kept:
-            Zc, HZc_from = np.eye(cfg.L)[zc.labels], start[1]
+            Zc, HZc_from = np.eye(cfg.L)[cl], start[1]
         if col_floor == 0:
-            Q = block_means((Zc.T @ HtZr).T, zr, zc)
-            c = _linear_costs(HtZr, Q.T, zr.counts())
+            Q = (Zc.T @ HtZr).T / np.outer(rc, cc)
+            c = _linear_costs(HtZr, Q.T, rc)
         # the linearized objective differs from the squared error by ||H||_F^2
-        phi = float(c[np.arange(m), zc.labels].sum())
+        phi = float(c[np.arange(m), cl].sum())
         traj.append(max(H_sq + phi, 0.0))
         min_row = min(min_row, row_floor)
         min_col = min(min_col, col_floor)
@@ -579,8 +594,9 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = block_means((Zc.T @ HtZr).T, zr, zc)
-    return BlockModel(Q, zr, zc), traj, (min_row, min_col)
+    Q = (Zc.T @ HtZr).T / np.outer(rc, cc)
+    model = BlockModel(Q, AssignmentMatrix(n, cfg.K, rl), AssignmentMatrix(m, cfg.L, cl))
+    return model, traj, (min_row, min_col)
 
 
 def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:

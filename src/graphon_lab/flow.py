@@ -35,15 +35,24 @@ holds for every later path into t and each such move is itself a
 shortest-path augmentation.  After the round the rows of W of the
 clusters whose members changed are recomputed.
 
-Cost: O(n K) to set up W, O(K^2) per Bellman-Ford pass (at most K passes
-per round) and O(n K) per round to refresh W.  A round fills at least one
-missing item, so there are at most as many rounds as items missing from
-the deficit clusters, and usually far fewer.  Ties: without a binding
-floor an item goes to the lowest cluster index among its cheapest;
-among members of one cluster with equal regret, the lowest item index
-moves.  Bellman-Ford ignores improvements below the rounding error of a
-K-edge path, so on non-integer costs the total is optimal up to that
-rounding.
+Cost: a call sets up in O(n K): the regrets from the cost entries at the
+argmin labels (the row minima bit for bit), the tolerance from the
+largest and smallest cost, W, and one set of Bellman-Ford buffers that
+every round reuses.  A round then takes a stable argsort of the labels
+(O(n log n)); the refresh of the rows of W of the clusters whose members
+changed (O(n K) at most) and of its diagonal in one indexed write;
+Bellman-Ford at O(K^2) per pass, at most K passes; per deficit a tree
+walk of at most K edges and, per edge not yet seen in the round, an
+argmin over the members of its tail (the bulk moves sort one cluster's
+regrets); and the regret update of the moved items (O(K) each).  A round
+fills at least one missing item, so there are at most as many rounds as
+items missing from the deficit clusters, and usually far fewer.
+
+Ties: without a binding floor an item goes to the lowest cluster index
+among its cheapest; among members of one cluster with equal regret, the
+lowest item index moves.  Bellman-Ford ignores improvements below the
+rounding error of a K-edge path, so on non-integer costs the total is
+optimal up to that rounding.
 """
 
 from __future__ import annotations
@@ -92,7 +101,7 @@ def min_cost_assignment(cost: np.ndarray, min_size: int) -> np.ndarray:
         )
     if not np.isfinite(cost).all():
         raise ValueError("cost must be finite")
-    labels = np.argmin(cost, axis=1)
+    labels = cost.argmin(axis=1)
     if min_size == 0:
         return labels
     counts = np.bincount(labels, minlength=K)
@@ -102,39 +111,41 @@ def min_cost_assignment(cost: np.ndarray, min_size: int) -> np.ndarray:
     return labels
 
 
-def _bellman_ford(into, spare):
-    """Distances and predecessors from every cluster with a spare member.
+def _bellman_ford(into, spare, via, dist, pred, rowstarts):
+    """Distances and predecessors, into ``dist`` and ``pred``, from every
+    cluster with a spare member; ``via`` is a ``K x K`` work buffer and
+    ``rowstarts`` the flat index of each of its rows.
 
     ``into[b, a]`` is the cost of the edge a -> b.
     """
-    K = len(into)
-    dist = np.array([0.0 if x > 0 else np.inf for x in spare])
-    pred = np.empty(K, dtype=np.int64)
+    dist[:] = [0.0 if x > 0 else np.inf for x in spare]
     pred.fill(-1)
-    cols = np.arange(K)
-    for _ in range(K):
-        via = into + dist
+    flat = via.ravel()
+    for _ in range(len(into)):
+        np.add(into, dist, out=via)
         best = via.argmin(axis=1)
-        cand = via[cols, best]
+        cand = flat[best + rowstarts]
         better = cand < dist
         if not np.count_nonzero(better):
             break
         np.copyto(pred, best, where=better)
         np.copyto(dist, cand, where=better)
-    return dist, pred
 
 
 def _fill_floors(cost, labels, counts, min_size):
     """Move items of ``labels`` (in place) until every cluster reaches the floor."""
     n, K = cost.shape
-    R = cost - np.minimum.reduce(cost, axis=1)[:, None]
+    # the entries at the argmin labels are the row minima bit for bit
+    R = cost - cost[np.arange(n), labels][:, None]
     # every edge carries the rounding error of a K-edge path, so that
     # Bellman-Ford ignores improvements below it and never follows a cycle
     # whose negative cost is rounding
-    tol = 16 * K * _EPS * np.maximum.reduce(np.abs(cost), axis=None)
+    tol = 16 * K * _EPS * max(cost.max(), -cost.min())
     into = np.full((K, K), np.inf)  # into[b, a] = W[a, b]
+    via, dist, pred = np.empty((K, K)), np.empty(K), np.empty(K, dtype=np.int64)
+    rowstarts = np.arange(0, K * K, K)  # via[b, best[b]] is via.flat[rowstarts + best]
     spare = (counts - min_size).tolist()  # negative: items missing
-    changed = range(K)
+    changed = everything = range(K)
     while True:
         # cluster a's members, ascending, are order[ends[a] - sizes[a] : ends[a]]
         order = labels.argsort(kind="stable")
@@ -146,18 +157,18 @@ def _fill_floors(cost, labels, counts, min_size):
 
         rows = [a for a in changed if sizes[a]]
         starts = [0, *itertools.accumulate(sizes[a] for a in rows[:-1])]
-        fresh = order if len(rows) == K else np.concatenate([members(a) for a in rows])
-        into[:, rows] = np.minimum.reduceat(R[fresh], np.array(starts)).T + tol
-        for a in rows:
-            into[a, a] = np.inf
-        dist, pred = _bellman_ford(into, spare)
-        dist_l, pred = dist.tolist(), pred.tolist()
+        # in the first round every cluster is fresh, and order lists them all
+        fresh = order if changed is everything else np.concatenate([members(a) for a in rows])
+        into[:, rows] = np.minimum.reduceat(R.take(fresh, axis=0), np.array(starts)).T + tol
+        into.flat[::K + 1] = np.inf
+        _bellman_ford(into, spare, via, dist, pred, rowstarts)
+        dist_l, pred_l = dist.tolist(), pred.tolist()
         deficits = sorted((t for t in range(K) if spare[t] < 0), key=dist_l.__getitem__)
         used, lost, moved, dest, tight = set(), set(), [], [], {}
         for t in deficits:
             path = [t]
-            while pred[path[-1]] >= 0:
-                path.append(pred[path[-1]])
+            while pred_l[path[-1]] >= 0:
+                path.append(pred_l[path[-1]])
                 if len(path) > K + 1:
                     raise RuntimeError("negative cycle in the cluster graph")
             s = path[-1]
@@ -168,8 +179,9 @@ def _fill_floors(cost, labels, counts, min_size):
                 if (a, b) not in tight:
                     # the lowest-index member of a with the least regret of
                     # moving to b, as labelled at the start of the round
+                    # (R[:, b][m] gathers from one column, faster than R[m, b])
                     m = members(a)
-                    tight[a, b] = m[R[m, b].argmin()].item()
+                    tight[a, b] = m[R[:, b][m].argmin()].item()
                 items.append(tight[a, b])
             if not used.isdisjoint(items):
                 continue
@@ -184,11 +196,11 @@ def _fill_floors(cost, labels, counts, min_size):
                 continue
             # bulk: further members of s straight to t while no other
             # cluster offers a cheaper way into t
-            via = (into[t] + dist).tolist()
-            via[s] = np.inf
-            bound = min(via) - tol
+            ways = (into[t] + dist).tolist()
+            ways[s] = np.inf
+            bound = min(ways) - tol
             m = members(s)
-            regret = R[m, t]
+            regret = R[:, t][m]
             nxt = regret.argsort(kind="stable")[1 : take + 1]
             for i, r in zip(m[nxt].tolist(), regret[nxt].tolist()):
                 if i in used or r > bound:

@@ -20,8 +20,10 @@ Fixed field names
 from __future__ import annotations
 
 import json
+import math
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -91,14 +93,47 @@ def model_to_dict(model: BlockModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> BlockModel:
+def _integral(x) -> bool:
+    # bool is an int subclass, and JSON true loads as one
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _finite_number(x) -> bool:
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def model_from_dict(d: dict, path: Optional[PathLike] = None) -> BlockModel:
+    """The model that :func:`model_to_dict` wrote.  Raises ``ValueError``,
+    naming ``path`` (when given) and the key, when a key is missing, when
+    K, L, n, m or a label is not an integer (a bool is not one), or when Q
+    holds anything but finite numbers.  A label must lie in ``0 .. K-1``
+    (``0 .. L-1`` for a column)."""
+    where = "model JSON" if path is None else f"{path}: model JSON"
     keys = ("K", "L", "n", "m", "Q", "row_labels", "col_labels")
     if missing := [k for k in keys if not isinstance(d, dict) or k not in d]:
-        raise ValueError(f"model JSON has no key {missing[0]!r}")
-    K, L = int(d["K"]), int(d["L"])
+        raise ValueError(f"{where} has no key {missing[0]!r}")
+    for key in ("K", "L", "n", "m"):
+        if not _integral(d[key]):
+            raise ValueError(f"{where} key {key!r} must be an integer, got {d[key]!r}")
+    K, L = d["K"], d["L"]
+    for key, ok, what in (
+        ("row_labels", lambda x: _integral(x) and 0 <= x < K, f"integers from 0 to K-1={K - 1}"),
+        ("col_labels", lambda x: _integral(x) and 0 <= x < L, f"integers from 0 to L-1={L - 1}"),
+        ("Q", _finite_number, "finite numbers"),
+    ):
+        values = d[key]
+        if not isinstance(values, list):
+            raise ValueError(f"{where} key {key!r} must be a list of {what}, got {values!r}")
+        bad = next((i for i, x in enumerate(values) if not ok(x)), None)
+        if bad is not None:
+            raise ValueError(
+                f"{where} key {key!r} must hold {what}, got {values[bad]!r} at index {bad}")
     Q = np.asarray(d["Q"], dtype=np.float64).reshape(K, L)
-    zr = AssignmentMatrix(int(d["n"]), K, np.asarray(d["row_labels"]))
-    zc = AssignmentMatrix(int(d["m"]), L, np.asarray(d["col_labels"]))
+    zr = AssignmentMatrix(int(d["n"]), K, np.asarray(d["row_labels"], dtype=np.int64))
+    zc = AssignmentMatrix(int(d["m"]), L, np.asarray(d["col_labels"], dtype=np.int64))
     return BlockModel(Q, zr, zc)
 
 

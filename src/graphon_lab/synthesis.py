@@ -130,11 +130,12 @@ def sample_observations(
     if noise.kind == "scaled_poisson":
         if theta.min() < 0:
             raise ValueError("poisson means must be nonnegative")
-        lam = noise.T * theta
-        if lam.max(initial=0.0) > _POISSON_LAM_MAX:
+        # checked on the largest mean as a Python float, whose product
+        # overflows to inf without a warning, before T * theta is formed
+        if float(noise.T) * float(theta.max(initial=0.0)) > _POISSON_LAM_MAX:
             raise ValueError(f"scaled_poisson T = {noise.T!r} puts a mean T * theta above "
                              f"{_POISSON_LAM_MAX:.4g}, the limit of numpy's Poisson sampler")
-        return rng.poisson(lam).astype(np.float64) / noise.T
+        return rng.poisson(noise.T * theta).astype(np.float64) / noise.T
     # gaussian
     return theta + math.sqrt(noise.sigma2) * rng.standard_normal(theta.shape)
 

@@ -498,6 +498,36 @@ def test_eval_model_without_a_key_exits_two(synth_dir, tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, index, value",
+    [("row_labels", 3, 1.7), ("row_labels", 3, True), ("col_labels", 0, "1"),
+     ("row_labels", 0, -1), ("K", None, 2.9), ("n", None, True), ("Q", 1, float("nan")),
+     ("Q", 0, "0.5")],
+    ids=["fractional-label", "true-label", "string-label", "negative-label", "fractional-K",
+         "true-n", "nan-Q", "string-Q"],
+)
+def test_eval_model_with_a_bad_value_exits_two(synth_dir, tmp_path, capsys, key, index, value):
+    # labels went through np.array(..., dtype=np.int64), which truncates 1.7
+    # and reads true and "1" as 1, and K through int(): each gave exit 0 and
+    # the MSE of another model; a NaN in Q wrote {"mse_theta": NaN}
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    model = load_json(model_path)
+    if index is None:
+        model[key] = value
+    else:
+        model[key][index] = value
+    dump_json(model_path, model)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--metrics", "mse", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(model_path) in err and f"key {key!r}" in err
+    assert not out.exists()
+
+
 def test_ewa_non_finite_prime_exits_two_before_fit(synth_dir, tmp_path, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_grid ran on a non-finite H'")

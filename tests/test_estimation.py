@@ -389,6 +389,30 @@ def test_kmeans_matches_point_major_loop_on_near_copies(seed):
     assert np.array_equal(kmeans(points, k, seed), _kmeans_point_major(points, k, seed))
 
 
+def test_seed_draw_matches_generator_choice():
+    # k-means++ draws its seeds without rng.choice's checks of p; the draws,
+    # and the stream after them, must stay those of rng.choice, zero weights
+    # and a single nonzero weight included
+    meta = np.random.default_rng(0)
+    draws = 0
+    for _ in range(300):
+        n = int(meta.integers(1, 2001))
+        weights = meta.random(n) ** 3
+        weights[meta.random(n) < meta.random()] = 0.0
+        if not weights.any():
+            weights[meta.integers(n)] = meta.random() + 0.5
+        seed = int(meta.integers(2 ** 32))
+        mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            total = weights.sum()
+            got = estimation._draw(weights, total, mine)
+            assert got == numpys.choice(n, p=weights / total)
+            assert weights[got] > 0
+            draws += 1
+        assert mine.random() == numpys.random()
+    assert draws == 1500
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kmeans_refuses_non_finite_points(bad):
     # NaN used to reach rng.choice ("Probabilities contain NaN")
@@ -1198,10 +1222,23 @@ def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
     assert (sizes[0] == 0, sizes[1] == 0) == repaired
 
 
+def _axis_step_checked(sums, sq_norms, Q, fixed, floor):
+    """One reassignment from the sums as the loop holds them, returned as a
+    checked assignment: the costs, the flow step, and a repair when the step
+    leaves a cluster empty.  Returns the assignment, its smallest cluster size
+    before any repair, and the cost matrix."""
+    c = estimation._linear_costs(sums, Q, fixed.counts())
+    z = assign(len(Q), min_cost_assignment(c, floor))
+    size = z.min_size()
+    if size == 0:
+        z = estimation._repair_empty_rows(sums, sq_norms, z.labels, fixed, len(Q))
+    return z, size, c
+
+
 def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
     """The Lloyd loop that rebuilds both one-hots and reads H twice on every
-    iteration, whether or not an axis's labels changed, and repairs the start
-    labels from H."""
+    iteration, whether or not an axis's labels changed, repairs the start
+    labels from H, and checks each axis's labels after every step."""
     n, m = H.shape
     H_sq = float(np.einsum("ij,ij->", H, H))
     row_sq, col_sq = np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht)
@@ -1213,12 +1250,12 @@ def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
         start = (zr.labels, zc.labels)
         HZc = H @ Zc
         Q = block_means(Zr.T @ HZc, zr, zc)
-        zr, row_floor, _ = estimation._axis_step(HZc, row_sq, Q, zc, cfg.n0)
+        zr, row_floor, _ = _axis_step_checked(HZc, row_sq, Q, zc, cfg.n0)
         Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
             Q = block_means(Zr.T @ HZc, zr, zc)
         HtZr = Ht @ Zr
-        zc, col_floor, c = estimation._axis_step(HtZr, col_sq, Q.T, zr, cfg.m0)
+        zc, col_floor, c = _axis_step_checked(HtZr, col_sq, Q.T, zr, cfg.m0)
         Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
             Q = block_means((Zc.T @ HtZr).T, zr, zc)
@@ -1289,8 +1326,10 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     repaired = started_empty = stopped = kept = 0
     for (n, m), cases in [
         ((90, 60), [(3, 3, 0, 0, 40), (4, 3, 12, 10, 40), (6, 5, 8, 0, 40),
-                    (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3)]),
-        ((40, 30), [(3, 8, 0, 0, 40), (10, 8, 0, 0, 40), (12, 10, 0, 0, 40)]),
+                    (12, 10, 0, 0, 40), (5, 4, 0, 0, 2), (4, 4, 15, 12, 3),
+                    (4, 4, 20, 13, 40)]),  # near-tight: floors of 0.9 n/K, 0.9 m/L
+        ((40, 30), [(3, 8, 0, 0, 40), (10, 8, 0, 0, 40), (12, 10, 0, 0, 40),
+                    (4, 4, 9, 6, 40)]),
     ]:
         H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
         Ht = np.ascontiguousarray(H.T)

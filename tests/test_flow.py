@@ -27,6 +27,92 @@ def total(cost, labels):
     return cost[np.arange(len(labels)), labels].sum()
 
 
+def round_by_round_reference(cost, min_size):
+    """The K-node solver with every round's inputs derived afresh: regrets
+    against the row minima, the tolerance from ``|cost|``, new Bellman-Ford
+    arrays per round and per-cluster diagonal writes.  Same rounds, ties
+    and bulk rule as the package's solver, so the labels must match."""
+    n, K = cost.shape
+    labels = np.argmin(cost, axis=1)
+    counts = np.bincount(labels, minlength=K)
+    if min_size == 0 or counts.min() >= min_size:
+        return labels
+    R = cost - np.minimum.reduce(cost, axis=1)[:, None]
+    tol = 16 * K * np.finfo(np.float64).eps * np.abs(cost).max()
+    into = np.full((K, K), np.inf)
+    spare = (counts - min_size).tolist()
+    changed = range(K)
+    while True:
+        order = labels.argsort(kind="stable")
+        sizes = [x + min_size for x in spare]
+        ends = list(itertools.accumulate(sizes))
+
+        def members(a):
+            return order[ends[a] - sizes[a] : ends[a]]
+
+        rows = [a for a in changed if sizes[a]]
+        fresh = np.concatenate([members(a) for a in rows])
+        starts = [0, *itertools.accumulate(sizes[a] for a in rows[:-1])]
+        into[:, rows] = np.minimum.reduceat(R[fresh], np.array(starts)).T + tol
+        for a in rows:
+            into[a, a] = np.inf
+        dist = np.array([0.0 if x > 0 else np.inf for x in spare])
+        pred = np.full(K, -1)
+        for _ in range(K):
+            via = into + dist
+            best = via.argmin(axis=1)
+            cand = via[np.arange(K), best]
+            better = cand < dist
+            if not better.any():
+                break
+            pred[better], dist[better] = best[better], cand[better]
+        deficits = sorted((t for t in range(K) if spare[t] < 0), key=lambda t: dist[t])
+        used, lost, moved, dest, tight = set(), set(), [], [], {}
+        for t in deficits:
+            path = [t]
+            while pred[path[-1]] >= 0:
+                path.append(int(pred[path[-1]]))
+            s = path[-1]
+            if spare[s] == 0:
+                continue
+            items = []
+            for b, a in zip(path, path[1:]):
+                if (a, b) not in tight:
+                    m = members(a)
+                    tight[a, b] = int(m[R[m, b].argmin()])
+                items.append(tight[a, b])
+            if not used.isdisjoint(items):
+                continue
+            used.update(items)
+            lost.update(path[1:])
+            moved += items
+            dest += path[:-1]
+            spare[s] -= 1
+            spare[t] += 1
+            take = min(-spare[t], spare[s])
+            if len(path) > 2 or t in lost or take == 0:
+                continue
+            ways = into[t] + dist
+            ways[s] = np.inf
+            bound = ways.min() - tol
+            m = members(s)
+            regret = R[m, t]
+            for j in regret.argsort(kind="stable")[1 : take + 1]:
+                if int(m[j]) in used or regret[j] > bound:
+                    break
+                used.add(int(m[j]))
+                moved.append(int(m[j]))
+                dest.append(t)
+                spare[s] -= 1
+                spare[t] += 1
+        labels[moved] = dest
+        if min(spare) >= 0:
+            return labels
+        moved = np.array(moved)
+        R[moved] = cost[moved] - cost[moved, dest][:, None]
+        changed = sorted(lost.union(dest))
+
+
 def lsap_reference(cost, min_size):
     """The slot-matrix solve the package used before the K-node solver.
 
@@ -158,6 +244,32 @@ def test_matches_lsap_reference_on_tight_floors(K, seed):
     assert total(cost, labels) == pytest.approx(
         total(cost, lsap_reference(cost, n0)), rel=1e-12, abs=1e-12
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.data(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_labels_match_round_by_round_reference(K, data, seed):
+    # the solver reads the regrets at its argmin labels, the tolerance from
+    # the largest and smallest cost, keeps its Bellman-Ford arrays across
+    # rounds and gathers members from one column of the regrets; labels,
+    # ties and signed zeros included, must equal those of the reference
+    # that derives all of these afresh
+    n0 = data.draw(st.integers(min_value=1, max_value=80 // K), label="n0")
+    n = data.draw(st.integers(min_value=K * n0, max_value=80), label="n")
+    kind = data.draw(st.sampled_from(["few rows", "signed zeros", "normal"]), label="kind")
+    rng = np.random.default_rng(seed)
+    if kind == "few rows":
+        rows = rng.integers(-5, 6, size=(int(rng.integers(1, 8)), K)).astype(np.float64)
+        cost = rows[rng.integers(0, len(rows), size=n)]
+    elif kind == "signed zeros":
+        cost = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, K))
+    else:
+        cost = rng.normal(size=(n, K)) * 2.0 ** int(rng.integers(-30, 31))
+    assert np.array_equal(min_cost_assignment(cost, n0), round_by_round_reference(cost, n0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

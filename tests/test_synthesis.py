@@ -75,6 +75,10 @@ class TestObservations:
         assert sample_observations(theta, NoiseModel.scaled_poisson(1e18), seed=0).max() > 0
         with pytest.raises(ValueError, match="scaled_poisson T = 1e\\+308"):
             sample_observations(theta, NoiseModel.scaled_poisson(1e308), seed=0)
+        # T * theta past the float range used to raise an overflow
+        # RuntimeWarning before the refusal (synth --rho 1e308 --noise-param 1e308)
+        with pytest.raises(ValueError, match="scaled_poisson T = 1e\\+308"):
+            sample_observations(np.full((2, 3), 6e307), NoiseModel.scaled_poisson(1e308), seed=0)
 
     def test_bernoulli_means_above_one_name_rho(self):
         g = make_standard_graphon("cos", K=2, L=2, rho=2.5)
