@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import check_temperature, ewa_aggregate, temperature
-from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, induced_mean
+from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, induced_mean
 from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
 from .experiments import ExperimentSpec, emit_outputs, run_experiment
@@ -199,7 +199,11 @@ def _cmd_eval(args) -> int:
         if meta is None or args.latents is None:
             raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
-        U, V = (np.asarray(_key(args.latents, lat, k)) for k in "UV")
+        U, V = (_key(args.latents, lat, k) for k in "UV")
+        try:
+            U, V = check_latents(U, "U"), check_latents(V, "V")
+        except ValueError as exc:
+            raise ValueError(f"{args.latents}: {exc}") from None
         _check_graphon(args.meta, meta)
         graphon = _graphon_from_meta(meta)
     if "delta" in metrics:

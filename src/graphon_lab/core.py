@@ -24,6 +24,7 @@ __all__ = [
     "DimensionMismatch",
     "finite_positive",
     "check_seed",
+    "check_latents",
     "induced_mean",
     "frobenius_cost",
     "group_sums",
@@ -221,6 +222,27 @@ def check_seed(seed) -> None:
     numpy's ``SeedSequence`` needs.  A bool is refused: JSON ``true`` loads as 1."""
     if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_latents(values, name: str) -> np.ndarray:
+    """``values`` as a float64 vector, or ``ValueError`` naming ``name`` and
+    the first bad entry unless they are a vector of real numbers in [0, 1]
+    (NaN is not).  A bool is refused, also in a list: JSON ``true`` loads as 1."""
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    items = values if numeric else np.asarray(values, dtype=object)
+    if items.ndim != 1:
+        raise ValueError(f"latent positions {name!r} must be a vector, got shape {items.shape}")
+    if numeric:
+        ok = (items >= 0) & (items <= 1)
+    else:
+        ok = np.array([isinstance(x, Real) and not isinstance(x, bool) and 0 <= x <= 1
+                       for x in items], dtype=bool)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = items[i].item() if isinstance(items[i], np.generic) else items[i]
+        raise ValueError(f"latent positions {name!r} must be numbers in [0, 1], "
+                         f"got {bad!r} at index {i}")
+    return items.astype(np.float64, copy=False)
 
 
 def _in_band(values: np.ndarray, rho: float) -> bool:

@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AssignmentMatrix, BlockModel, block_means, check_seed, finite_positive, group_sums,
+    AssignmentMatrix, BlockModel, check_seed, finite_positive, group_sums,
 )
 from .flow import min_cost_assignment
 from .synthesis import substream
@@ -326,6 +326,11 @@ def spectral_init(
 # --------------------------------------------------------------------------
 
 
+def _is_integer(x) -> bool:
+    # bool is an int subclass, and JSON true loads as one
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one alternating-minimization fit.
@@ -334,8 +339,9 @@ class FitConfig:
     ``restarts`` independent seeds) or ``"given"`` (explicit initial
     labels in ``init_labels``).  Iteration stops when the cost decreases
     by at most ``tol_gamma``, when the labels reach a fixed point, or
-    after ``max_iters`` rounds.  These checks and :meth:`validate_for` are
-    the one copy of the ``(K, L, n0, m0)`` rules, for grids and specs too.
+    after ``max_iters`` rounds.  The counts must be Python or numpy
+    integers (booleans are refused).  These checks and :meth:`validate_for`
+    are the one copy of the ``(K, L, n0, m0)`` rules, for grids and specs too.
     """
 
     K: int
@@ -350,6 +356,9 @@ class FitConfig:
     init_labels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
+        for name in ("K", "L", "n0", "m0", "restarts", "max_iters"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.K < 2 or self.L < 2:
             raise ValueError("K and L must be at least 2")
         if self.n0 < 0 or self.m0 < 0:
@@ -401,55 +410,27 @@ class FitReport:
         return self.cost_trajectory[-1]
 
 
-def _repair_empty_rows(
-    sums: np.ndarray, sq_norms: np.ndarray, row_labels: np.ndarray,
-    z_cols: AssignmentMatrix, K: int,
-) -> AssignmentMatrix:
-    """Move the largest-residual row into each empty row cluster.
+def _repair_empty_rows(sums: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray,
+                       counts: np.ndarray, fixed: _Axis) -> Tuple[np.ndarray, np.ndarray]:
+    """Move the largest-residual row into each empty row cluster of the
+    ``labels``, whose cluster sizes are ``counts``; returns both, repaired.
 
-    With ``sums = H Z_c`` and ``sq_norms`` the squared row norms of H, a
-    row's squared residual is its norm plus its :func:`_linear_costs`
-    entry, so H is not read.  Only occupied blocks are read, so the 0 that
-    :func:`block_means` leaves in an empty one is never used.
+    With ``sums = H Z`` for the one-hot ``Z`` of the ``fixed`` axis's labels
+    and ``sq_norms`` the squared row norms of H, a row's squared residual is
+    its norm plus its :func:`_linear_costs` entry, so H is not read.  Only
+    occupied blocks are read, so an empty block's value is never used.
     """
-    labels = np.array(row_labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
     rows = np.arange(len(labels))
-    while True:
-        counts = np.bincount(labels, minlength=K)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return AssignmentMatrix(len(labels), K, labels)
-        zr = AssignmentMatrix(len(labels), K, labels)
-        Q = block_means(group_sums(sums, labels, K, axis=0), zr, z_cols)
-        residuals = sq_norms + _linear_costs(sums, Q, z_cols.counts())[rows, labels]
+    while counts.min() == 0:
+        sizes = np.maximum(np.outer(counts, fixed.counts), 1)
+        Q = group_sums(sums, labels, len(counts), axis=0) / sizes
+        residuals = sq_norms + _linear_costs(sums, Q, fixed.counts)[rows, labels]
         movable = counts[labels] >= 2
         residuals = np.where(movable, residuals, -np.inf)
-        labels[int(np.argmax(residuals))] = empties[0]
-
-
-def _axis_step(
-    sums: np.ndarray, sq_norms: np.ndarray, Q: np.ndarray,
-    fixed: np.ndarray, fixed_counts: np.ndarray, floor: int,
-) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Exact reassignment of the rows of H under size floor ``floor``.
-
-    ``sums`` is ``H Z`` for the one-hot ``Z`` of the fixed column labels
-    ``fixed``, whose cluster sizes are ``fixed_counts``.  The column update
-    is the same step on ``H^T Z_r`` and ``Q.T``.  An empty cluster left by
-    a floor-0 step is repaired.  Returns the labels as the solver gave
-    them (unchecked), their cluster sizes, the smallest size before any
-    repair, and the cost matrix.
-    """
-    c = _linear_costs(sums, Q, fixed_counts)
-    K = Q.shape[0]
-    labels = min_cost_assignment(c, floor)
-    counts = np.bincount(labels, minlength=K)
-    size = int(counts.min())
-    if size == 0:
-        z_fixed = AssignmentMatrix(len(fixed), len(fixed_counts), fixed)
-        z = _repair_empty_rows(sums, sq_norms, labels, z_fixed, K)
-        labels, counts = z.labels, z.counts()
-    return labels, counts, size, c
+        labels[int(np.argmax(residuals))] = np.flatnonzero(counts == 0)[0]
+        counts = np.bincount(labels, minlength=len(counts))
+    return labels, counts
 
 
 class _Prepared(NamedTuple):
@@ -524,79 +505,97 @@ def _times_moved(
     return _times(A, Z)
 
 
+class _Axis:
+    """One axis of a Lloyd run.  Fixed: the operands ``A`` and ``At = A^T``
+    of its H product (H for the columns, H^T for the rows), the squared
+    norms ``sq`` of its lines of H and its size ``floor``.  The ``labels``,
+    as the solver returned them, their ``counts``, which the repairs keep
+    positive (every block mean divides by a nonzero size), and their one-hot
+    ``Z`` are replaced only when a step moves the labels, so identity tells
+    whether one did.  ``prod = A Z`` was computed for the labels
+    ``prod_for``; ``low`` is the smallest size a step left before a repair."""
+
+    def __init__(self, z: AssignmentMatrix, A, At, sq, floor: int):
+        self.A, self.At, self.sq, self.floor, self.low = A, At, sq, floor, z.n
+        self.labels, self.counts, self.Z = z.labels, z.counts(), np.eye(z.K)[z.labels]
+        self.prod = self.prod_for = None
+
+    def relabel(self, labels: np.ndarray, counts: np.ndarray) -> None:
+        """Hold ``labels`` with their ``counts``, unless they equal the held ones."""
+        if not np.array_equal(labels, self.labels):
+            self.labels, self.counts, self.Z = labels, counts, np.eye(len(counts))[labels]
+
+    def product(self) -> np.ndarray:
+        """``A Z``, which moved labels leave out of date until it is next
+        needed: :func:`_times_moved` then reads all of A or the moved lines."""
+        if self.prod_for is not self.labels:
+            self.prod = _times_moved(self.A, self.At, self.Z, self.labels,
+                                     self.prod, self.prod_for)
+            self.prod_for = self.labels
+        return self.prod
+
+
+def _half_step(move: _Axis, fix: _Axis, Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact reassignment of the axis ``move`` under its size floor, with the
+    labels of ``fix`` held and block values ``Q`` (clusters of ``move`` by
+    those of ``fix``).  An empty cluster left by a floor-0 step is repaired.
+    Returns Q and the cost matrix, both for the new labels after a repair."""
+    sums = fix.product()
+    c = _linear_costs(sums, Q, fix.counts)
+    labels = min_cost_assignment(c, move.floor)
+    counts = np.bincount(labels, minlength=len(Q))
+    # a repaired step is only an exact minimizer for floor 0, so the
+    # recorded per-step floor is the pre-repair minimum size; a repair
+    # (floor 0) re-averages the blocks for the new labels
+    move.low = min(move.low, int(counts.min()))
+    if counts.min() > 0:
+        move.relabel(labels, counts)
+        return Q, c
+    move.relabel(*_repair_empty_rows(sums, move.sq, labels, counts, fix))
+    # in the layout of the Q it replaces: the BLAS products of the costs
+    # sum in an order that depends on it
+    Q = np.divide(move.Z.T @ sums, np.outer(move.counts, fix.counts), out=np.empty_like(Q))
+    return Q, _linear_costs(sums, Q, fix.counts)
+
+
 def _lloyd_run(
     prep: _Prepared, row_labels: np.ndarray, col_labels: np.ndarray, cfg: FitConfig
 ) -> Tuple[BlockModel, list, Tuple[int, int]]:
     """One run from the given labels on the prepared data of H."""
     H, Ht, H_sq, row_sq, col_sq = prep
     n, m = H.shape
-    # the start labels are checked here and the returned ones by the model;
-    # in between each axis is its labels, as the solver returns them, and
-    # their counts, which the repairs keep positive: every block mean below
-    # divides by a nonzero size
-    zr = AssignmentMatrix(n, cfg.K, row_labels)
-    zc = AssignmentMatrix(m, cfg.L, col_labels)
-    Zc = np.eye(cfg.L)[zc.labels]
+    # the start labels are checked here and the returned ones by the model
+    rows = _Axis(AssignmentMatrix(n, cfg.K, row_labels), Ht, H, row_sq, cfg.n0)
+    cols = _Axis(AssignmentMatrix(m, cfg.L, col_labels), H, Ht, col_sq, cfg.m0)
     # H is read at most twice per iteration, plus once for each axis whose
     # start labels leave a cluster empty: H Z_c gives the block means and
     # the row costs, H^T Z_r the column costs and the means after the step,
     # and the repairs work from these sums.  Each one-hot Z serves two sums,
     # and a step that returns an axis's previous labels keeps that axis's
-    # one-hot and H product.  A step that moves labels leaves its product
-    # out of date, with the labels it was computed for in HZc_from or
-    # HtZr_from, until the product is next needed; _times_moved then reads
-    # either all of H or only the moved rows or columns.
-    HZc = HtZr = HZc_from = HtZr_from = None
-    if zr.min_size() == 0:
-        HZc = _times(H, Zc)
-        zr = _repair_empty_rows(HZc, row_sq, zr.labels, zc, cfg.K)
-    Zr = np.eye(cfg.K)[zr.labels]
-    if zc.min_size() == 0:
-        HtZr = _times(Ht, Zr)
-        HZc_from = zc.labels
-        zc = _repair_empty_rows(HtZr, col_sq, zc.labels, zr, cfg.L)
-        Zc = np.eye(cfg.L)[zc.labels]
-    rl, rc, cl, cc = zr.labels, zr.counts(), zc.labels, zc.counts()
+    # one-hot and H product.
+    halves = ((rows, cols), (cols, rows))
+    for move, fix in halves:
+        if move.counts.min() == 0:
+            sums = fix.product()
+            move.relabel(*_repair_empty_rows(sums, move.sq, move.labels, move.counts, fix))
     traj: list = []
-    min_row = n
-    min_col = m
     for _ in range(cfg.max_iters):
-        start = (rl, cl)
-        if HZc is None or HZc_from is not None:
-            HZc = _times_moved(H, Ht, Zc, cl, HZc, HZc_from)
-            HZc_from = None
-        Q = (Zr.T @ HZc) / np.outer(rc, cc)
-        # a repaired step is only an exact minimizer for floor 0, so the
-        # recorded per-step floor is the pre-repair minimum size; a repair
-        # (floor 0) re-averages the blocks for the new labels
-        rl, rc, row_floor, _ = _axis_step(HZc, row_sq, Q, cl, cc, cfg.n0)
-        rows_kept = bool((start[0] == rl).all())
-        if not rows_kept:
-            Zr, HtZr_from = np.eye(cfg.K)[rl], start[0]
-        if row_floor == 0:
-            Q = (Zr.T @ HZc) / np.outer(rc, cc)
-        if HtZr is None or HtZr_from is not None:
-            HtZr = _times_moved(Ht, H, Zr, rl, HtZr, HtZr_from)
-            HtZr_from = None
-        cl, cc, col_floor, c = _axis_step(HtZr, col_sq, Q.T, rl, rc, cfg.m0)
-        cols_kept = bool((start[1] == cl).all())
-        if not cols_kept:
-            Zc, HZc_from = np.eye(cfg.L)[cl], start[1]
-        if col_floor == 0:
-            Q = (Zc.T @ HtZr).T / np.outer(rc, cc)
-            c = _linear_costs(HtZr, Q.T, rc)
-        # the linearized objective differs from the squared error by ||H||_F^2
-        phi = float(c[np.arange(m), cl].sum())
+        start = (rows.labels, cols.labels)
+        Q = (rows.Z.T @ cols.product()) / np.outer(rows.counts, cols.counts)
+        for move, fix in halves:
+            Q, c = _half_step(move, fix, Q)
+            Q = Q.T  # the next half reads it by its own axis's clusters first
+        # the column half's linearized objective differs from the squared error by ||H||_F^2
+        phi = float(c[np.arange(m), cols.labels].sum())
         traj.append(max(H_sq + phi, 0.0))
-        min_row = min(min_row, row_floor)
-        min_col = min(min_col, col_floor)
-        if rows_kept and cols_kept:
+        if start[0] is rows.labels and start[1] is cols.labels:
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = (Zc.T @ HtZr).T / np.outer(rc, cc)
-    model = BlockModel(Q, AssignmentMatrix(n, cfg.K, rl), AssignmentMatrix(m, cfg.L, cl))
-    return model, traj, (min_row, min_col)
+    Q = (cols.Z.T @ rows.product()).T / np.outer(rows.counts, cols.counts)
+    model = BlockModel(Q, AssignmentMatrix(n, cfg.K, rows.labels),
+                       AssignmentMatrix(m, cfg.L, cols.labels))
+    return model, traj, (rows.low, cols.low)
 
 
 def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
@@ -665,9 +664,8 @@ class HyperGrid:
         if len(self.entries) == 0:
             raise ValueError("a grid needs at least one entry")
         for i, e in enumerate(self.entries):
-            # bool is an int subclass, and JSON true loads as one
-            if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4 and all(
-                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in e)):
+            if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4
+                    and all(_is_integer(x) for x in e)):
                 raise ValueError(f"grid entry {i} ({e!r}) must be four integers (K, L, n0, m0)")
         object.__setattr__(
             self, "entries", tuple(tuple(int(x) for x in e) for e in self.entries)

@@ -24,6 +24,7 @@ from .core import (
     bin_sums,
     block_means,
     block_sums,
+    check_latents,
 )
 from .estimation import FitConfig
 
@@ -166,12 +167,14 @@ def delta_tilde(
     memory grows with ``grid_res**2``.  The true distance is an infimum
     over all rearrangements, so the returned value bounds it from above.
     Returns ``sqrt(max(value, 0))``.  Raises :class:`DimensionMismatch`
-    unless ``len(U) == n`` and ``len(V) == m``.
+    unless ``len(U) == n`` and ``len(V) == m``, and ``ValueError`` unless the
+    positions are numbers in [0, 1].
     """
     if grid_res < 100:
         raise ValueError("grid_res must be at least 100")
     if U is None or V is None:
         raise ValueError("latent positions are required")
+    U, V = check_latents(U, "U"), check_latents(V, "V")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     n, m = theta_hat.shape
     if (len(U), len(V)) != (n, m):

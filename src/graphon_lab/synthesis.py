@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Graphon, NoiseModel, ObservationSet, check_seed
+from .core import Graphon, NoiseModel, ObservationSet, check_latents, check_seed
 
 __all__ = [
     "SynthConfig",
@@ -223,7 +223,9 @@ def true_assignments(
 
     Row i belongs to the cell of ``breaks_u`` containing ``U_i``; same for
     columns.  These are the clusters the data-generating partition induces.
+    Raises ``ValueError`` unless the positions are numbers in [0, 1].
     """
+    U, V = check_latents(U, "U"), check_latents(V, "V")
     return graphon.cell_indices(U, axis=0), graphon.cell_indices(V, axis=1)
 
 

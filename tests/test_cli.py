@@ -377,6 +377,30 @@ def test_eval_sidecar_without_a_key_exits_two(synth_dir, tmp_path, capsys, name,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["U", "V"])
+@pytest.mark.parametrize("value", [7.5, -0.5, True, "a", None, [0.5]])
+@pytest.mark.parametrize("metrics", ["delta", "oracle"])
+def test_eval_latents_out_of_the_unit_interval_exit_two(synth_dir, tmp_path, capsys, key,
+                                                         value, metrics):
+    # 7.5, -0.5 and true used to exit 0 with other delta_tilde and oracle
+    # figures, and "a" to exit 2 naming neither the file nor the key
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model_path)]) == 0
+    latents = load_json(synth_dir / "latents.json")
+    latents[key][0] = value
+    lat_path = tmp_path / "latents.json"
+    dump_json(lat_path, latents)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--model", str(model_path), "--truth", str(synth_dir / "theta_star.csv"),
+               "--meta", str(synth_dir / "meta.json"), "--latents", str(lat_path),
+               "--input", str(synth_dir / "H.csv"), "--metrics", metrics, "--output", str(out)])
+    assert rc == 2
+    assert (f"{lat_path}: latent positions {key!r} must be numbers in [0, 1], got {value!r} "
+            "at index 0") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, metrics, message",
     [("graphon.params", [0.6, 2, 2], "delta", "key 'graphon.params' must be an object"),

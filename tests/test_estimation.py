@@ -883,6 +883,15 @@ class TestLloydFit:
             FitConfig(K=2, L=2, tol_gamma=tol)
         assert FitConfig(K=2, L=2, tol_gamma=0.0).tol_gamma == 0.0
 
+    @pytest.mark.parametrize("field", ["K", "L", "n0", "m0", "restarts", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_integers(self, field, value):
+        # n0=2.5 and n0=True used to fit, K=2.5 to fail inside the loop, and
+        # max_iters=2.5 or restarts=2.5 with a TypeError; numpy integers pass
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            FitConfig(**{"K": 3, "L": 3, field: value})
+        assert getattr(FitConfig(**{"K": 3, "L": 3, field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("seed", [-1, 0.5, True])
     def test_seed_must_be_a_non_negative_integer(self, seed, monkeypatch):
         # numpy's SeedSequence used to refuse -1 without naming the seed; a
@@ -1103,10 +1112,22 @@ def _lloyd_run_reference(H, row_labels, col_labels, cfg):
     return BlockModel(q_from_h(H, zr, zc), zr, zc), traj, (min_row, min_col)
 
 
+def _held_axis(z):
+    """The run's record of the held axis of assignment ``z``, as the repair
+    reads it: its labels and their counts."""
+    return estimation._Axis(z, None, None, None, 0)
+
+
 def _repair(H, row_labels, z_cols, K):
-    """The estimator's repair, given the sums and norms the loop holds."""
+    """The estimator's repair, given the sums and norms the loop holds, as a
+    checked assignment whose counts are those the repair returned."""
     sums = group_sums(H, z_cols.labels, z_cols.K, axis=1)
-    return estimation._repair_empty_rows(sums, (H * H).sum(axis=1), row_labels, z_cols, K)
+    labels, counts = estimation._repair_empty_rows(
+        sums, (H * H).sum(axis=1), row_labels, np.bincount(row_labels, minlength=K),
+        _held_axis(z_cols))
+    z = assign(K, labels)
+    assert np.array_equal(z.counts(), counts)
+    return z
 
 
 @pytest.mark.parametrize("data", ["binary", "gaussian"])
@@ -1169,11 +1190,16 @@ def test_repairs_in_a_run_match_reference(data, monkeypatch):
     real = estimation._repair_empty_rows
     calls = []
 
-    def checked(sums, sq_norms, row_labels, z_cols, K):
-        got = real(sums, sq_norms, row_labels, z_cols, K)
+    def checked(sums, sq_norms, row_labels, row_counts, fixed):
+        K = len(row_counts)
+        got, counts = real(sums, sq_norms, row_labels, row_counts, fixed)
         M = H if len(sums) == n else Ht
-        calls.append(_moves_take_largest_residuals(M, row_labels, z_cols, K, got.labels))
-        return got
+        # the reference reads H by the held axis's own labels
+        z_cols = assign(len(fixed.counts), fixed.labels)
+        calls.append(np.array_equal(z_cols.counts(), fixed.counts)
+                     and np.array_equal(np.bincount(got, minlength=K), counts)
+                     and _moves_take_largest_residuals(M, row_labels, z_cols, K, got))
+        return got, counts
 
     monkeypatch.setattr(estimation, "_repair_empty_rows", checked)
     started_empty = mid_run = 0
@@ -1231,19 +1257,41 @@ def _axis_step_checked(sums, sq_norms, Q, fixed, floor):
     z = assign(len(Q), min_cost_assignment(c, floor))
     size = z.min_size()
     if size == 0:
-        z = estimation._repair_empty_rows(sums, sq_norms, z.labels, fixed, len(Q))
+        labels, counts = estimation._repair_empty_rows(
+            sums, sq_norms, z.labels, z.counts(), _held_axis(fixed))
+        z = assign(len(Q), labels)
+        assert np.array_equal(z.counts(), counts)
     return z, size, c
 
 
-def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg):
+def _start_repair_reference(M, sq_norms, labels, z_fixed, K):
+    return _repair_empty_rows_reference(M, labels, z_fixed, K)
+
+
+def _start_repair_from_sums(M, sq_norms, labels, z_fixed, K):
+    """The estimator's repair of start labels, from the sums ``M Z`` of the
+    held axis ``z_fixed`` as the loop holds them; each move is checked to
+    take a largest residual read from M, up to rounding."""
+    counts = np.bincount(labels, minlength=K)
+    if counts.min() > 0:
+        return assign(K, labels)
+    sums = M @ np.eye(z_fixed.K)[z_fixed.labels]
+    got, _ = estimation._repair_empty_rows(sums, sq_norms, labels, counts, _held_axis(z_fixed))
+    assert _moves_take_largest_residuals(M, labels, z_fixed, K, got)
+    return assign(K, got)
+
+
+def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg,
+                           start_repair=_start_repair_reference):
     """The Lloyd loop that rebuilds both one-hots and reads H twice on every
     iteration, whether or not an axis's labels changed, repairs the start
-    labels from H, and checks each axis's labels after every step."""
+    labels from H (by default) or by ``start_repair``, and checks each axis's
+    labels after every step."""
     n, m = H.shape
     H_sq = float(np.einsum("ij,ij->", H, H))
     row_sq, col_sq = np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht)
-    zr = _repair_empty_rows_reference(H, row_labels, assign(cfg.L, col_labels), cfg.K)
-    zc = _repair_empty_rows_reference(Ht, col_labels, zr, cfg.L)
+    zr = start_repair(H, row_sq, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = start_repair(Ht, col_sq, col_labels, zr, cfg.L)
     traj, min_row, min_col = [], n, m
     Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
     for _ in range(cfg.max_iters):
@@ -1292,15 +1340,16 @@ def _h_read_counter(monkeypatch):
     return h_reads, Counted
 
 
-def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads):
+def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads,
+                                    start_repair=_start_repair_reference):
     """Run ``_lloyd_run`` from ``(rows, cols)``; assert it equals the
-    recomputing loop bitwise and reads H at most twice per iteration plus
-    once per axis whose start labels leave a cluster empty.  Returns
-    ``(reads, bound, traj, sizes)``."""
+    recomputing loop with ``start_repair`` bitwise and reads H at most twice
+    per iteration plus once per axis whose start labels leave a cluster
+    empty.  Returns ``(reads, bound, traj, sizes)``."""
     del h_reads[:]
     model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
     reads = sum(h_reads)
-    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg)
+    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg, start_repair)
     assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
     assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
     assert model.Q.tobytes() == ref.Q.tobytes()
@@ -1410,6 +1459,60 @@ def test_incremental_products_match_recomputing_loop(noise, monkeypatch):
                 _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads)
         # both the update and the fallback (random starts move many labels) ran
         assert any(updates) and not all(updates)
+
+
+@st.composite
+def _loop_case(draw):
+    """Data, start labels and a config for one Lloyd run: up to 60 x 40 and
+    12 x 12 clusters, floors up to tight, and start labels that leave
+    ``empty`` clusters of each axis empty (none on neither, one or both
+    axes).  The products are those of ``path``: float32 on 0/1 or count
+    data, recomputed whole or updated from moved rows and columns, or
+    float64 on such data or on Gaussian data."""
+    n, m = draw(st.integers(2, 60)), draw(st.integers(2, 40))
+    K, L = draw(st.integers(2, min(12, n))), draw(st.integers(2, min(12, m)))
+    n0, m0 = draw(st.integers(0, n // K)), draw(st.integers(0, m // L))
+    empty = (draw(st.integers(0, K - 1)), draw(st.integers(0, L - 1)))
+    path = draw(st.sampled_from(["float32", "update", "float64", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if path == "gaussian":
+        H = rng.standard_normal((n, m))
+    else:
+        H = rng.integers(0, draw(st.sampled_from([2, 100])), (n, m)).astype(np.float64)
+    starts = []
+    for size, k, e in ((n, K, empty[0]), (m, L, empty[1])):
+        labels = rng.integers(0, k - e, size)
+        labels[rng.permutation(size)[:k - e]] = np.arange(k - e)
+        starts.append(rng.permutation(k)[labels])  # exactly e clusters empty
+    cfg = FitConfig(K=K, L=L, n0=n0, m0=m0, init="given", init_labels=tuple(starts),
+                    max_iters=draw(st.sampled_from([1, 2, 40])))
+    return H, cfg, path
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loop_case())
+def test_lloyd_run_matches_recomputing_loop(case):
+    # drawn runs equal the loop that rebuilds every one-hot and reads all of
+    # H on every iteration, bitwise, within the read bound, with the start
+    # repairs, the floors and each path of the products.  The members of a
+    # two-member cluster, and rows of equal 0/1 counts, tie in a repair's
+    # residuals, and rounding breaks the tie one way in the sums and maybe
+    # another in a read of H; so the start repairs are the estimator's, each
+    # move checked against H's residuals
+    H, cfg, path = case
+    rows, cols = cfg.init_labels
+    with pytest.MonkeyPatch.context() as mp:
+        h_reads, Counted = _h_read_counter(mp)
+        if path == "float64":
+            mp.setattr(estimation, "_F32_EXACT", 0.0)
+        if path == "update":
+            mp.setattr(estimation, "_UPDATE_MIN_ENTRIES", 0)
+        prep = estimation._prepare(H)
+        wide = path in ("float64", "gaussian")
+        assert prep.H.dtype == (np.float64 if wide else np.float32)
+        prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
+        _assert_run_matches_recomputing(prep, H, np.ascontiguousarray(H.T), rows, cols, cfg,
+                                        h_reads, _start_repair_from_sums)
 
 
 def _integer_data(kind):

@@ -16,7 +16,7 @@ from graphon_lab.evaluation import (
     psi_condition,
     rate_bound,
 )
-from graphon_lab.synthesis import make_standard_graphon, sample_latents
+from graphon_lab.synthesis import make_standard_graphon, sample_latents, true_assignments
 
 
 class TestLift:
@@ -136,6 +136,37 @@ class TestDeltaTilde:
             delta_tilde(np.zeros((4, 4)), g, None, None)
         with pytest.raises(ValueError):
             delta_tilde(np.zeros((4, 4)), g, np.zeros(4), np.zeros(4), grid_res=10)
+
+    @pytest.mark.parametrize("axis", ["U", "V"])
+    @pytest.mark.parametrize("bad", [7.5, -0.5, np.nan, np.inf, True, "a", [0.5]])
+    def test_latents_must_be_numbers_in_the_unit_interval(self, axis, bad):
+        # 7.5 and -0.5 used to move delta_tilde and the oracle's clusters
+        # without a word, and true was read as 1.0
+        g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=1)
+        U, V = sample_latents(30, 20, seed=6)
+        latents = {"U": U.tolist(), "V": V.tolist()}
+        latents[axis][3] = bad
+        message = f"latent positions '{axis}' must be numbers in \\[0, 1\\], got .* at index 3"
+        with pytest.raises(ValueError, match=message):
+            delta_tilde(np.full((30, 20), 0.25), g, latents["U"], latents["V"])
+        with pytest.raises(ValueError, match=message):
+            true_assignments(g, latents["U"], latents["V"])
+        if not isinstance(bad, (str, list)):
+            # the same entry in an array, a bool one for True
+            arrays = {"U": U, "V": V}
+            arrays[axis] = np.where(np.arange(len(arrays[axis])) == 3, bad, arrays[axis])
+            if bad is True:
+                arrays[axis] = arrays[axis] > 0.5
+            with pytest.raises(ValueError, match=f"latent positions '{axis}'"):
+                delta_tilde(np.full((30, 20), 0.25), g, arrays["U"], arrays["V"])
+        assert np.array_equal(true_assignments(g, U, V)[0], true_assignments(g, U.tolist(), V)[0])
+
+    def test_latents_must_be_a_vector(self):
+        g = make_standard_graphon("rand", K=3, L=3, rho=0.6, seed=1)
+        U, V = sample_latents(30, 20, seed=6)
+        for bad in (U[:, None], 0.5, "abc"):
+            with pytest.raises(ValueError, match="latent positions 'U' must be a vector"):
+                true_assignments(g, bad, V)
 
     @pytest.mark.parametrize("sizes", [(1, 20), (30, 1), (29, 20), (30, 21)])
     def test_latents_must_match_the_estimate(self, sizes):
