@@ -76,7 +76,7 @@ def _linear_costs(col_sums: np.ndarray, Q: np.ndarray, D: np.ndarray) -> np.ndar
     exact coordinate update.
     """
     quad = (Q * Q) @ D.astype(np.float64)  # length K
-    return -2.0 * col_sums @ Q.T + quad[None, :]
+    return col_sums @ (-2.0 * Q).T + quad  # -2 scales exactly: as (-2 H Z_c) Q^T bitwise
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +331,23 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_counts(K: int, L: int, n0: int, m0: int, shape: Optional[Tuple[int, int]] = None):
+    """The one copy of the rules for integer ``(K, L, n0, m0)``: ``ValueError``
+    unless ``K, L >= 2`` and ``n0, m0 >= 0`` and, for data of ``shape = (n, m)``,
+    ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
+    if K < 2 or L < 2:
+        raise ValueError("K and L must be at least 2")
+    if n0 < 0 or m0 < 0:
+        raise ValueError(f"minimum sizes must be nonnegative, got n0={n0}, m0={m0}")
+    if shape is not None:
+        if K > shape[0] or L > shape[1]:
+            raise ValueError("more clusters than rows/columns")
+        if K * n0 > shape[0]:
+            raise ValueError(f"infeasible row sizes: {K} * {n0} > {shape[0]}")
+        if L * m0 > shape[1]:
+            raise ValueError(f"infeasible column sizes: {L} * {m0} > {shape[1]}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one alternating-minimization fit.
@@ -340,8 +357,8 @@ class FitConfig:
     labels in ``init_labels``).  Iteration stops when the cost decreases
     by at most ``tol_gamma``, when the labels reach a fixed point, or
     after ``max_iters`` rounds.  The counts must be Python or numpy
-    integers (booleans are refused).  These checks and :meth:`validate_for`
-    are the one copy of the ``(K, L, n0, m0)`` rules, for grids and specs too.
+    integers (booleans are refused).  The ``(K, L, n0, m0)`` rules, here and
+    in :meth:`validate_for`, are those :func:`fit_grid` applies to each entry.
     """
 
     K: int
@@ -359,10 +376,7 @@ class FitConfig:
         for name in ("K", "L", "n0", "m0", "restarts", "max_iters"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.K < 2 or self.L < 2:
-            raise ValueError("K and L must be at least 2")
-        if self.n0 < 0 or self.m0 < 0:
-            raise ValueError(f"minimum sizes must be nonnegative, got n0={self.n0}, m0={self.m0}")
+        _check_counts(self.K, self.L, self.n0, self.m0)
         if self.init not in ("spectral", "random", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.init_labels is None:
@@ -377,12 +391,7 @@ class FitConfig:
 
     def validate_for(self, n: int, m: int) -> None:
         """``ValueError`` unless ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
-        if self.K > n or self.L > m:
-            raise ValueError("more clusters than rows/columns")
-        if self.K * self.n0 > n:
-            raise ValueError(f"infeasible row sizes: {self.K} * {self.n0} > {n}")
-        if self.L * self.m0 > m:
-            raise ValueError(f"infeasible column sizes: {self.L} * {self.m0} > {m}")
+        _check_counts(self.K, self.L, self.n0, self.m0, (n, m))
 
 
 @dataclass(frozen=True)
@@ -517,13 +526,13 @@ class _Axis:
 
     def __init__(self, z: AssignmentMatrix, A, At, sq, floor: int):
         self.A, self.At, self.sq, self.floor, self.low = A, At, sq, floor, z.n
-        self.labels, self.counts, self.Z = z.labels, z.counts(), np.eye(z.K)[z.labels]
+        self.labels, self.counts, self.Z = z.labels, z.counts(), np.eye(z.K).take(z.labels, 0)
         self.prod = self.prod_for = None
 
     def relabel(self, labels: np.ndarray, counts: np.ndarray) -> None:
-        """Hold ``labels`` with their ``counts``, unless they equal the held ones."""
-        if not np.array_equal(labels, self.labels):
-            self.labels, self.counts, self.Z = labels, counts, np.eye(len(counts))[labels]
+        """Hold int64 ``labels`` and their ``counts``, unless the held labels have their bytes."""
+        if labels.tobytes() != self.labels.tobytes():
+            self.labels, self.counts, self.Z = labels, counts, np.eye(len(counts)).take(labels, 0)
 
     def product(self) -> np.ndarray:
         """``A Z``, which moved labels leave out of date until it is next
@@ -554,7 +563,7 @@ def _half_step(move: _Axis, fix: _Axis, Q: np.ndarray) -> Tuple[np.ndarray, np.n
     move.relabel(*_repair_empty_rows(sums, move.sq, labels, counts, fix))
     # in the layout of the Q it replaces: the BLAS products of the costs
     # sum in an order that depends on it
-    Q = np.divide(move.Z.T @ sums, np.outer(move.counts, fix.counts), out=np.empty_like(Q))
+    Q = np.divide(move.Z.T @ sums, move.counts[:, None] * fix.counts, out=np.empty_like(Q))
     return Q, _linear_costs(sums, Q, fix.counts)
 
 
@@ -581,7 +590,7 @@ def _lloyd_run(
     traj: list = []
     for _ in range(cfg.max_iters):
         start = (rows.labels, cols.labels)
-        Q = (rows.Z.T @ cols.product()) / np.outer(rows.counts, cols.counts)
+        Q = (rows.Z.T @ cols.product()) / (rows.counts[:, None] * cols.counts)
         for move, fix in halves:
             Q, c = _half_step(move, fix, Q)
             Q = Q.T  # the next half reads it by its own axis's clusters first
@@ -592,7 +601,7 @@ def _lloyd_run(
             break
         if len(traj) >= 2 and abs(traj[-1] - traj[-2]) <= cfg.tol_gamma:
             break
-    Q = (cols.Z.T @ rows.product()).T / np.outer(rows.counts, cols.counts)
+    Q = (cols.Z.T @ rows.product()).T / (rows.counts[:, None] * cols.counts)
     model = BlockModel(Q, AssignmentMatrix(n, cfg.K, rows.labels),
                        AssignmentMatrix(m, cfg.L, cols.labels))
     return model, traj, (rows.low, cols.low)
@@ -746,7 +755,7 @@ def fit_grid(
     n, m = np.shape(H)
     for K, L, n0, m0 in grid:
         try:
-            FitConfig(K, L, n0, m0).validate_for(n, m)
+            _check_counts(K, L, n0, m0, (n, m))
         except ValueError as exc:
             raise ValueError(f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}): {exc}") from None
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}

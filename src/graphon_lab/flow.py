@@ -37,16 +37,18 @@ clusters whose members changed are recomputed.
 
 Cost: a call sets up in O(n K): the regrets from the cost entries at the
 argmin labels (the row minima bit for bit), the tolerance from the
-largest and smallest cost, W, and one set of Bellman-Ford buffers that
-every round reuses.  A round then takes a stable argsort of the labels
-(O(n log n)); the refresh of the rows of W of the clusters whose members
-changed (O(n K) at most) and of its diagonal in one indexed write;
-Bellman-Ford at O(K^2) per pass, at most K passes; per deficit a tree
-walk of at most K edges and, per edge not yet seen in the round, an
-argmin over the members of its tail (the bulk moves sort one cluster's
-regrets); and the regret update of the moved items (O(K) each).  A round
-fills at least one missing item, so there are at most as many rounds as
-items missing from the deficit clusters, and usually far fewer.
+largest cost and the smallest row minimum, W, and one set of
+Bellman-Ford buffers that every round reuses.  A round then takes a
+stable argsort of the labels, held in the smallest unsigned dtype (numpy
+sorts 8- and 16-bit keys by radix, in O(n)); the refresh of the rows of
+W of the clusters whose members changed (O(n K) at most) and of its
+diagonal in one indexed write; Bellman-Ford at O(K^2) per pass, at most
+K passes; per deficit a tree walk of at most K edges and, per edge not
+yet seen in the round, an argmin over the members of its tail (the bulk
+moves sort one cluster's regrets); and the regret update of the moved
+items (O(K) each).  A round fills at least one missing item, so there are
+at most as many rounds as items missing from the deficit clusters, and
+usually far fewer.
 
 Ties: without a binding floor an item goes to the lowest cluster index
 among its cheapest; among members of one cluster with equal regret, the
@@ -104,21 +106,20 @@ def min_cost_assignment(cost: np.ndarray, min_size: int) -> np.ndarray:
     labels = cost.argmin(axis=1)
     if min_size == 0:
         return labels
-    counts = np.bincount(labels, minlength=K)
-    if counts.min() >= min_size:
+    sizes = np.bincount(labels, minlength=K).tolist()
+    if min(sizes) >= min_size:
         return labels
-    _fill_floors(cost, labels, counts, min_size)
+    _fill_floors(cost, labels, sizes, min_size)
     return labels
 
 
-def _bellman_ford(into, spare, via, dist, pred, rowstarts):
-    """Distances and predecessors, into ``dist`` and ``pred``, from every
-    cluster with a spare member; ``via`` is a ``K x K`` work buffer and
-    ``rowstarts`` the flat index of each of its rows.
+def _bellman_ford(into, dist, pred, via, rowstarts):
+    """Distances and predecessors, into ``dist`` and ``pred``, from the clusters
+    whose ``dist`` is 0 (the others' is inf); ``via`` is a ``K x K`` work
+    buffer and ``rowstarts`` the flat index of each of its rows.
 
     ``into[b, a]`` is the cost of the edge a -> b.
     """
-    dist[:] = [0.0 if x > 0 else np.inf for x in spare]
     pred.fill(-1)
     flat = via.ravel()
     for _ in range(len(into)):
@@ -128,42 +129,40 @@ def _bellman_ford(into, spare, via, dist, pred, rowstarts):
         better = cand < dist
         if not np.count_nonzero(better):
             break
-        np.copyto(pred, best, where=better)
-        np.copyto(dist, cand, where=better)
+        np.putmask(pred, better, best)
+        np.putmask(dist, better, cand)
 
 
-def _fill_floors(cost, labels, counts, min_size):
-    """Move items of ``labels`` (in place) until every cluster reaches the floor."""
+def _fill_floors(cost, labels, sizes, min_size):
+    """Move items of ``labels`` and ``sizes`` (in place) until every cluster reaches the floor."""
     n, K = cost.shape
     # the entries at the argmin labels are the row minima bit for bit
-    R = cost - cost[np.arange(n), labels][:, None]
+    base = cost[np.arange(n), labels]
     # every edge carries the rounding error of a K-edge path, so that
     # Bellman-Ford ignores improvements below it and never follows a cycle
-    # whose negative cost is rounding
-    tol = 16 * K * _EPS * max(cost.max(), -cost.min())
+    # whose negative cost is rounding (the smallest cost is a row minimum)
+    tol = 16 * K * _EPS * max(cost.max(), -base.min())
     into = np.full((K, K), np.inf)  # into[b, a] = W[a, b]
     via, dist, pred = np.empty((K, K)), np.empty(K), np.empty(K, dtype=np.int64)
     rowstarts = np.arange(0, K * K, K)  # via[b, best[b]] is via.flat[rowstarts + best]
-    spare = (counts - min_size).tolist()  # negative: items missing
+    keys = labels.astype(np.min_scalar_type(K - 1))  # a small dtype sorts by radix
+    R = cost - base[:, None]
     changed = everything = range(K)
     while True:
-        # cluster a's members, ascending, are order[ends[a] - sizes[a] : ends[a]]
-        order = labels.argsort(kind="stable")
-        sizes = [x + min_size for x in spare]
-        ends = list(itertools.accumulate(sizes))
-
-        def members(a):
-            return order[ends[a] - sizes[a] : ends[a]]
-
+        # cluster a's members, ascending, are order[begins[a] : begins[a + 1]]
+        order = keys.argsort(kind="stable")
+        begins = [0, *itertools.accumulate(sizes)]
         rows = [a for a in changed if sizes[a]]
-        starts = [0, *itertools.accumulate(sizes[a] for a in rows[:-1])]
-        # in the first round every cluster is fresh, and order lists them all
-        fresh = order if changed is everything else np.concatenate([members(a) for a in rows])
-        into[:, rows] = np.minimum.reduceat(R.take(fresh, axis=0), np.array(starts)).T + tol
+        # order lists every cluster in round 1; numpy takes arrays faster than lists
+        fresh = order if changed is everything else np.concatenate(
+            [order[begins[a] : begins[a + 1]] for a in rows])
+        starts = np.array([0, *itertools.accumulate([sizes[a] for a in rows[:-1]])])
+        into[:, np.array(rows)] = np.minimum.reduceat(R.take(fresh, axis=0), starts).T + tol
         into.flat[::K + 1] = np.inf
-        _bellman_ford(into, spare, via, dist, pred, rowstarts)
+        dist[:] = [0.0 if x > min_size else np.inf for x in sizes]
+        _bellman_ford(into, dist, pred, via, rowstarts)
         dist_l, pred_l = dist.tolist(), pred.tolist()
-        deficits = sorted((t for t in range(K) if spare[t] < 0), key=dist_l.__getitem__)
+        deficits = sorted([t for t in range(K) if sizes[t] < min_size], key=dist_l.__getitem__)
         used, lost, moved, dest, tight = set(), set(), [], [], {}
         for t in deficits:
             path = [t]
@@ -172,26 +171,27 @@ def _fill_floors(cost, labels, counts, min_size):
                 if len(path) > K + 1:
                     raise RuntimeError("negative cycle in the cluster graph")
             s = path[-1]
-            if spare[s] == 0:
+            if sizes[s] == min_size:
                 continue
             items = []
             for b, a in zip(path, path[1:]):
-                if (a, b) not in tight:
+                i = tight.get((a, b))
+                if i is None:
                     # the lowest-index member of a with the least regret of
                     # moving to b, as labelled at the start of the round
                     # (R[:, b][m] gathers from one column, faster than R[m, b])
-                    m = members(a)
-                    tight[a, b] = m[R[:, b][m].argmin()].item()
-                items.append(tight[a, b])
+                    m = order[begins[a] : begins[a + 1]]
+                    i = tight[a, b] = m.item(R[:, b][m].argmin())
+                items.append(i)
             if not used.isdisjoint(items):
                 continue
             used.update(items)
             lost.update(path[1:])
             moved += items
             dest += path[:-1]
-            spare[s] -= 1
-            spare[t] += 1
-            take = min(-spare[t], spare[s])
+            sizes[s] -= 1
+            sizes[t] += 1
+            take = min(min_size - sizes[t], sizes[s] - min_size)
             if len(path) > 2 or t in lost or take == 0:
                 continue
             # bulk: further members of s straight to t while no other
@@ -199,7 +199,7 @@ def _fill_floors(cost, labels, counts, min_size):
             ways = (into[t] + dist).tolist()
             ways[s] = np.inf
             bound = min(ways) - tol
-            m = members(s)
+            m = order[begins[s] : begins[s + 1]]
             regret = R[:, t][m]
             nxt = regret.argsort(kind="stable")[1 : take + 1]
             for i, r in zip(m[nxt].tolist(), regret[nxt].tolist()):
@@ -208,11 +208,11 @@ def _fill_floors(cost, labels, counts, min_size):
                 used.add(i)
                 moved.append(i)
                 dest.append(t)
-                spare[s] -= 1
-                spare[t] += 1
-        labels[moved] = dest
-        if min(spare) >= 0:
+                sizes[s] -= 1
+                sizes[t] += 1
+        moved, dest = np.array(moved), np.array(dest)
+        labels[moved] = keys[moved] = dest
+        if min(sizes) >= min_size:
             return
-        moved = np.array(moved)
         R[moved] = cost[moved] - cost[moved, dest][:, None]
-        changed = sorted(lost.union(dest))
+        changed = sorted(lost.union(dest.tolist()))

@@ -1248,12 +1248,15 @@ def test_shared_group_sums_match_reference_loop(K, L, n0, m0, seed, repaired):
     assert (sizes[0] == 0, sizes[1] == 0) == repaired
 
 
-def _axis_step_checked(sums, sq_norms, Q, fixed, floor):
+def _axis_step_checked(sums, sq_norms, Q, fixed, floor, costs=None):
     """One reassignment from the sums as the loop holds them, returned as a
     checked assignment: the costs, the flow step, and a repair when the step
     leaves a cluster empty.  Returns the assignment, its smallest cluster size
-    before any repair, and the cost matrix."""
+    before any repair, and the cost matrix; ``costs``, if given, gains the
+    cost matrix's shape and bytes."""
     c = estimation._linear_costs(sums, Q, fixed.counts())
+    if costs is not None:
+        costs.append((c.shape, c.tobytes()))
     z = assign(len(Q), min_cost_assignment(c, floor))
     size = z.min_size()
     if size == 0:
@@ -1282,11 +1285,13 @@ def _start_repair_from_sums(M, sq_norms, labels, z_fixed, K):
 
 
 def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg,
-                           start_repair=_start_repair_reference):
+                           start_repair=_start_repair_reference, costs=None):
     """The Lloyd loop that rebuilds both one-hots and reads H twice on every
     iteration, whether or not an axis's labels changed, repairs the start
     labels from H (by default) or by ``start_repair``, and checks each axis's
-    labels after every step."""
+    labels after every step.  ``costs``, if given, gains the shape and bytes
+    of every cost matrix a flow step receives and, after each column step,
+    of the one the trajectory reads, in order."""
     n, m = H.shape
     H_sq = float(np.einsum("ij,ij->", H, H))
     row_sq, col_sq = np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht)
@@ -1298,16 +1303,18 @@ def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg,
         start = (zr.labels, zc.labels)
         HZc = H @ Zc
         Q = block_means(Zr.T @ HZc, zr, zc)
-        zr, row_floor, _ = _axis_step_checked(HZc, row_sq, Q, zc, cfg.n0)
+        zr, row_floor, _ = _axis_step_checked(HZc, row_sq, Q, zc, cfg.n0, costs)
         Zr = np.eye(cfg.K)[zr.labels]
         if row_floor == 0:
             Q = block_means(Zr.T @ HZc, zr, zc)
         HtZr = Ht @ Zr
-        zc, col_floor, c = _axis_step_checked(HtZr, col_sq, Q.T, zr, cfg.m0)
+        zc, col_floor, c = _axis_step_checked(HtZr, col_sq, Q.T, zr, cfg.m0, costs)
         Zc = np.eye(cfg.L)[zc.labels]
         if col_floor == 0:
             Q = block_means((Zc.T @ HtZr).T, zr, zc)
             c = estimation._linear_costs(HtZr, Q.T, zr.counts())
+        if costs is not None:
+            costs.append((c.shape, c.tobytes()))
         traj.append(max(H_sq + float(c[np.arange(m), zc.labels].sum()), 0.0))
         min_row, min_col = min(min_row, row_floor), min(min_col, col_floor)
         if np.array_equal(start[0], zr.labels) and np.array_equal(start[1], zc.labels):
@@ -1345,11 +1352,40 @@ def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads,
     """Run ``_lloyd_run`` from ``(rows, cols)``; assert it equals the
     recomputing loop with ``start_repair`` bitwise and reads H at most twice
     per iteration plus once per axis whose start labels leave a cluster
-    empty.  Returns ``(reads, bound, traj, sizes)``."""
+    empty.  Every cost matrix a flow step receives, and the one each column
+    step ends with (after a repair, the re-averaged one), must have the
+    reference's shape and bytes: a trajectory entry sums one matrix's entries
+    at the labels, which can hide a change of summation order inside the
+    matrices.  Returns ``(reads, bound, traj, sizes)``."""
     del h_reads[:]
-    model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
+    costs, ref_costs = [], []
+    solve, half_step = estimation.min_cost_assignment, estimation._half_step
+
+    def recording_solve(cost, min_size):
+        costs.append((cost.shape, cost.tobytes()))
+        return solve(cost, min_size)
+
+    axes = []  # the run's row and column records, as its first step moves and holds them
+
+    def recording_half_step(move, fix, Q):
+        if not axes:
+            axes.extend((move, fix))
+        Q, c = half_step(move, fix, Q)
+        if move is axes[1]:
+            costs.append((c.shape, c.tobytes()))
+        return Q, c
+
+    estimation.min_cost_assignment = recording_solve
+    estimation._half_step = recording_half_step
+    try:
+        model, traj, sizes = estimation._lloyd_run(prep, rows, cols, cfg)
+    finally:
+        estimation.min_cost_assignment, estimation._half_step = solve, half_step
     reads = sum(h_reads)
-    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg, start_repair)
+    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg, start_repair,
+                                                      ref_costs)
+    assert len(costs) == 3 * len(traj)
+    assert costs == ref_costs
     assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
     assert np.array_equal(model.z_cols.labels, ref.z_cols.labels)
     assert model.Q.tobytes() == ref.Q.tobytes()

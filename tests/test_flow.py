@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_lab import estimation
 from graphon_lab.flow import InfeasibleSizeError, min_cost_assignment
 
 
@@ -270,6 +271,42 @@ def test_labels_match_round_by_round_reference(K, data, seed):
     else:
         cost = rng.normal(size=(n, K)) * 2.0 ** int(rng.integers(-30, 31))
     assert np.array_equal(min_cost_assignment(cost, n0), round_by_round_reference(cost, n0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=17, max_value=32),
+    st.data(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_labels_match_round_by_round_reference_at_grid_sizes(K, data, seed):
+    # the sizes of the default grid's binding solves (K up to 32, n up to 200
+    # and tens of rounds), which the case above does not reach; the costs are
+    # the estimator's row costs on 0/1 data, whose equal rows and equal
+    # counts make exact ties.  Block values in eighths keep every cost and
+    # every sum of costs exact, so tied optimal labelings have equal totals;
+    # block means of drawn row labels, as the loop has them, are compared
+    # up to the rounding of the sums
+    n = data.draw(st.integers(min_value=100, max_value=200), label="n")
+    n0 = data.draw(st.integers(min_value=1, max_value=n // K), label="n0")
+    eighths = data.draw(st.booleans(), label="eighths")
+    rng = np.random.default_rng(seed)
+    m, L = int(rng.integers(10, 41)), int(rng.integers(2, 9))
+    H = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(np.float64)
+    cols = rng.integers(0, L, m)
+    sums, col_counts = H @ np.eye(L)[cols], np.bincount(cols, minlength=L)
+    if eighths:
+        Q = rng.integers(0, 9, size=(K, L)) / 8.0
+    else:
+        rows = rng.integers(0, K, n)
+        sizes = np.outer(np.bincount(rows, minlength=K), col_counts)
+        Q = np.eye(K)[rows].T @ sums / np.maximum(sizes, 1)
+    cost = estimation._linear_costs(sums, Q, col_counts)
+    labels = min_cost_assignment(cost, n0)
+    assert np.array_equal(labels, round_by_round_reference(cost, n0))
+    assert np.bincount(labels, minlength=K).min() >= n0
+    want = total(cost, lsap_reference(cost, n0))
+    assert total(cost, labels) == (want if eighths else pytest.approx(want, rel=1e-12))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
