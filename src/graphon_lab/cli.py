@@ -19,13 +19,16 @@ from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, 
 from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .io import (
     dump_json,
+    json_key,
     load_json,
     load_matrix,
     model_from_dict,
+    noise_from_json,
     report_to_dict,
     save_matrix,
 )
-from .synthesis import SynthConfig, make_standard_graphon, synthesize, true_assignments
+from .synthesis import (GRAPHON_PARAMS, SynthConfig, make_standard_graphon, synthesize,
+                        true_assignments)
 
 __all__ = ["main"]
 
@@ -42,49 +45,24 @@ def _noise_from_args(args) -> NoiseModel:
     return getattr(NoiseModel, kind)(args.noise_param)
 
 
-# the graphon.params of meta.json for each setup, all synth flags of these names
-_GRAPHON_PARAMS = {"rand": ("rho", "K", "L", "seed"), "cos": ("rho", "K", "L"), "hoelder": ("rho",)}
-_PARAM_TYPES = {"K": int, "L": int, "rho": float, "seed": int}
-_JSON_TYPES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
+_POSITIVE = ("number", "positive", "bounded")
+_PARAM_RULES = {"K": ("integer", "positive"), "L": ("integer", "positive"), "rho": _POSITIVE,
+                "seed": ("integer", ("at least", 0))}
 
 
-def _key(path, d, *keys, of=None):
-    """``d[keys[0]][keys[1]]...``, or ``ValueError`` naming the file and the dotted key
-    when it is missing or, given ``of`` (a key of ``_JSON_TYPES``), holds another JSON
-    type; ``float`` takes integers too, and no type takes ``true`` or ``false``."""
-    for depth, key in enumerate(keys):
-        if not isinstance(d, dict) or key not in d:
-            raise ValueError(f"{path} has no key {'.'.join(keys[:depth + 1])!r}")
-        d = d[key]
-    allowed = (int, float) if of is float else of
-    if of is not None and (isinstance(d, bool) or not isinstance(d, allowed)):
-        raise ValueError(f"{path} key {'.'.join(keys)!r} must be {_JSON_TYPES[of]}, got {d!r}")
-    return d
+def _graphon_from_meta(graphon: dict):
+    return make_standard_graphon(graphon["kind"], **graphon["params"])
 
 
-def _check_graphon(path, meta: dict) -> None:
-    """``ValueError`` naming ``path`` and the key unless ``meta`` holds a
-    ``graphon`` that :func:`_graphon_from_meta` can build."""
-    kind = _key(path, meta, "graphon", "kind", of=str)
-    params = _key(path, meta, "graphon", "params", of=dict)
-    if kind not in _GRAPHON_PARAMS:
-        raise ValueError(f"{path} key 'graphon.kind' must be one of {', '.join(_GRAPHON_PARAMS)}, "
-                         f"got {kind!r}")
-    for name in params:
-        if name not in _GRAPHON_PARAMS[kind]:
-            raise ValueError(f"{path} key 'graphon.params.{name}' is not a parameter of the "
-                             f"{kind} graphon ({', '.join(_GRAPHON_PARAMS[kind])})")
-    for name in _GRAPHON_PARAMS[kind]:
-        _key(path, meta, "graphon", "params", name, of=_PARAM_TYPES[name])
-
-
-def _graphon_from_meta(meta: dict):
-    g = meta["graphon"]
-    return make_standard_graphon(g["kind"], **g["params"])
+def _feasible(grid: HyperGrid, shape) -> HyperGrid:
+    """``grid``, once each entry keeps :class:`FitConfig`'s rules for data of ``shape``."""
+    for K, L, n0, m0 in grid:
+        FitConfig(K, L, n0, m0).validate_for(*shape)
+    return grid
 
 
 def _cmd_synth(args) -> int:
-    params = {name: getattr(args, name) for name in _GRAPHON_PARAMS[args.setup]}
+    params = {name: getattr(args, name) for name in GRAPHON_PARAMS[args.setup]}  # synth flags
     graphon = make_standard_graphon(args.setup, **params)
     noise = _noise_from_args(args)
     config = SynthConfig(
@@ -145,10 +123,8 @@ def _cmd_ewa(args) -> int:
     if args.grid == "default":
         grid = default_grid(*H.shape)
     else:
-        entries = _key(args.grid, load_json(args.grid), "entries")
-        if not isinstance(entries, list):
-            raise ValueError('a grid file must hold {"entries": [[K, L, n0, m0], ...]} (integers)')
-        grid = HyperGrid(tuple(entries))
+        grid = json_key(args.grid, load_json(args.grid), "entries", "list",
+                        lambda entries: _feasible(HyperGrid(tuple(entries)), H.shape))
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")
@@ -199,13 +175,15 @@ def _cmd_eval(args) -> int:
         if meta is None or args.latents is None:
             raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
-        U, V = (_key(args.latents, lat, k) for k in "UV")
-        try:
-            U, V = check_latents(U, "U"), check_latents(V, "V")
-        except ValueError as exc:
-            raise ValueError(f"{args.latents}: {exc}") from None
-        _check_graphon(args.meta, meta)
-        graphon = _graphon_from_meta(meta)
+        U, V = (json_key(args.latents, lat, k, "list", ("length", size),
+                         lambda values, k=k: check_latents(values, k))
+                for k, size in (("U", model.n), ("V", model.m)))
+        kind = json_key(args.meta, meta, "graphon.kind", "string", ("one of", tuple(GRAPHON_PARAMS)))
+        owner = (GRAPHON_PARAMS[kind], f"the {kind} graphon")
+        json_key(args.meta, meta, "graphon.params", "object", ("only", owner))
+        for name in GRAPHON_PARAMS[kind]:
+            json_key(args.meta, meta, f"graphon.params.{name}", *_PARAM_RULES[name])
+        graphon = json_key(args.meta, meta, "graphon", _graphon_from_meta)
     if "delta" in metrics:
         # delta_tilde needs a grid comfortably finer than max(n, m)
         grid_res = max(DEFAULT_DELTA_GRID, 2 * max(theta_hat.shape))
@@ -225,29 +203,21 @@ def _cmd_eval(args) -> int:
     if "rate" in metrics:
         if meta is None:
             raise ValueError("--metrics rate needs --meta")
-        noise_dict = _key(args.meta, meta, "noise_model", of=dict)
-        _key(args.meta, meta, "noise_model", "kind", of=str)
-        try:
-            noise = NoiseModel.from_dict(noise_dict, "noise_model")
-        except ValueError as exc:
-            raise ValueError(f"{args.meta}: {exc}") from None
-        out["rate_bound"] = rate_bound(
-            noise, _key(args.meta, meta, "rho", of=float), model.n, model.m, model.K, model.L
-        )
+        noise = noise_from_json(args.meta, meta, "noise_model")
+        out["rate_bound"] = json_key(
+            args.meta, meta, "rho", *_POSITIVE,
+            lambda rho: rate_bound(noise, rho, model.n, model.m, model.K, model.L))
     dump_json(args.output, out)
     print(f"wrote metrics {sorted(out)} -> {args.output}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    spec_dict = load_json(args.config)
-    if args.reps is not None:
-        spec_dict["reps"] = args.reps
-    if args.seed is not None:
-        spec_dict["seed"] = args.seed
-    if args.name is not None:
-        spec_dict["name"] = args.name
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec_dict = json_key(args.config, load_json(args.config), "", "object")
+    for key in ("reps", "seed", "name"):  # the flags override the file
+        if getattr(args, key) is not None:
+            spec_dict[key] = getattr(args, key)
+    spec = ExperimentSpec.from_dict(spec_dict, args.config)
     result = run_experiment(spec)
     paths = emit_outputs(result, args.outdir, formats=args.formats.split(","))
     for kind, path in sorted(paths.items()):

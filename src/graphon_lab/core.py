@@ -20,6 +20,7 @@ __all__ = [
     "BlockModel",
     "Graphon",
     "NoiseModel",
+    "NOISE_PARAMS",
     "ObservationSet",
     "DimensionMismatch",
     "finite_positive",
@@ -379,10 +380,9 @@ class Graphon:
 # --------------------------------------------------------------------------
 
 # each noise kind and the one parameter it takes
-_NOISE_PARAMS = {
+NOISE_PARAMS = {
     "bernoulli": (), "binomial": ("N",), "scaled_poisson": ("T",), "gaussian": ("sigma2",)
 }
-_NOISE_KINDS = tuple(_NOISE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -406,13 +406,14 @@ class NoiseModel:
     sigma2: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
+        if self.kind not in NOISE_PARAMS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("N", "T", "sigma2"):
-            if getattr(self, name) is not None and name not in _NOISE_PARAMS[self.kind]:
+            if getattr(self, name) is not None and name not in NOISE_PARAMS[self.kind]:
                 raise ValueError(f"{self.kind} noise takes no {name}")
-        # isinstance first: a JSON noise object may carry any value here
-        if self.kind == "binomial" and not (isinstance(self.N, Integral) and 1 <= self.N < 2**63):
+        # isinstance first: a JSON noise object may carry any value here, and true loads as 1
+        N_ok = isinstance(self.N, Integral) and not isinstance(self.N, bool) and 1 <= self.N < 2**63
+        if self.kind == "binomial" and not N_ok:
             raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r} "
                              "(numpy's sampler takes N < 2**63)")
         if self.kind == "scaled_poisson" and not finite_positive(self.T):
@@ -426,8 +427,8 @@ class NoiseModel:
 
     @staticmethod
     def binomial(N: int) -> "NoiseModel":
-        # an integral float (a CLI value) is N; 2.5 must not truncate to 2
-        if isinstance(N, Real) and float(N).is_integer():
+        # an integral float (a CLI value) is N; 2.5 must not truncate to 2, nor True to 1
+        if isinstance(N, Real) and not isinstance(N, bool) and float(N).is_integer():
             N = int(N)
         return NoiseModel("binomial", N=N)
 
@@ -451,20 +452,6 @@ class NoiseModel:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @staticmethod
-    def from_dict(d: dict, name: str = "noise") -> "NoiseModel":
-        """The model of a :meth:`to_dict` object.  Raises ``ValueError`` naming,
-        as ``name.key``, each key other than ``kind`` and the kind's parameter."""
-        if d["kind"] in _NOISE_KINDS:
-            allowed = ("kind",) + _NOISE_PARAMS[d["kind"]]
-            extra = [f"{name}.{key}" for key in d if key not in allowed]
-            if extra:
-                raise ValueError(f"unknown key(s) {', '.join(extra)}: {d['kind']} noise "
-                                 f"takes only {' and '.join(allowed)}")
-        return NoiseModel(
-            d["kind"], N=d.get("N"), T=d.get("T"), sigma2=d.get("sigma2")
-        )
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     block_means,
     block_sums,
     check_latents,
+    finite_positive,
 )
 from .estimation import FitConfig
 
@@ -233,12 +234,17 @@ def rate_bound(
 
     ``r_{n,m}(K, L)^2 = 3KL/(nm) + log(K)/m + log(L)/n`` and ``(s^2, b)``
     are the noise model's moment parameters.  This is an MSE-scale
-    quantity, matching how the experiment plots report errors.
+    quantity, matching how the experiment plots report errors.  ``ValueError``
+    names ``rho`` and the noise model unless both it and the bound are finite and positive.
     """
     FitConfig(K, L)  # the fitted counts' rule: K, L >= 2
     sigma2, b = noise.bernstein_params(rho)
-    r_sq = 3.0 * K * L / (n * m) + np.log(K) / m + np.log(L) / n
-    return float((25.0 * sigma2 + 4.0 * b * rho) * r_sq)
+    r_sq = float(3.0 * K * L / (n * m) + np.log(K) / m + np.log(L) / n)
+    bound = (25.0 * sigma2 + 4.0 * b * rho) * r_sq  # Python floats: an overflow gives inf
+    if not (finite_positive(rho) and finite_positive(bound)):
+        raise ValueError(f"rate bound at rho {rho!r} with noise model {noise.to_dict()} is "
+                         f"{bound!r}; rho and the bound must be finite and positive")
+    return bound
 
 
 def psi_condition(n: int, m: int, n0: int, m0: int) -> float:

@@ -31,9 +31,10 @@ from .evaluation import (
     psi_condition,
     rate_bound,
 )
-from .io import dump_json
+from .io import dump_json, json_key, noise_from_json
 from .svg import line_plot
 from .synthesis import (
+    GRAPHON_PARAMS,
     SynthConfig,
     cell_seed,
     make_standard_graphon,
@@ -138,6 +139,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown setup {self.setup!r}")
         if (self.n_values is None) == (self.rho_values is None):
             raise ValueError("give exactly one of n_values or rho_values")
+        if not (self.n_values or self.rho_values):
+            raise ValueError("the n_values or rho_values sweep must not be empty")
         if self.rho_values is not None and (self.n is None or self.m is None):
             raise ValueError("a rho sweep needs fixed n and m")
         both_omitted = self.K is None and self.L is None
@@ -155,6 +158,9 @@ class ExperimentSpec:
         for rho in (self.rho,) + (self.rho_values or ()):
             if not finite_positive(rho):
                 raise ValueError(f"rho must be finite and positive, got {rho!r}")
+            if self.noise.kind in ("bernoulli", "binomial") and rho > 1:
+                # the graphon's values are the means, which these models draw as probabilities
+                raise ValueError(f"rho must be at most 1 for {self.noise.kind} noise, got {rho!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
         for init in self.inits:
             # the cells' own configs, with the Hoelder rule's K = L = 2 standing in
@@ -184,40 +190,33 @@ class ExperimentSpec:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "ExperimentSpec":
-        """The spec of a JSON object, with a missing ``noise`` Bernoulli.
-
-        Raises ``ValueError`` naming an unknown or missing key or a value
-        of the wrong JSON type.
-        """
-        if not isinstance(d, dict):
-            raise ValueError("an experiment spec must be a JSON object")
-        d = dict(d)
-        if isinstance(d.get("noise"), dict):
-            d["noise"] = NoiseModel.from_dict(d["noise"])
+    def from_dict(d: dict, path=None) -> "ExperimentSpec":
+        """The spec of a JSON object, with a missing ``noise`` Bernoulli; a key's rules
+        are its field's type.  ``ValueError`` names ``path`` (when given) and the key."""
+        where = "experiment spec" if path is None else str(path)
         types = get_type_hints(ExperimentSpec)
-        for key, value in d.items():
-            if key not in types:
-                raise ValueError(f"unknown spec key {key!r}")
-            if not _json_matches(value, types[key]):
-                raise ValueError(f"spec key {key!r} has the wrong type: {value!r}")
+        json_key(where, d, "", "object", ("only", (tuple(types), "an experiment spec")))
         for f in fields(ExperimentSpec):
-            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"spec key {f.name!r} is missing")
-        return ExperimentSpec(**d)
+            if f.default is MISSING and f.default_factory is MISSING:
+                json_key(where, d, f.name)
+        values = {k: json_key(where, d, k, *_json_rules(types[k])) for k in d if k != "noise"}
+        if "inits" in d:  # FitConfig's init rule, the refusal named by the key
+            json_key(where, d, "inits", lambda inits: [FitConfig(2, 2, init=i) for i in inits])
+        if "noise" in d:
+            values["noise"] = noise_from_json(where, d, "noise")
+        return json_key(where, values, "", lambda v: ExperimentSpec(**v))
 
 
-def _json_matches(value, tp) -> bool:
-    """Whether a decoded JSON value (or a ``to_dict`` one) fits the annotation ``tp``."""
-    if get_origin(tp) is Union:
-        return any(_json_matches(value, arg) for arg in get_args(tp))
+_RULE_OF_TYPE = {str: "string", int: "integer", float: "number"}
+
+
+def _json_rules(tp) -> tuple:
+    """:func:`json_key`'s rules for a spec field annotated ``tp``."""
+    if get_origin(tp) is Union:  # Optional[...]
+        return ("nullable",) + _json_rules(get_args(tp)[0])
     if get_origin(tp) is tuple:
-        return isinstance(value, (list, tuple)) and all(
-            _json_matches(v, get_args(tp)[0]) for v in value
-        )
-    if tp is float:
-        tp = (int, float)
-    return isinstance(value, tp) and not isinstance(value, bool)
+        return ("list", "each " + _RULE_OF_TYPE[get_args(tp)[0]])
+    return (_RULE_OF_TYPE[tp],)
 
 
 @dataclass
@@ -230,11 +229,9 @@ class ExperimentResult:
 
 def _build_graphon(setup: str, K: Optional[int], L: Optional[int], rho: float,
                    seed: int) -> Graphon:
-    if setup == "rand_graphon":
-        return make_standard_graphon("rand", K=K, L=L, rho=rho, seed=seed)
-    if setup == "cos_graphon":
-        return make_standard_graphon("cos", K=K, L=L, rho=rho)
-    return make_standard_graphon("hoelder", rho=rho)
+    kind = setup.removesuffix("_graphon")
+    given = {"rho": rho, "K": K, "L": L, "seed": seed}
+    return make_standard_graphon(kind, **{name: given[name] for name in GRAPHON_PARAMS[kind]})
 
 
 def _run_cell(payload: dict) -> List[dict]:

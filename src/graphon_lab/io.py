@@ -8,11 +8,9 @@ back exactly.
 
 Fixed field names
 -----------------
-``meta.json``    : n, m, noise_model, rho, seed, missing_p,
-                   with_second_copy, graphon
-``latents.json`` : U, V
-``model.json``   : K, L, n, m, Q (row-major), row_labels, col_labels,
-                   cost_trajectory, iterations, init, restart_index, seed
+The files a command reads (``meta.json``, ``latents.json``, ``model.json``
+with Q row-major, a grid file, an experiment spec): README.md's table of
+JSON inputs lists each key and the :data:`RULES` :func:`json_key` applies.
 ``ewa.json``     : beta, grid, weights, aggregate_path
 ``metrics.json`` : any of mse_theta, delta_tilde, oracle_mse, rate_bound
 """
@@ -20,14 +18,13 @@ Fixed field names
 from __future__ import annotations
 
 import json
-import math
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import AssignmentMatrix, BlockModel
+from .core import NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel
 from .estimation import FitReport
 
 __all__ = [
@@ -35,8 +32,11 @@ __all__ = [
     "load_matrix",
     "dump_json",
     "load_json",
+    "RULES",
+    "json_key",
     "model_to_dict",
     "model_from_dict",
+    "noise_from_json",
     "report_to_dict",
 ]
 
@@ -98,43 +98,90 @@ def _integral(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
-def _finite_number(x) -> bool:
-    try:
-        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+# json_key's rules: name -> (test of a value and the rule's argument, what the value must
+# be, {} standing for the argument); "each <name>" tests every item of a list
+RULES = {
+    "object": (lambda x, _: isinstance(x, dict), "an object"),
+    "list": (lambda x, _: isinstance(x, (list, tuple)), "a list"),
+    "string": (lambda x, _: isinstance(x, str), "a string"),
+    "integer": (lambda x, _: _integral(x), "an integer"),
+    "number": (lambda x, _: _number(x), "a number"),
+    # squares of such numbers summed over any array numpy can hold stay finite
+    "bounded": (lambda x, _: _number(x) and -1e100 <= x <= 1e100, "a number in [-1e100, 1e100]"),
+    "positive": (lambda x, _: x > 0, "positive"),
+    "at least": (lambda x, low: x >= low, "at least {}"),
+    "one of": (lambda x, choices: x in choices, "one of {}"),
+    "label below": (lambda x, K: _integral(x) and 0 <= x < K, "an integer in [0, {})"),
+    "length": (lambda x, n: len(x) == n, "a list of {} items"),
+}
+
+
+def json_key(where: str, obj, key: str, *rules):
+    """The value at the dotted ``key`` of decoded JSON ``obj`` (``""``: ``obj``), passed
+    through ``rules``: names of :data:`RULES` or ``(name, argument)`` pairs, ``"nullable"``
+    (``None`` passes), ``("only", (keys, owner))`` for an object's keys, or callables,
+    whose result replaces the value.  Raises ``ValueError`` as ``{where} has no key 'x'``
+    or ``{where} key 'x' must be <rule>, got <value>``; a callable's ``ValueError`` gets
+    ``{where}``, and the key unless the message names it, in front."""
+    parts = key.split(".") if key else []
+    value = obj
+    for depth, part in enumerate(parts):
+        if not isinstance(value, dict) or part not in value:
+            raise ValueError(f"{where} has no key {'.'.join(parts[:depth + 1])!r}")
+        value = value[part]
+    named = f"{where} key {key!r}" if key else where
+    for rule in rules:
+        if callable(rule):
+            try:
+                value = rule(value)
+            except ValueError as exc:
+                prefix = where if not key or repr(parts[-1]) in str(exc) else named
+                raise ValueError(f"{prefix}: {exc}") from None
+            continue
+        name, arg = (rule, None) if isinstance(rule, str) else rule
+        if name == "nullable":
+            if value is None:
+                return None
+        elif name == "only":
+            if extra := [k for k in value if k not in arg[0]]:
+                raise ValueError(f"{where} key {'.'.join(parts + extra[:1])!r} is not a "
+                                 f"parameter of {arg[1]} ({', '.join(arg[0])})")
+        else:
+            each = name.startswith("each ")
+            test, what = RULES[name.removeprefix("each ")]
+            for i, item in enumerate(value) if each else [(None, value)]:
+                if not test(item, arg):
+                    what = what.format(", ".join(arg) if isinstance(arg, tuple) else arg)
+                    got = f"{len(item)} items" if name == "length" else repr(item)
+                    at = f" item {i}" if each else ""
+                    raise ValueError(f"{named}{at} must be {what}, got {got}")
+    return value
 
 
 def model_from_dict(d: dict, path: Optional[PathLike] = None) -> BlockModel:
-    """The model that :func:`model_to_dict` wrote.  Raises ``ValueError``,
-    naming ``path`` (when given) and the key, when a key is missing, when
-    K, L, n, m or a label is not an integer (a bool is not one), or when Q
-    holds anything but finite numbers.  A label must lie in ``0 .. K-1``
-    (``0 .. L-1`` for a column)."""
+    """The model that :func:`model_to_dict` wrote; ``ValueError`` names ``path`` (when
+    given) and the key."""
     where = "model JSON" if path is None else f"{path}: model JSON"
-    keys = ("K", "L", "n", "m", "Q", "row_labels", "col_labels")
-    if missing := [k for k in keys if not isinstance(d, dict) or k not in d]:
-        raise ValueError(f"{where} has no key {missing[0]!r}")
-    for key in ("K", "L", "n", "m"):
-        if not _integral(d[key]):
-            raise ValueError(f"{where} key {key!r} must be an integer, got {d[key]!r}")
-    K, L = d["K"], d["L"]
-    for key, ok, what in (
-        ("row_labels", lambda x: _integral(x) and 0 <= x < K, f"integers from 0 to K-1={K - 1}"),
-        ("col_labels", lambda x: _integral(x) and 0 <= x < L, f"integers from 0 to L-1={L - 1}"),
-        ("Q", _finite_number, "finite numbers"),
-    ):
-        values = d[key]
-        if not isinstance(values, list):
-            raise ValueError(f"{where} key {key!r} must be a list of {what}, got {values!r}")
-        bad = next((i for i, x in enumerate(values) if not ok(x)), None)
-        if bad is not None:
-            raise ValueError(
-                f"{where} key {key!r} must hold {what}, got {values[bad]!r} at index {bad}")
-    Q = np.asarray(d["Q"], dtype=np.float64).reshape(K, L)
-    zr = AssignmentMatrix(int(d["n"]), K, np.asarray(d["row_labels"], dtype=np.int64))
-    zc = AssignmentMatrix(int(d["m"]), L, np.asarray(d["col_labels"], dtype=np.int64))
-    return BlockModel(Q, zr, zc)
+    K, L = (json_key(where, d, k, "integer", ("at least", 2)) for k in "KL")
+    n, m = (json_key(where, d, k, "integer", ("at least", 1)) for k in "nm")
+    Q = json_key(where, d, "Q", "list", "each bounded", ("length", K * L))
+    rows, cols = (json_key(where, d, key, "list", ("each label below", count), ("length", size))
+                  for key, count, size in (("row_labels", K, n), ("col_labels", L, m)))
+    return BlockModel(np.reshape(Q, (K, L)), AssignmentMatrix(n, K, rows),
+                      AssignmentMatrix(m, L, cols))
+
+
+def noise_from_json(where: str, obj, key: str) -> NoiseModel:
+    """The noise model :meth:`NoiseModel.to_dict` wrote at ``obj``'s dotted ``key``."""
+    json_key(where, obj, key, "object")
+    kind = json_key(where, obj, f"{key}.kind", "string", ("one of", tuple(NOISE_PARAMS)))
+    allowed = ("kind",) + NOISE_PARAMS[kind]
+    return json_key(where, obj, key, ("only", (allowed, f"{kind} noise")),
+                    lambda d: NoiseModel(**d))
 
 
 def report_to_dict(report: FitReport) -> dict:

@@ -38,6 +38,7 @@ __all__ = [
     "build_theta",
     "sample_observations",
     "apply_missingness",
+    "GRAPHON_PARAMS",
     "make_standard_graphon",
     "true_assignments",
     "synthesize",
@@ -171,6 +172,10 @@ def _regular_breaks(k: int) -> np.ndarray:
 def _bump_factor(x: np.ndarray) -> np.ndarray:
     """The bump's factor: columns ``1`` and ``a(x) = exp(-10*(x-1/2)^2)``."""
     return np.column_stack([np.ones_like(x), np.exp(-10 * (x - 0.5) ** 2)])
+
+
+# the parameters of each standard graphon: the keys of meta.json's graphon.params
+GRAPHON_PARAMS = {"rand": ("rho", "K", "L", "seed"), "cos": ("rho", "K", "L"), "hoelder": ("rho",)}
 
 
 def make_standard_graphon(kind: str, **params) -> Graphon:
