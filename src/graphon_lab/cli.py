@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregation import check_temperature, ewa_aggregate, temperature
 from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, induced_mean
-from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
+from .estimation import FitConfig, HyperGrid, check_grid, default_grid, fit_grid, lloyd_fit
 from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
 from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .io import (
@@ -52,13 +52,6 @@ _PARAM_RULES = {"K": ("integer", "positive"), "L": ("integer", "positive"), "rho
 
 def _graphon_from_meta(graphon: dict):
     return make_standard_graphon(graphon["kind"], **graphon["params"])
-
-
-def _feasible(grid: HyperGrid, shape) -> HyperGrid:
-    """``grid``, once each entry keeps :class:`FitConfig`'s rules for data of ``shape``."""
-    for K, L, n0, m0 in grid:
-        FitConfig(K, L, n0, m0).validate_for(*shape)
-    return grid
 
 
 def _cmd_synth(args) -> int:
@@ -124,7 +117,7 @@ def _cmd_ewa(args) -> int:
         grid = default_grid(*H.shape)
     else:
         grid = json_key(args.grid, load_json(args.grid), "entries", "list",
-                        lambda entries: _feasible(HyperGrid(tuple(entries)), H.shape))
+                        lambda entries: check_grid(HyperGrid(tuple(entries)), H.shape))
     if args.beta == "auto":
         if args.noise is None:
             raise ValueError("--beta auto needs --noise (and --noise-param)")
@@ -175,9 +168,9 @@ def _cmd_eval(args) -> int:
         if meta is None or args.latents is None:
             raise ValueError(f"--metrics {','.join(truth)} needs --meta and --latents")
         lat = load_json(args.latents)
-        U, V = (json_key(args.latents, lat, k, "list", ("length", size),
-                         lambda values, k=k: check_latents(values, k))
-                for k, size in (("U", model.n), ("V", model.m)))
+        for k, size in (("U", model.n), ("V", model.m)):
+            json_key(args.latents, lat, k, "list", ("length", size))
+        U, V = json_key(args.latents, lat, "", lambda d: [check_latents(d[k], k) for k in "UV"])
         kind = json_key(args.meta, meta, "graphon.kind", "string", ("one of", tuple(GRAPHON_PARAMS)))
         owner = (GRAPHON_PARAMS[kind], f"the {kind} graphon")
         json_key(args.meta, meta, "graphon.params", "object", ("only", owner))
@@ -218,7 +211,7 @@ def _cmd_experiment(args) -> int:
         if getattr(args, key) is not None:
             spec_dict[key] = getattr(args, key)
     spec = ExperimentSpec.from_dict(spec_dict, args.config)
-    result = run_experiment(spec)
+    result = json_key(args.config, spec, "", run_experiment)  # a cell's refusal names it too
     paths = emit_outputs(result, args.outdir, formats=args.formats.split(","))
     for kind, path in sorted(paths.items()):
         print(f"{kind}: {path}")

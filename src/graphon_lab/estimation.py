@@ -34,6 +34,7 @@ __all__ = [
     "spectral_init",
     "lloyd_fit",
     "fit_grid",
+    "check_grid",
 ]
 
 _KMEANS_RESTARTS = 5
@@ -663,8 +664,9 @@ class HyperGrid:
     """A set of fit hyperparameters ``(K, L, n0, m0)`` to aggregate over.
 
     Each entry must hold exactly four Python or numpy integers (booleans
-    are refused); they are stored as ints.  :func:`fit_grid` checks each
-    entry by :class:`FitConfig`'s rules for the data's shape.
+    are refused); they are stored as ints.  :func:`check_grid`, which
+    :func:`fit_grid` calls, checks each entry by :class:`FitConfig`'s rules
+    for the data's shape.
     """
 
     entries: Tuple[Tuple[int, int, int, int], ...]
@@ -730,6 +732,17 @@ def default_grid(n: int, m: int) -> HyperGrid:
     return HyperGrid(tuple(entries))
 
 
+def check_grid(grid: HyperGrid, shape: Tuple[int, int]) -> HyperGrid:
+    """``grid``, or ``ValueError`` naming the first entry that breaks
+    :class:`FitConfig`'s rules for data of ``shape``."""
+    for K, L, n0, m0 in grid:
+        try:
+            _check_counts(K, L, n0, m0, shape)
+        except ValueError as exc:
+            raise ValueError(f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}): {exc}") from None
+    return grid
+
+
 def fit_grid(
     H: np.ndarray, grid: HyperGrid, seed: int
 ) -> Dict[Tuple[int, int, int, int], FitReport]:
@@ -753,11 +766,7 @@ def fit_grid(
     """
     check_seed(seed)
     n, m = np.shape(H)
-    for K, L, n0, m0 in grid:
-        try:
-            _check_counts(K, L, n0, m0, (n, m))
-        except ValueError as exc:
-            raise ValueError(f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}): {exc}") from None
+    check_grid(grid, (n, m))
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)

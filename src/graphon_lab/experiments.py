@@ -158,13 +158,13 @@ class ExperimentSpec:
         for rho in (self.rho,) + (self.rho_values or ()):
             if not finite_positive(rho):
                 raise ValueError(f"rho must be finite and positive, got {rho!r}")
-            if self.noise.kind in ("bernoulli", "binomial") and rho > 1:
-                # the graphon's values are the means, which these models draw as probabilities
-                raise ValueError(f"rho must be at most 1 for {self.noise.kind} noise, got {rho!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
         for init in self.inits:
             # the cells' own configs, with the Hoelder rule's K = L = 2 standing in
-            self._fit_config(init, *((self.K, self.L) if self.K is not None else (2, 2)))
+            try:
+                self._fit_config(init, *((self.K, self.L) if self.K is not None else (2, 2)))
+            except ValueError as exc:  # FitConfig's field is init, the spec's inits
+                raise ValueError(f"a cell's fit (inits entry {init!r}): {exc}") from None
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs
             floor = max([100] + [max(c["n"], c["m"]) for c in self.sweep_cells()])
@@ -200,8 +200,6 @@ class ExperimentSpec:
             if f.default is MISSING and f.default_factory is MISSING:
                 json_key(where, d, f.name)
         values = {k: json_key(where, d, k, *_json_rules(types[k])) for k in d if k != "noise"}
-        if "inits" in d:  # FitConfig's init rule, the refusal named by the key
-            json_key(where, d, "inits", lambda inits: [FitConfig(2, 2, init=i) for i in inits])
         if "noise" in d:
             values["noise"] = noise_from_json(where, d, "noise")
         return json_key(where, values, "", lambda v: ExperimentSpec(**v))

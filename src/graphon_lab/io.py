@@ -126,7 +126,7 @@ def json_key(where: str, obj, key: str, *rules):
     (``None`` passes), ``("only", (keys, owner))`` for an object's keys, or callables,
     whose result replaces the value.  Raises ``ValueError`` as ``{where} has no key 'x'``
     or ``{where} key 'x' must be <rule>, got <value>``; a callable's ``ValueError`` gets
-    ``{where}``, and the key unless the message names it, in front."""
+    ``{where} key 'x':`` (``{where}:`` for ``obj`` itself) in front."""
     parts = key.split(".") if key else []
     value = obj
     for depth, part in enumerate(parts):
@@ -139,17 +139,17 @@ def json_key(where: str, obj, key: str, *rules):
             try:
                 value = rule(value)
             except ValueError as exc:
-                prefix = where if not key or repr(parts[-1]) in str(exc) else named
-                raise ValueError(f"{prefix}: {exc}") from None
+                raise ValueError(f"{named}: {exc}") from None
             continue
         name, arg = (rule, None) if isinstance(rule, str) else rule
         if name == "nullable":
             if value is None:
                 return None
         elif name == "only":
-            if extra := [k for k in value if k not in arg[0]]:
-                raise ValueError(f"{where} key {'.'.join(parts + extra[:1])!r} is not a "
-                                 f"parameter of {arg[1]} ({', '.join(arg[0])})")
+            if extra := [".".join(parts + [k]) for k in value if k not in arg[0]]:
+                what = ("key {!r} is not a parameter" if len(extra) == 1
+                        else "keys {!r} are not parameters").format(", ".join(extra))
+                raise ValueError(f"{where} {what} of {arg[1]} ({', '.join(arg[0])})")
         else:
             each = name.startswith("each ")
             test, what = RULES[name.removeprefix("each ")]

@@ -338,11 +338,11 @@ class TestNoiseModel:
          ({"kind": "gaussian", "sigma2": 1.0, "N": 2}, "noise.N")],
     )
     def test_from_dict_refuses_keys_of_other_kinds(self, d, keys):
-        # these used to be ignored; the refusal names the first, in the object's order
-        first = keys.split(", ")[0]
-        with pytest.raises(ValueError, match=f"key '{first}' is not a parameter of {d['kind']} noise"):
+        # these used to be ignored
+        with pytest.raises(ValueError, match=f"'{keys}' (is not a parameter|are not parameters) "
+                                             f"of {d['kind']} noise"):
             _read_noise(d)
-        with pytest.raises(ValueError, match=first.replace("noise.", "noise_model.")):
+        with pytest.raises(ValueError, match=keys.replace("noise.", "noise_model.")):
             _read_noise(d, "noise_model")
 
     def test_parameters_of_other_kinds_rejected(self):

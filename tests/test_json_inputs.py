@@ -230,6 +230,20 @@ def test_binomial_N_true_exits_two(bernoulli_trip, tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise, rho, message",
+                         [({"kind": "gaussian", "sigma2": 1e307}, 0.5, "rate bound at rho 0.5"),
+                          ({"kind": "bernoulli"}, 7.5, "bernoulli means must lie in [0, 1]")])
+def test_a_refusal_in_a_cell_names_the_spec(tmp_path, capsys, noise, rho, message):
+    # raised while the cells run: the overflowing bound used to be recorded as inf,
+    # and both messages named no file
+    path, out = tmp_path / "spec.json", tmp_path / "out"
+    dump_json(path, {"name": "cell", "setup": "rand_graphon", "noise": noise, "rho": rho,
+                     "K": 2, "L": 2, "n_values": [16], "reps": 1, "inits": ["spectral"]})
+    assert main(["experiment", "--config", str(path), "--outdir", str(out)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_flags_over_a_spec_that_is_not_an_object_exit_two(tmp_path, capsys):
     # --reps used to be written into the decoded list: a TypeError traceback
     path = tmp_path / "spec.json"
