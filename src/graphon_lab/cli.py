@@ -1,22 +1,20 @@
 """Command-line entry point: ``graphon-lab {synth,fit,ewa,eval,experiment}``.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+failures.  Each command imports the modules it runs when it runs, so
+``eval`` loads no estimator and only ``experiment`` loads the experiments.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .aggregation import check_temperature, ewa_aggregate, temperature
 from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, induced_mean
-from .estimation import FitConfig, HyperGrid, check_grid, default_grid, fit_grid, lloyd_fit
-from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
-from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .io import (
     dump_json,
     json_key,
@@ -91,12 +89,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .estimation import FitConfig, lloyd_fit
+
     H = load_matrix(args.input)
-    cfg = FitConfig(
-        K=args.K, L=args.L, n0=args.n0, m0=args.m0, init=args.init,
-        restarts=args.restarts, max_iters=args.max_iters,
-        tol_gamma=args.tol, seed=args.seed,
-    )
+    cfg = FitConfig(**{f.name: getattr(args, f.name) for f in fields(FitConfig)
+                       if hasattr(args, f.name)})
     report = lloyd_fit(H, cfg)
     dump_json(args.output, report_to_dict(report))
     print(
@@ -107,6 +104,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ewa(args) -> int:
+    from .aggregation import check_temperature, ewa_aggregate, temperature
+    from .estimation import HyperGrid, check_grid, default_grid, fit_grid
+
     H = load_matrix(args.input)
     H_prime = load_matrix(args.input_prime)
     if H_prime.shape != H.shape:
@@ -149,6 +149,8 @@ def _cmd_ewa(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import DEFAULT_DELTA_GRID, delta_tilde, mse_theta, oracle_fit, rate_bound
+
     metrics = args.metrics.split(",")
     unknown = [name for name in metrics if name not in EVAL_METRICS]
     if unknown:
@@ -206,6 +208,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import ExperimentSpec, emit_outputs, run_experiment
+
     spec_dict = json_key(args.config, load_json(args.config), "", "object")
     for key in ("reps", "seed", "name"):  # the flags override the file
         if getattr(args, key) is not None:
@@ -240,16 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("fit", help="fit one block model")
+    # a fit flag not given stays out of the namespace: FitConfig holds the defaults
+    p = sub.add_parser("fit", help="fit one block model", argument_default=argparse.SUPPRESS)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n0", type=int, default=FitConfig.n0)
-    p.add_argument("--m0", type=int, default=FitConfig.m0)
-    p.add_argument("--init", choices=("spectral", "random"), default=FitConfig.init)
-    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
-    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
-    p.add_argument("--tol", type=float, default=FitConfig.tol_gamma)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--n0", type=int)
+    p.add_argument("--m0", type=int)
+    p.add_argument("--init", choices=("spectral", "random"))
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", dest="tol_gamma", metavar="TOL", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_fit)

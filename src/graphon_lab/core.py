@@ -25,6 +25,8 @@ __all__ = [
     "DimensionMismatch",
     "finite_positive",
     "check_seed",
+    "is_integer",
+    "check_counts",
     "check_latents",
     "induced_mean",
     "frobenius_cost",
@@ -223,6 +225,32 @@ def check_seed(seed) -> None:
     numpy's ``SeedSequence`` needs.  A bool is refused: JSON ``true`` loads as 1."""
     if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not (JSON ``true`` loads as 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_counts(K, L, n0=0, m0=0, shape: Optional[Tuple[int, int]] = None, **integers):
+    """The one copy of the rules for a fit's ``(K, L, n0, m0)``: ``ValueError`` naming
+    the first of them, then of the other named ``integers``, that is not an integer
+    (:func:`is_integer`), and unless ``K, L >= 2`` and ``n0, m0 >= 0`` and, for data
+    of ``shape = (n, m)``, ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
+    for name, x in {"K": K, "L": L, "n0": n0, "m0": m0, **integers}.items():
+        if not is_integer(x):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+    if K < 2 or L < 2:
+        raise ValueError("K and L must be at least 2")
+    if n0 < 0 or m0 < 0:
+        raise ValueError(f"minimum sizes must be nonnegative, got n0={n0}, m0={m0}")
+    if shape is not None:
+        if K > shape[0] or L > shape[1]:
+            raise ValueError("more clusters than rows/columns")
+        if K * n0 > shape[0]:
+            raise ValueError(f"infeasible row sizes: {K} * {n0} > {shape[0]}")
+        if L * m0 > shape[1]:
+            raise ValueError(f"infeasible column sizes: {L} * {m0} > {shape[1]}")
 
 
 def check_latents(values, name: str) -> np.ndarray:

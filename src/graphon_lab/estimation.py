@@ -19,7 +19,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AssignmentMatrix, BlockModel, check_seed, finite_positive, group_sums,
+    AssignmentMatrix, BlockModel, check_counts, check_seed, finite_positive, group_sums,
+    is_integer,
 )
 from .flow import min_cost_assignment
 from .synthesis import substream
@@ -327,28 +328,6 @@ def spectral_init(
 # --------------------------------------------------------------------------
 
 
-def _is_integer(x) -> bool:
-    # bool is an int subclass, and JSON true loads as one
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_counts(K: int, L: int, n0: int, m0: int, shape: Optional[Tuple[int, int]] = None):
-    """The one copy of the rules for integer ``(K, L, n0, m0)``: ``ValueError``
-    unless ``K, L >= 2`` and ``n0, m0 >= 0`` and, for data of ``shape = (n, m)``,
-    ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
-    if K < 2 or L < 2:
-        raise ValueError("K and L must be at least 2")
-    if n0 < 0 or m0 < 0:
-        raise ValueError(f"minimum sizes must be nonnegative, got n0={n0}, m0={m0}")
-    if shape is not None:
-        if K > shape[0] or L > shape[1]:
-            raise ValueError("more clusters than rows/columns")
-        if K * n0 > shape[0]:
-            raise ValueError(f"infeasible row sizes: {K} * {n0} > {shape[0]}")
-        if L * m0 > shape[1]:
-            raise ValueError(f"infeasible column sizes: {L} * {m0} > {shape[1]}")
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one alternating-minimization fit.
@@ -374,10 +353,8 @@ class FitConfig:
     init_labels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
-        for name in ("K", "L", "n0", "m0", "restarts", "max_iters"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        _check_counts(self.K, self.L, self.n0, self.m0)
+        check_counts(self.K, self.L, self.n0, self.m0,
+                     restarts=self.restarts, max_iters=self.max_iters)
         if self.init not in ("spectral", "random", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.init_labels is None:
@@ -392,7 +369,7 @@ class FitConfig:
 
     def validate_for(self, n: int, m: int) -> None:
         """``ValueError`` unless ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
-        _check_counts(self.K, self.L, self.n0, self.m0, (n, m))
+        check_counts(self.K, self.L, self.n0, self.m0, (n, m))
 
 
 @dataclass(frozen=True)
@@ -518,15 +495,17 @@ def _times_moved(
 class _Axis:
     """One axis of a Lloyd run.  Fixed: the operands ``A`` and ``At = A^T``
     of its H product (H for the columns, H^T for the rows), the squared
-    norms ``sq`` of its lines of H and its size ``floor``.  The ``labels``,
+    norms ``sq`` of its lines of H, its size ``floor`` and whether the
+    trajectory ``scores`` its steps (the columns' only).  The ``labels``,
     as the solver returned them, their ``counts``, which the repairs keep
     positive (every block mean divides by a nonzero size), and their one-hot
     ``Z`` are replaced only when a step moves the labels, so identity tells
     whether one did.  ``prod = A Z`` was computed for the labels
     ``prod_for``; ``low`` is the smallest size a step left before a repair."""
 
-    def __init__(self, z: AssignmentMatrix, A, At, sq, floor: int):
+    def __init__(self, z: AssignmentMatrix, A, At, sq, floor: int, scores: bool = False):
         self.A, self.At, self.sq, self.floor, self.low = A, At, sq, floor, z.n
+        self.scores = scores
         self.labels, self.counts, self.Z = z.labels, z.counts(), np.eye(z.K).take(z.labels, 0)
         self.prod = self.prod_for = None
 
@@ -549,7 +528,9 @@ def _half_step(move: _Axis, fix: _Axis, Q: np.ndarray) -> Tuple[np.ndarray, np.n
     """Exact reassignment of the axis ``move`` under its size floor, with the
     labels of ``fix`` held and block values ``Q`` (clusters of ``move`` by
     those of ``fix``).  An empty cluster left by a floor-0 step is repaired.
-    Returns Q and the cost matrix, both for the new labels after a repair."""
+    Returns Q and the cost matrix, both for the new labels after a repair;
+    a repaired step of an axis the trajectory does not score returns no
+    cost matrix, as nothing reads it."""
     sums = fix.product()
     c = _linear_costs(sums, Q, fix.counts)
     labels = min_cost_assignment(c, move.floor)
@@ -565,7 +546,7 @@ def _half_step(move: _Axis, fix: _Axis, Q: np.ndarray) -> Tuple[np.ndarray, np.n
     # in the layout of the Q it replaces: the BLAS products of the costs
     # sum in an order that depends on it
     Q = np.divide(move.Z.T @ sums, move.counts[:, None] * fix.counts, out=np.empty_like(Q))
-    return Q, _linear_costs(sums, Q, fix.counts)
+    return Q, _linear_costs(sums, Q, fix.counts) if move.scores else None
 
 
 def _lloyd_run(
@@ -576,7 +557,7 @@ def _lloyd_run(
     n, m = H.shape
     # the start labels are checked here and the returned ones by the model
     rows = _Axis(AssignmentMatrix(n, cfg.K, row_labels), Ht, H, row_sq, cfg.n0)
-    cols = _Axis(AssignmentMatrix(m, cfg.L, col_labels), H, Ht, col_sq, cfg.m0)
+    cols = _Axis(AssignmentMatrix(m, cfg.L, col_labels), H, Ht, col_sq, cfg.m0, True)
     # H is read at most twice per iteration, plus once for each axis whose
     # start labels leave a cluster empty: H Z_c gives the block means and
     # the row costs, H^T Z_r the column costs and the means after the step,
@@ -676,7 +657,7 @@ class HyperGrid:
             raise ValueError("a grid needs at least one entry")
         for i, e in enumerate(self.entries):
             if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 4
-                    and all(_is_integer(x) for x in e)):
+                    and all(is_integer(x) for x in e)):
                 raise ValueError(f"grid entry {i} ({e!r}) must be four integers (K, L, n0, m0)")
         object.__setattr__(
             self, "entries", tuple(tuple(int(x) for x in e) for e in self.entries)
@@ -737,7 +718,7 @@ def check_grid(grid: HyperGrid, shape: Tuple[int, int]) -> HyperGrid:
     :class:`FitConfig`'s rules for data of ``shape``."""
     for K, L, n0, m0 in grid:
         try:
-            _check_counts(K, L, n0, m0, shape)
+            check_counts(K, L, n0, m0, shape)
         except ValueError as exc:
             raise ValueError(f"grid entry (K={K}, L={L}, n0={n0}, m0={m0}): {exc}") from None
     return grid

@@ -24,10 +24,10 @@ from .core import (
     bin_sums,
     block_means,
     block_sums,
+    check_counts,
     check_latents,
     finite_positive,
 )
-from .estimation import FitConfig
 
 __all__ = [
     "mse_theta",
@@ -237,7 +237,7 @@ def rate_bound(
     quantity, matching how the experiment plots report errors.  ``ValueError``
     names ``rho`` and the noise model unless both it and the bound are finite and positive.
     """
-    FitConfig(K, L)  # the fitted counts' rule: K, L >= 2
+    check_counts(K, L)  # the fitted counts' rule: integers K, L >= 2
     sigma2, b = noise.bernstein_params(rho)
     r_sq = float(3.0 * K * L / (n * m) + np.log(K) / m + np.log(L) / n)
     bound = (25.0 * sigma2 + 4.0 * b * rho) * r_sq  # Python floats: an overflow gives inf

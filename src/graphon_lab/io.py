@@ -20,12 +20,14 @@ from __future__ import annotations
 import json
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .core import NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel
-from .estimation import FitReport
+
+if TYPE_CHECKING:
+    from .estimation import FitReport
 
 __all__ = [
     "save_matrix",
@@ -43,25 +45,49 @@ __all__ = [
 PathLike = Union[str, Path]
 
 FLOAT_FMT = "%.17g"
+# the largest magnitude read from a CSV matrix or a JSON number that feeds squared
+# errors: squares of such numbers summed over any array numpy can hold stay finite
+MAX_ABS = 1e100
+_BOUNDS = f"[-{MAX_ABS:.0e}, {MAX_ABS:.0e}]".replace("e+", "e")
+_BLOCK_ENTRIES = 4096  # save_matrix formats this many entries (at least a row) at a time
 
 
 def save_matrix(path: PathLike, M: np.ndarray) -> None:
+    """Write ``M`` as CSV, the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
+
+    Rows go out in blocks.  A block with at most a quarter as many distinct
+    values (by bit pattern, so ``-0.0`` is not ``0.0``) as entries formats
+    each value once and joins the strings; any other block is formatted
+    entry by entry, as savetxt does.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    np.savetxt(path, M, fmt=FLOAT_FMT, delimiter=",")
+    step = max(1, _BLOCK_ENTRIES // max(M.shape[1], 1))
+    row_fmt = ",".join([FLOAT_FMT] * M.shape[1])
+    with open(path, "w") as fh:
+        for i in range(0, len(M), step):
+            block = M[i:i + step]
+            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            if 4 * len(keys) > block.size:
+                lines = [row_fmt % tuple(row) for row in block.tolist()]
+            else:
+                text = np.array([FLOAT_FMT % x for x in keys.view(np.float64).tolist()],
+                                dtype=object)
+                lines = [",".join(row) for row in text[inverse.reshape(block.shape)].tolist()]
+            fh.write("\n".join(lines) + "\n")
 
 
 def load_matrix(path: PathLike) -> np.ndarray:
-    """Read a CSV matrix; NaN or +-inf raises ``ValueError`` naming the file.
+    """Read a CSV matrix; NaN, +-inf or an entry beyond :data:`MAX_ABS` in
+    magnitude raises ``ValueError`` naming the file, the count and the first one.
 
     No stored matrix holds NaN: missing entries are marked in ``mask.csv``.
     """
     M = np.loadtxt(path, delimiter=",", ndmin=2)
-    bad = np.argwhere(~np.isfinite(M))
+    bad = np.argwhere(~(np.abs(M) <= MAX_ABS))
     if len(bad):
         i, j = bad[0]
-        raise ValueError(
-            f"{path}: {len(bad)} non-finite entries, first {M[i, j]} at row {i}, column {j}"
-        )
+        raise ValueError(f"{path}: {len(bad)} entries not numbers in {_BOUNDS}, "
+                         f"first {M[i, j]} at row {i}, column {j}")
     return M
 
 
@@ -110,8 +136,7 @@ RULES = {
     "string": (lambda x, _: isinstance(x, str), "a string"),
     "integer": (lambda x, _: _integral(x), "an integer"),
     "number": (lambda x, _: _number(x), "a number"),
-    # squares of such numbers summed over any array numpy can hold stay finite
-    "bounded": (lambda x, _: _number(x) and -1e100 <= x <= 1e100, "a number in [-1e100, 1e100]"),
+    "bounded": (lambda x, _: _number(x) and -MAX_ABS <= x <= MAX_ABS, f"a number in {_BOUNDS}"),
     "positive": (lambda x, _: x > 0, "positive"),
     "at least": (lambda x, low: x >= low, "at least {}"),
     "one of": (lambda x, choices: x in choices, "one of {}"),

@@ -51,6 +51,8 @@ STREAM_SECOND = 3
 STREAM_GRAPHON = 4
 # the largest mean numpy's Poisson sampler takes
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+# the most cells of a rand or cos graphon: its K x L values take at most 128 MiB
+_MAX_CELLS = 2 ** 24
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -191,12 +193,16 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
                   ``rho/2 + rho/2 * a(u) a(v)``, ``a(x) = exp(-10*(x-1/2)^2)``.
 
     Raises ``ValueError`` naming ``K``, ``L`` or ``seed`` when a cell count is
-    not a positive integer or the seed not a non-negative one.
+    not a positive integer, the cells number more than ``2^24``, or the seed
+    is not a non-negative integer.
     """
     if kind in ("rand", "cos"):
         for name in ("K", "L"):
             if not (isinstance(params[name], Integral) and params[name] >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {params[name]!r}")
+        if params["K"] * params["L"] > _MAX_CELLS:
+            raise ValueError(f"a {kind} graphon has at most 2^24 cells (K * L), "
+                             f"got K={params['K']}, L={params['L']}")
     if kind == "rand":
         check_seed(params["seed"])
         K, L, rho, seed = params["K"], params["L"], params["rho"], params["seed"]

@@ -192,7 +192,7 @@ def test_ewa_shape_mismatch_exits_two(synth_dir, tmp_path, shape, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_grid ran on a mismatched H'")
 
-    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    monkeypatch.setattr("graphon_lab.estimation.fit_grid", no_fit)
     bad = tmp_path / "H_prime_bad.csv"
     save_matrix(bad, load_matrix(synth_dir / "H_prime.csv")[: shape[0], : shape[1]])
     rc = main(
@@ -333,7 +333,8 @@ def test_eval_non_finite_exits_two(synth_dir, tmp_path, flag):
 def test_ewa_bad_temperature_exits_two(synth_dir, tmp_path, capsys, monkeypatch, argv,
                                        message):
     # refused before any grid entry is fitted
-    monkeypatch.setattr(cli, "fit_grid", lambda *a, **k: pytest.fail("fit_grid ran"))
+    monkeypatch.setattr("graphon_lab.estimation.fit_grid",
+                        lambda *a, **k: pytest.fail("fit_grid ran"))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"entries": [[2, 2, 0, 0]]}))
     out = tmp_path / "e.json"
@@ -556,7 +557,7 @@ def test_ewa_non_finite_prime_exits_two_before_fit(synth_dir, tmp_path, monkeypa
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_grid ran on a non-finite H'")
 
-    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    monkeypatch.setattr("graphon_lab.estimation.fit_grid", no_fit)
     H_prime = load_matrix(synth_dir / "H_prime.csv")
     H_prime[0, 0] = np.nan
     bad = tmp_path / "H_prime_bad.csv"
@@ -656,7 +657,7 @@ def test_ewa_grid_entry_not_four_integers_exits_two(synth_dir, tmp_path, capsys,
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_grid ran on a malformed grid")
 
-    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    monkeypatch.setattr("graphon_lab.estimation.fit_grid", no_fit)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"entries": [[3, 3, 0, 0], entry]}))
     rc = main(
@@ -676,7 +677,7 @@ def test_ewa_empty_grid_exits_two(synth_dir, tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_grid ran on an empty grid")
 
-    monkeypatch.setattr(cli, "fit_grid", no_fit)
+    monkeypatch.setattr("graphon_lab.estimation.fit_grid", no_fit)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"entries": []}))
     rc = main(
@@ -890,3 +891,77 @@ def test_config_errors_exit_two(tmp_path, synth_dir):
         rc = main(["experiment", "--config", str(tmp_path / "spec.json"),
                    "--outdir", str(tmp_path / "out")])
         assert rc == 2
+
+
+def test_fit_without_options_is_the_default_config_fit(synth_dir, tmp_path):
+    # the options not given reach FitConfig as its own defaults
+    from graphon_lab.estimation import FitConfig, lloyd_fit
+
+    out = tmp_path / "model.json"
+    H = synth_dir / "H.csv"
+    assert main(["fit", "--K", "3", "--L", "2", "--input", str(H), "--output", str(out)]) == 0
+    got = load_json(out)
+    want = lloyd_fit(load_matrix(H), FitConfig(3, 2))
+    assert model_from_dict(got).Q.tobytes() == want.model.Q.tobytes()
+    assert got["row_labels"] == want.model.z_rows.labels.tolist()
+    assert got["col_labels"] == want.model.z_cols.labels.tolist()
+    assert [x.hex() for x in got["cost_trajectory"]] == [x.hex() for x in want.cost_trajectory]
+    assert (got["iterations"], got["init"], got["restart_index"], got["seed"]) == (
+        want.iterations, want.init_used, want.restart_index, want.seed)
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("--n0", "3", "n0", 3),
+    ("--m0", "2", "m0", 2),
+    ("--init", "random", "init", "random"),
+    ("--restarts", "2", "restarts", 2),
+    ("--max-iters", "5", "max_iters", 5),
+    ("--tol", "0.5", "tol_gamma", 0.5),
+    ("--seed", "7", "seed", 7),
+])
+def test_each_fit_option_reaches_fit_config(synth_dir, tmp_path, monkeypatch, flag, value,
+                                            field, expected):
+    from graphon_lab import estimation
+
+    configs = []
+    fit = estimation.lloyd_fit
+    monkeypatch.setattr(estimation, "lloyd_fit", lambda H, cfg: configs.append(cfg) or fit(H, cfg))
+    rc = main(["fit", "--K", "2", "--L", "2", flag, value, "--input", str(synth_dir / "H.csv"),
+               "--output", str(tmp_path / "model.json")])
+    assert rc == 0
+    assert configs == [estimation.FitConfig(2, 2, **{field: expected})]
+
+
+@pytest.mark.parametrize("command", ["eval", "fit"])
+def test_a_csv_entry_beyond_1e100_exits_two(synth_dir, tmp_path, capsys, command):
+    # a 1e200 truth entry used to give exit 0 and "mse_theta": Infinity
+    theta = load_matrix(synth_dir / "theta_star.csv")
+    theta[3, 1] = -1e200
+    big = tmp_path / "big.csv"
+    save_matrix(big, theta)
+    out = tmp_path / "out.json"
+    model = tmp_path / "model.json"
+    assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
+                 "--output", str(model)]) == 0
+    argv = {"eval": ["eval", "--model", str(model), "--truth", str(big), "--metrics", "mse"],
+            "fit": ["fit", "--K", "2", "--L", "2", "--input", str(big)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{big}: 1 entries not numbers in [-1e100, 1e100], first -1e+200 at row 3, column 1" \
+        in err
+    assert not out.exists()
+
+
+def test_synth_refuses_more_than_2_to_the_24_cells_before_allocating(tmp_path, capsys,
+                                                                     monkeypatch):
+    # it used to exit 1 with numpy's _ArrayMemoryError traceback; the stand-ins
+    # fail the test if the K x L values are about to be drawn
+    from graphon_lab import synthesis
+
+    monkeypatch.setattr(synthesis, "substream", lambda *a: pytest.fail("drew the values"))
+    rc = main(["synth", "--n", "20", "--m", "10", "--K", "100000", "--L", "100000",
+               "--outdir", str(tmp_path / "huge")])
+    assert rc == 2
+    assert "at most 2^24 cells (K * L), got K=100000, L=100000" in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()

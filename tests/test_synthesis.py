@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from graphon_lab import synthesis
 from graphon_lab.core import Graphon, NoiseModel
 from graphon_lab.synthesis import (
     SynthConfig,
@@ -188,6 +189,25 @@ class TestStandardGraphons:
         params = {"K": 2, "L": 2, "rho": 0.5, **({"seed": 0} if kind == "rand" else {})}
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             make_standard_graphon(kind, **{**params, name: value})
+
+    @pytest.mark.parametrize("kind", ["rand", "cos"])
+    def test_more_than_2_to_the_24_cells_are_refused_before_allocating(self, kind, monkeypatch):
+        # the stand-ins stop the construction where it would draw or lay out the values
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(synthesis, "substream", reached)
+        monkeypatch.setattr(np, "meshgrid", reached)
+        params = {"rho": 0.5, **({"seed": 0} if kind == "rand" else {})}
+        with pytest.raises(ValueError, match=r"at most 2\^24 cells \(K \* L\), got K=4097, L=4096"):
+            make_standard_graphon(kind, K=4097, L=4096, **params)
+        with pytest.raises(ValueError, match="got K=100000, L=100000"):
+            make_standard_graphon(kind, K=100000, L=100000, **params)
+        with pytest.raises(Reached):
+            make_standard_graphon(kind, K=4096, L=4096, **params)
 
     def test_rand_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
