@@ -17,8 +17,8 @@ import importlib
 _EXPORTS = {
     "core": (
         "AssignmentMatrix", "BlockModel", "DimensionMismatch", "Graphon", "NoiseModel",
-        "ObservationSet", "block_inner", "block_means", "block_sums", "frobenius_cost",
-        "group_sums", "induced_mean", "induced_sq_norm",
+        "ObservationSet", "block_inner", "block_means", "block_sums", "group_sums",
+        "induced_mean", "induced_sq_norm",
     ),
     "synthesis": (
         "SynthConfig", "apply_missingness", "build_theta", "make_standard_graphon",

@@ -48,10 +48,6 @@ _PARAM_RULES = {"K": ("integer", "positive"), "L": ("integer", "positive"), "rho
                 "seed": ("integer", ("at least", 0))}
 
 
-def _graphon_from_meta(graphon: dict):
-    return make_standard_graphon(graphon["kind"], **graphon["params"])
-
-
 def _cmd_synth(args) -> int:
     params = {name: getattr(args, name) for name in GRAPHON_PARAMS[args.setup]}  # synth flags
     graphon = make_standard_graphon(args.setup, **params)
@@ -178,7 +174,8 @@ def _cmd_eval(args) -> int:
         json_key(args.meta, meta, "graphon.params", "object", ("only", owner))
         for name in GRAPHON_PARAMS[kind]:
             json_key(args.meta, meta, f"graphon.params.{name}", *_PARAM_RULES[name])
-        graphon = json_key(args.meta, meta, "graphon", _graphon_from_meta)
+        graphon = json_key(args.meta, meta, "graphon",
+                           lambda g: make_standard_graphon(g["kind"], **g["params"]))
     if "delta" in metrics:
         # delta_tilde needs a grid comfortably finer than max(n, m)
         grid_res = max(DEFAULT_DELTA_GRID, 2 * max(theta_hat.shape))

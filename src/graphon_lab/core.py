@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -26,10 +26,10 @@ __all__ = [
     "finite_positive",
     "check_seed",
     "is_integer",
+    "is_number",
     "check_counts",
     "check_latents",
     "induced_mean",
-    "frobenius_cost",
     "group_sums",
     "bin_sums",
     "block_sums",
@@ -92,9 +92,6 @@ class AssignmentMatrix:
         """
         return self._counts
 
-    def min_size(self) -> int:
-        return int(self._counts.min())
-
 
 @dataclass(frozen=True)
 class BlockModel:
@@ -141,20 +138,6 @@ class BlockModel:
 def induced_mean(model: BlockModel) -> np.ndarray:
     """Materialize the ``n x m`` block-constant mean matrix of a model."""
     return model.Q[np.ix_(model.z_rows.labels, model.z_cols.labels)]
-
-
-def frobenius_cost(H: np.ndarray, model: BlockModel) -> float:
-    """Squared Frobenius distance between ``H`` and the model mean.
-
-    This is the least-squares objective: ``|| H - Z_r Q Z_c^T ||_F^2``.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if H.shape != (model.n, model.m):
-        raise DimensionMismatch(
-            f"H has shape {H.shape}, expected ({model.n}, {model.m})"
-        )
-    diff = H - induced_mean(model)
-    return float(np.einsum("ij,ij->", diff, diff))
 
 
 def block_sums(
@@ -212,24 +195,29 @@ def group_sums(H: np.ndarray, labels: np.ndarray, K: int, axis: int) -> np.ndarr
 # --------------------------------------------------------------------------
 
 _VALIDATION_GRID = 512
-_VALIDATION_TOL = 1e-12
-
-
-def finite_positive(x) -> bool:
-    """Whether ``x`` is a finite positive real."""
-    return isinstance(x, Real) and math.isfinite(x) and x > 0
-
-
-def check_seed(seed) -> None:
-    """``ValueError`` naming the seed unless it is a non-negative integer, as
-    numpy's ``SeedSequence`` needs.  A bool is refused: JSON ``true`` loads as 1."""
-    if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+_BAND_TOL = 1e-12  # how far a value may stray outside [0, rho] and still count as in it
 
 
 def is_integer(x) -> bool:
     """Whether ``x`` is a Python or numpy integer; a bool is not (JSON ``true`` loads as 1)."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """Whether ``x`` is a real number (NaN and +-inf too); a bool is not."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def finite_positive(x) -> bool:
+    """Whether ``x`` is a finite positive number (:func:`is_number`)."""
+    return is_number(x) and math.isfinite(x) and x > 0
+
+
+def check_seed(seed) -> None:
+    """``ValueError`` naming the seed unless it is a non-negative integer
+    (:func:`is_integer`), as numpy's ``SeedSequence`` needs."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_counts(K, L, n0=0, m0=0, shape: Optional[Tuple[int, int]] = None, **integers):
@@ -264,19 +252,13 @@ def check_latents(values, name: str) -> np.ndarray:
     if numeric:
         ok = (items >= 0) & (items <= 1)
     else:
-        ok = np.array([isinstance(x, Real) and not isinstance(x, bool) and 0 <= x <= 1
-                       for x in items], dtype=bool)
+        ok = np.array([is_number(x) and 0 <= x <= 1 for x in items], dtype=bool)
     if not ok.all():
         i = int(np.argmin(ok))
         bad = items[i].item() if isinstance(items[i], np.generic) else items[i]
         raise ValueError(f"latent positions {name!r} must be numbers in [0, 1], "
                          f"got {bad!r} at index {i}")
     return items.astype(np.float64, copy=False)
-
-
-def _in_band(values: np.ndarray, rho: float) -> bool:
-    """Whether every value lies in ``[0, rho]`` up to the tolerance; NaN does not."""
-    return bool(values.min() >= -_VALIDATION_TOL and values.max() <= rho + _VALIDATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -351,19 +333,19 @@ class Graphon:
                 f"values has shape {V.shape}, expected "
                 f"({len(a) - 1}, {len(b) - 1})"
             )
-        if self.validate and not _in_band(V, self.rho):
+        if self.validate and not self.in_band(V):
             raise ValueError("graphon values fall outside [0, rho]")
 
     def _check_analytic(self):
         if self.row_factor is None or self.core is None or self.col_factor is None:
             raise ValueError("analytic graphon needs a row factor, a core and a column factor")
-        if self.hoelder_alpha is None or not (0 < self.hoelder_alpha <= 1):
+        if not (is_number(self.hoelder_alpha) and 0 < self.hoelder_alpha <= 1):
             raise ValueError("hoelder_alpha must lie in (0, 1]")
         if not finite_positive(self.hoelder_L):
             raise ValueError(f"hoelder_L must be finite and positive, got {self.hoelder_L!r}")
         if self.validate:
             g = (np.arange(_VALIDATION_GRID) + 0.5) / _VALIDATION_GRID
-            if not _in_band(self.evaluate_grid(g, g), self.rho):
+            if not self.in_band(self.evaluate_grid(g, g)):
                 raise ValueError("graphon values fall outside [0, rho] on the validation grid")
 
     @property
@@ -374,11 +356,9 @@ class Graphon:
     def L(self) -> Optional[int]:
         return None if self.breaks_v is None else len(self.breaks_v) - 1
 
-    def min_cell_widths(self) -> Tuple[float, float]:
-        """Smallest cell width on each axis (piecewise-constant only)."""
-        if self.family != "piecewise_constant":
-            raise ValueError("only defined for piecewise-constant graphons")
-        return float(np.diff(self.breaks_u).min()), float(np.diff(self.breaks_v).min())
+    def in_band(self, values: np.ndarray) -> bool:
+        """Whether every value lies in ``[0, rho]`` up to the band tolerance; NaN does not."""
+        return bool(values.min() >= -_BAND_TOL and values.max() <= self.rho + _BAND_TOL)
 
     def cell_indices(self, u: np.ndarray, axis: int) -> np.ndarray:
         """Cell index of each coordinate along one axis (0 = rows, 1 = cols)."""
@@ -439,9 +419,8 @@ class NoiseModel:
         for name in ("N", "T", "sigma2"):
             if getattr(self, name) is not None and name not in NOISE_PARAMS[self.kind]:
                 raise ValueError(f"{self.kind} noise takes no {name}")
-        # isinstance first: a JSON noise object may carry any value here, and true loads as 1
-        N_ok = isinstance(self.N, Integral) and not isinstance(self.N, bool) and 1 <= self.N < 2**63
-        if self.kind == "binomial" and not N_ok:
+        # the type first: a JSON noise object may carry any value here
+        if self.kind == "binomial" and not (is_integer(self.N) and 1 <= self.N < 2**63):
             raise ValueError(f"binomial noise needs a positive integer N, got {self.N!r} "
                              "(numpy's sampler takes N < 2**63)")
         if self.kind == "scaled_poisson" and not finite_positive(self.T):
@@ -456,7 +435,7 @@ class NoiseModel:
     @staticmethod
     def binomial(N: int) -> "NoiseModel":
         # an integral float (a CLI value) is N; 2.5 must not truncate to 2, nor True to 1
-        if isinstance(N, Real) and not isinstance(N, bool) and float(N).is_integer():
+        if is_number(N) and float(N).is_integer():
             N = int(N)
         return NoiseModel("binomial", N=N)
 
@@ -517,23 +496,13 @@ class ObservationSet:
                 object.__setattr__(self, name, M)
         if (self.mask is None) != (self.p is None):
             raise ValueError("mask and p must be given together")
-        if self.p is not None and not (0 < self.p <= 1):
+        if self.p is not None and not (is_number(self.p) and 0 < self.p <= 1):
             raise ValueError("observation probability p must lie in (0, 1]")
         if self.latents is not None:
-            U, V = self.latents
-            U = np.asarray(U, dtype=np.float64)
-            V = np.asarray(V, dtype=np.float64)
+            U, V = (check_latents(x, name) for x, name in zip(self.latents, "UV"))
             if U.shape != (H.shape[0],) or V.shape != (H.shape[1],):
                 raise DimensionMismatch("latent vectors must match H's shape")
             object.__setattr__(self, "latents", (U, V))
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.H.shape[1]
 
     def adjusted(self) -> np.ndarray:
         """``H * mask / p`` when a mask is present, otherwise ``H``."""

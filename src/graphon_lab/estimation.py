@@ -19,8 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AssignmentMatrix, BlockModel, check_counts, check_seed, finite_positive, group_sums,
-    is_integer,
+    AssignmentMatrix, BlockModel, check_counts, check_seed, group_sums, is_integer, is_number,
 )
 from .flow import min_cost_assignment
 from .synthesis import substream
@@ -337,8 +336,7 @@ class FitConfig:
     labels in ``init_labels``).  Iteration stops when the cost decreases
     by at most ``tol_gamma``, when the labels reach a fixed point, or
     after ``max_iters`` rounds.  The counts must be Python or numpy
-    integers (booleans are refused).  The ``(K, L, n0, m0)`` rules, here and
-    in :meth:`validate_for`, are those :func:`fit_grid` applies to each entry.
+    integers (booleans are refused); :func:`check_counts` holds their rules.
     """
 
     K: int
@@ -363,13 +361,9 @@ class FitConfig:
             raise ValueError("restarts must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not (finite_positive(self.tol_gamma) or self.tol_gamma == 0):
+        if not (is_number(self.tol_gamma) and 0 <= self.tol_gamma < np.inf):
             raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
         check_seed(self.seed)
-
-    def validate_for(self, n: int, m: int) -> None:
-        """``ValueError`` unless ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
-        check_counts(self.K, self.L, self.n0, self.m0, (n, m))
 
 
 @dataclass(frozen=True)
@@ -442,17 +436,22 @@ def _transpose(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepare(H: np.ndarray) -> _Prepared:
-    """The data of a fit, computed once for all its runs.  Raises
-    ``ValueError`` when ``H`` is not finite.  The product operands are
+def _sq_norm(H: np.ndarray) -> float:
+    """``||H||_F^2`` of a float64 ``H``, or ``ValueError`` naming H unless it is
+    finite: one pass over H refuses NaN, +-inf and squares whose sum overflows."""
+    H_sq = float(np.einsum("ij,ij->", H, H))
+    if not np.isfinite(H_sq):
+        raise ValueError(f"H must be finite, and so must ||H||_F^2, got {H_sq}")
+    return H_sq
+
+
+def _prepare(H: np.ndarray, H_sq: float) -> _Prepared:
+    """The data of a fit, computed once for all its runs, from a float64 ``H``
+    and ``H_sq = _sq_norm(H)``.  The product operands are
     float32 for integer H whose squared row and column norms, which bound
     its absolute sums, are below ``2^24``: every partial sum of ``H Z`` is
     then an integer that float32 holds exactly, as float64 does."""
-    H = np.asarray(H, dtype=np.float64)
-    if not np.isfinite(H).all():
-        raise ValueError("H must be finite")
     row_sq = np.einsum("ij,ij->i", H, H)
-    H_sq = float(np.einsum("ij,ij->", H, H))
     if row_sq.max(initial=0.0) < _F32_EXACT:
         # where kept, these are exact integer sums: equal to H^T's below
         col_sq = np.einsum("ij,ij->j", H, H)
@@ -593,11 +592,13 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
     """Alternating minimization with the configured initialization.
 
     With ``init="random"`` the best of ``config.restarts`` independently
-    seeded runs (by final cost) is returned.  Raises ``ValueError`` when
-    ``H`` is not finite.
+    seeded runs (by final cost) is returned.  Raises ``ValueError``, before
+    any work, for counts too large for H or a non-finite ``||H||_F^2``.
     """
-    n, m = np.shape(H)
-    config.validate_for(n, m)
+    H = np.asarray(H, dtype=np.float64)
+    n, m = H.shape
+    check_counts(config.K, config.L, config.n0, config.m0, (n, m))
+    H_sq = _sq_norm(H)
     # the init runs before H is prepared: with the transpose made first, a
     # spectral fit at 1024 x 512 peaked 4 MB (one copy of H) higher in RSS
     starts = []
@@ -612,7 +613,7 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
     else:
         rl, cl = config.init_labels
         starts.append((np.asarray(rl, dtype=np.int64), np.asarray(cl, dtype=np.int64)))
-    return _fit_starts(_prepare(H), starts, config)
+    return _fit_starts(_prepare(H, H_sq), starts, config)
 
 
 def _fit_starts(prep: _Prepared, starts: list, config: FitConfig) -> FitReport:
@@ -743,16 +744,17 @@ def fit_grid(
     with ``init="given"`` from the same labels.  Raises ``ValueError``,
     before any work, when an entry breaks :class:`FitConfig`'s rules for
     the shape of ``H`` (the message names the entry), ``seed`` is not a
-    non-negative integer or ``H`` is not finite.
+    non-negative integer, or ``H`` or ``||H||_F^2`` is not finite.
     """
     check_seed(seed)
-    n, m = np.shape(H)
-    check_grid(grid, (n, m))
+    H = np.asarray(H, dtype=np.float64)
+    check_grid(grid, H.shape)
+    H_sq = _sq_norm(H)
     by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
     for entry in grid:
         by_pair.setdefault((entry[0], entry[1]), []).append(entry)
     row_labels, col_labels = _spectral_labels(H, *zip(*by_pair), seed)
-    prep = _prepare(H)
+    prep = _prepare(H, H_sq)
 
     def run(entry, labels) -> FitReport:
         K, L, n0, m0 = entry

@@ -21,7 +21,8 @@ from typing import (
 import numpy as np
 
 from .aggregation import check_temperature, ewa_weights, mixture, sq_residuals, temperature
-from .core import AssignmentMatrix, Graphon, NoiseModel, check_seed, finite_positive, induced_mean
+from .core import (AssignmentMatrix, Graphon, NoiseModel, check_counts, check_seed,
+                   finite_positive, induced_mean, is_integer)
 from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import (
     delta_tilde,
@@ -48,7 +49,6 @@ __all__ = [
     "run_experiment",
     "hoelder_KL_rule",
     "emit_outputs",
-    "load_records_csv",
     "run_ewa_experiment",
     "worker_count",
 ]
@@ -269,7 +269,7 @@ def _run_cell(payload: dict) -> List[dict]:
     for init in spec.inits:
         cfg = spec._fit_config(init, K, L, seed)
         try:
-            cfg.validate_for(n, m)
+            check_counts(cfg.K, cfg.L, cfg.n0, cfg.m0, (n, m))
         except ValueError as exc:
             log.warning("skipping infeasible cell %s: %s", (cell, init), exc)
             continue
@@ -396,7 +396,7 @@ def _csv_value(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
+    if is_integer(v):
         return str(int(v))
     return repr(float(v))
 
@@ -451,28 +451,6 @@ def _plot_summary(result: ExperimentResult, path: Path) -> None:
         ylabel="squared error",
         logx=logx,
     )
-
-
-def load_records_csv(path) -> List[dict]:
-    """Parse a records CSV back into dicts (inverse of :func:`emit_outputs`)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        rec = {}
-        for key, raw in zip(header, line.split(",")):
-            if raw == "":
-                rec[key] = None
-            elif key in ("init",):
-                rec[key] = raw
-            elif key in ("rep", "seed", "psi_ok"):
-                rec[key] = int(raw)
-            elif key == "sweep_value":
-                rec[key] = float(raw) if "." in raw or "e" in raw else int(raw)
-            else:
-                rec[key] = float(raw)
-        out.append(rec)
-    return out
 
 
 # --------------------------------------------------------------------------

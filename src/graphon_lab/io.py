@@ -18,13 +18,12 @@ JSON inputs lists each key and the :data:`RULES` :func:`json_key` applies.
 from __future__ import annotations
 
 import json
-from numbers import Integral, Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .core import NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel
+from .core import NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel, is_integer, is_number
 
 if TYPE_CHECKING:
     from .estimation import FitReport
@@ -119,28 +118,19 @@ def model_to_dict(model: BlockModel) -> dict:
     }
 
 
-def _integral(x) -> bool:
-    # bool is an int subclass, and JSON true loads as one
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
-def _number(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool)
-
-
 # json_key's rules: name -> (test of a value and the rule's argument, what the value must
 # be, {} standing for the argument); "each <name>" tests every item of a list
 RULES = {
     "object": (lambda x, _: isinstance(x, dict), "an object"),
     "list": (lambda x, _: isinstance(x, (list, tuple)), "a list"),
     "string": (lambda x, _: isinstance(x, str), "a string"),
-    "integer": (lambda x, _: _integral(x), "an integer"),
-    "number": (lambda x, _: _number(x), "a number"),
-    "bounded": (lambda x, _: _number(x) and -MAX_ABS <= x <= MAX_ABS, f"a number in {_BOUNDS}"),
+    "integer": (lambda x, _: is_integer(x), "an integer"),
+    "number": (lambda x, _: is_number(x), "a number"),
+    "bounded": (lambda x, _: is_number(x) and -MAX_ABS <= x <= MAX_ABS, f"a number in {_BOUNDS}"),
     "positive": (lambda x, _: x > 0, "positive"),
     "at least": (lambda x, low: x >= low, "at least {}"),
     "one of": (lambda x, choices: x in choices, "one of {}"),
-    "label below": (lambda x, K: _integral(x) and 0 <= x < K, "an integer in [0, {})"),
+    "label below": (lambda x, K: is_integer(x) and 0 <= x < K, "an integer in [0, {})"),
     "length": (lambda x, n: len(x) == n, "a list of {} items"),
 }
 

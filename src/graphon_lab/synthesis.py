@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Graphon, NoiseModel, ObservationSet, check_latents, check_seed
+from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_seed, is_integer,
+                   is_number)
 
 __all__ = [
     "SynthConfig",
@@ -52,7 +52,9 @@ STREAM_GRAPHON = 4
 # the largest mean numpy's Poisson sampler takes
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 # the most cells of a rand or cos graphon: its K x L values take at most 128 MiB
-_MAX_CELLS = 2 ** 24
+_CELLS_BITS = 24
+# the most entries of an observation set: each n x m float64 matrix takes at most 1 GiB
+_ENTRIES_BITS = 27
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -82,17 +84,27 @@ class SynthConfig:
     missing_p: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
-        if self.missing_p is not None and not (0 < self.missing_p <= 1):
-            raise ValueError("missing_p must lie in (0, 1]")
+        _check_sizes("an observation set", "entries", _ENTRIES_BITS, n=self.n, m=self.m)
+        p = self.missing_p
+        if p is not None and not (is_number(p) and 0 < p <= 1):
+            raise ValueError(f"missing_p must lie in (0, 1], got {p!r}")
         check_seed(self.seed)
+
+
+def _check_sizes(what: str, unit: str, bits: int, **sizes) -> None:
+    """``ValueError`` naming the first of ``sizes`` that is not a positive integer, or
+    all of them when their product (the ``unit`` of ``what``) exceeds ``2^bits``."""
+    for name, x in sizes.items():
+        if not (is_integer(x) and x >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {x!r}")
+    if math.prod(sizes.values()) > 2 ** bits:
+        got = ", ".join(f"{name}={x}" for name, x in sizes.items())
+        raise ValueError(f"{what} has at most 2^{bits} {unit} ({' * '.join(sizes)}), got {got}")
 
 
 def sample_latents(n: int, m: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Draw the i.i.d. Uniform[0, 1] latent positions of rows and columns."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    _check_sizes("an observation set", "entries", _ENTRIES_BITS, n=n, m=m)
     rng = substream(seed, STREAM_LATENTS)
     U = rng.random(n)
     V = rng.random(m)
@@ -100,15 +112,11 @@ def sample_latents(n: int, m: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def build_theta(graphon: Graphon, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The conditional mean matrix ``Theta[i, j] = W(U_i, V_j)``."""
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    if U.size and (U.min() < 0 or U.max() > 1):
-        raise ValueError("row latents must lie in [0, 1]")
-    if V.size and (V.min() < 0 or V.max() > 1):
-        raise ValueError("column latents must lie in [0, 1]")
-    theta = graphon.evaluate_grid(U, V)
-    if graphon.validate and (theta.min() < -1e-12 or theta.max() > graphon.rho + 1e-12):
+    """The conditional mean matrix ``Theta[i, j] = W(U_i, V_j)``.  Raises
+    ``ValueError`` naming ``U`` or ``V`` unless the positions are numbers in
+    [0, 1] (:func:`check_latents`)."""
+    theta = graphon.evaluate_grid(check_latents(U, "U"), check_latents(V, "V"))
+    if graphon.validate and not graphon.in_band(theta):
         raise ValueError("graphon evaluated outside [0, rho]")
     return theta
 
@@ -157,7 +165,7 @@ def apply_missingness(
 
 def _reveal_mask(shape: Tuple[int, int], p: float, seed: int) -> np.ndarray:
     """The 0/1 mask of :func:`apply_missingness`, drawn alone."""
-    if not (0 < p <= 1):
+    if not (is_number(p) and 0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     return (substream(seed, STREAM_MASK).random(shape) < p).astype(np.float64)
 
@@ -197,12 +205,7 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
     is not a non-negative integer.
     """
     if kind in ("rand", "cos"):
-        for name in ("K", "L"):
-            if not (isinstance(params[name], Integral) and params[name] >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {params[name]!r}")
-        if params["K"] * params["L"] > _MAX_CELLS:
-            raise ValueError(f"a {kind} graphon has at most 2^24 cells (K * L), "
-                             f"got K={params['K']}, L={params['L']}")
+        _check_sizes(f"a {kind} graphon", "cells", _CELLS_BITS, K=params["K"], L=params["L"])
     if kind == "rand":
         check_seed(params["seed"])
         K, L, rho, seed = params["K"], params["L"], params["rho"], params["seed"]
@@ -250,15 +253,13 @@ def synthesize(config: SynthConfig) -> ObservationSet:
     """
     U, V = sample_latents(config.n, config.m, config.seed)
     theta = build_theta(config.graphon, U, V)
-    if config.noise.kind in ("bernoulli", "binomial") and theta.max() > 1:
-        raise ValueError(f"{config.noise.kind} means must lie in [0, 1]; the graphon's "
-                         f"rho = {config.graphon.rho!r} gives {theta.max():.6g}")
-    if config.noise.kind == "gaussian" and (
-        theta.min() < -1e-12 or theta.max() > config.graphon.rho + 1e-12
-    ):
+    if config.noise.kind == "gaussian" and not config.graphon.in_band(theta):
         # the gaussian model has no mean-range restriction; flag, don't reject
         warnings.warn("gaussian means fall outside [0, rho]")
-    H = sample_observations(theta, config.noise, config.seed, stream=STREAM_NOISE)
+    try:
+        H = sample_observations(theta, config.noise, config.seed, stream=STREAM_NOISE)
+    except ValueError as exc:  # the means' range comes from the graphon's bound
+        raise ValueError(f"{exc}; the graphon's rho = {config.graphon.rho!r}") from None
     H_prime = None
     if config.with_second_copy:
         H_prime = sample_observations(

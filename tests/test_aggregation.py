@@ -18,10 +18,11 @@ from graphon_lab.core import (
     BlockModel,
     DimensionMismatch,
     NoiseModel,
+    check_counts,
     induced_mean,
 )
 from graphon_lab import estimation
-from graphon_lab.estimation import FitConfig, HyperGrid, default_grid, fit_grid
+from graphon_lab.estimation import HyperGrid, default_grid, fit_grid
 from graphon_lab.synthesis import SynthConfig, make_standard_graphon, synthesize
 
 
@@ -42,7 +43,7 @@ class TestDefaultGrid:
         for n, m in [(10, 10), (37, 22), (400, 200)]:
             grid = default_grid(n, m)
             for entry in grid:
-                FitConfig(*entry).validate_for(n, m)  # raises on an infeasible entry
+                check_counts(*entry, (n, m))  # raises on an infeasible entry
             for K, L, n0, m0 in grid:
                 assert K * n0 <= n and L * m0 <= m
                 assert n0 >= 4 and m0 >= 4

@@ -133,9 +133,10 @@ def test_eval_loads_latents_and_graphon_once(synth_dir, tmp_path, monkeypatch):
     assert main(["fit", "--K", "2", "--L", "2", "--input", str(synth_dir / "H.csv"),
                  "--output", str(model_path)]) == 0
     loaded, built = [], []
-    load, build = cli.load_json, cli._graphon_from_meta
+    load, build = cli.load_json, cli.make_standard_graphon
     monkeypatch.setattr(cli, "load_json", lambda p: loaded.append(Path(p).name) or load(p))
-    monkeypatch.setattr(cli, "_graphon_from_meta", lambda m: built.append(m) or build(m))
+    monkeypatch.setattr(cli, "make_standard_graphon",
+                        lambda kind, **params: built.append(kind) or build(kind, **params))
     rc = main(
         [
             "eval", "--model", str(model_path),
@@ -964,4 +965,17 @@ def test_synth_refuses_more_than_2_to_the_24_cells_before_allocating(tmp_path, c
                "--outdir", str(tmp_path / "huge")])
     assert rc == 2
     assert "at most 2^24 cells (K * L), got K=100000, L=100000" in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()
+
+
+def test_synth_refuses_more_than_2_to_the_27_entries_before_allocating(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the stand-in fails the test if the latents are about to be drawn
+    from graphon_lab import synthesis
+
+    monkeypatch.setattr(synthesis, "substream", lambda *a: pytest.fail("drew the latents"))
+    rc = main(["synth", "--setup", "cos", "--n", "1000000", "--m", "1000000",
+               "--outdir", str(tmp_path / "huge")])
+    assert rc == 2
+    assert "at most 2^27 entries (n * m), got n=1000000, m=1000000" in capsys.readouterr().err
     assert not (tmp_path / "huge").exists()

@@ -11,7 +11,6 @@ from graphon_lab.core import (
     BlockModel,
     block_means,
     block_sums,
-    frobenius_cost,
     group_sums,
     induced_mean,
 )
@@ -29,10 +28,17 @@ from graphon_lab.synthesis import (
     SynthConfig, apply_missingness, make_standard_graphon, substream, synthesize,
 )
 from graphon_lab.core import NoiseModel
+from test_core import frobenius_cost
 
 
 def assign(K, labels):
     return AssignmentMatrix(len(labels), K, np.asarray(labels))
+
+
+def _prepare(H):
+    """The prepared data of a fit on H, as ``lloyd_fit`` and ``fit_grid`` build it."""
+    H = np.asarray(H, dtype=np.float64)
+    return estimation._prepare(H, estimation._sq_norm(H))
 
 
 def assignment_costs(H, Q, fixed_cols):
@@ -96,7 +102,7 @@ class TestZStepConstrained:
         Q = rng.random((2, 2))
         zc = assign(2, rng.integers(0, 2, 6))
         uncon = reassign(H, Q, zc)
-        if uncon.min_size() >= 1:
+        if uncon.counts().min() >= 1:
             con = reassign(H, Q, zc, 1)
             assert np.array_equal(con.labels, uncon.labels)
 
@@ -1056,6 +1062,23 @@ def test_non_finite_input_rejected(bad, init):
         lloyd_fit(H, cfg)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("init", ["spectral", "random", "given"])
+def test_a_non_finite_sq_norm_is_refused_before_any_work(monkeypatch, scale, init):
+    # finite entries whose squares sum past the float range: such an H used
+    # to meet overflow warnings in the costs and then "cost must be finite"
+    # from the flow solver (or, at 1e300, overflow in the embedding's sums)
+    H = np.random.default_rng(0).random((12, 8)) * scale
+    rows, cols = np.arange(12) % 3, np.arange(8) % 3
+    for name in ("_spectral_labels", "_random_labels", "_prepare"):
+        monkeypatch.setattr(estimation, name, lambda *a, name=name: pytest.fail(name))
+    refusal = r"H must be finite, and so must \|\|H\|\|_F\^2, got inf"
+    with pytest.raises(ValueError, match=refusal):
+        lloyd_fit(H, FitConfig(3, 3, init=init, restarts=2, init_labels=(rows, cols)))
+    with pytest.raises(ValueError, match=refusal):
+        fit_grid(H, HyperGrid([(2, 2, 0, 0), (3, 3, 2, 2)]), seed=0)
+
+
 def _repair_empty_rows_reference(H, row_labels, z_cols, K, fill=0.0):
     """The repair with its residuals read from H: the block means of the
     current labels (``fill`` in the blocks of an empty cluster) are expanded
@@ -1079,7 +1102,7 @@ def _axis_step_reference(H, Q, fixed, floor):
     """One reassignment through the public steps: costs from H, then flow."""
     c = assignment_costs(H, Q, fixed)
     z = assign(len(Q), min_cost_assignment(c, floor))
-    size = z.min_size()
+    size = int(z.counts().min())
     if size == 0:
         z = _repair_empty_rows_reference(H, z.labels, fixed, len(Q))
     return z, size, c
@@ -1146,12 +1169,12 @@ def test_repair_ignores_empty_blocks(data, seed):
     rows = rng.integers(0, K - 3, n)  # clusters K-3 .. K-1 empty
     cols = rng.integers(0, L - 1, m)  # cluster L-1 empty
     zc = assign(L, cols)
-    assert zc.min_size() == 0
+    assert zc.counts().min() == 0
     got = _repair(H, rows, zc, K)
     for fill in (0.0, H.mean()):
         want = _repair_empty_rows_reference(H, rows, zc, K, fill)
         assert np.array_equal(got.labels, want.labels)
-    assert got.min_size() >= 1
+    assert got.counts().min() >= 1
     # the column repair against the repaired rows (empty clusters on one
     # axis), and against rows that still hold empty clusters (on both)
     for zr in (got, assign(K, rows)):
@@ -1258,7 +1281,7 @@ def _axis_step_checked(sums, sq_norms, Q, fixed, floor, costs=None):
     if costs is not None:
         costs.append((c.shape, c.tobytes()))
     z = assign(len(Q), min_cost_assignment(c, floor))
-    size = z.min_size()
+    size = int(z.counts().min())
     if size == 0:
         labels, counts = estimation._repair_empty_rows(
             sums, sq_norms, z.labels, z.counts(), _held_axis(fixed))
@@ -1418,10 +1441,10 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     ]:
         H = synthesize(SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=7)).H
         Ht = np.ascontiguousarray(H.T)
-        preps = [estimation._prepare(H)]
+        preps = [_prepare(H)]
         with monkeypatch.context() as wide:
             wide.setattr(estimation, "_F32_EXACT", 0.0)
-            preps.append(estimation._prepare(H))
+            preps.append(_prepare(H))
         assert [p.H.dtype for p in preps] == [np.float32, np.float64]
         row_emb, col_emb = spectral_embedding(H)
         for (K, L, n0, m0, max_iters), prep in itertools.product(cases, preps):
@@ -1476,7 +1499,7 @@ def test_incremental_products_match_recomputing_loop(noise, monkeypatch):
         H = synthesize(SynthConfig(n, m, g, model, seed=7)).H
         assert noise == "bernoulli" or H.max() >= 2
         Ht = np.ascontiguousarray(H.T)
-        prep = estimation._prepare(H)
+        prep = _prepare(H)
         assert prep.H.dtype == np.float32 and n * m >= min_entries
         prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
         row_emb, col_emb = spectral_embedding(H)
@@ -1543,7 +1566,7 @@ def test_lloyd_run_matches_recomputing_loop(case):
             mp.setattr(estimation, "_F32_EXACT", 0.0)
         if path == "update":
             mp.setattr(estimation, "_UPDATE_MIN_ENTRIES", 0)
-        prep = estimation._prepare(H)
+        prep = _prepare(H)
         wide = path in ("float64", "gaussian")
         assert prep.H.dtype == (np.float64 if wide else np.float32)
         prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
@@ -1585,11 +1608,11 @@ def test_float32_products_match_float64_path(kind, monkeypatch):
         reports += [rep for _, rep in sorted(fit_grid(H, grid, seed=2).items())]
         return [_fit_dump(r) for r in reports]
 
-    prep = estimation._prepare(H)
+    prep = _prepare(H)
     assert prep.H.dtype == prep.Ht.dtype == np.float32
     narrow = fits()
     monkeypatch.setattr(estimation, "_F32_EXACT", 0.0)
-    assert estimation._prepare(H).H.dtype == np.float64
+    assert _prepare(H).H.dtype == np.float64
     assert fits() == narrow
 
 
@@ -1610,8 +1633,8 @@ def _wide_integer(entries):
     np.pad([[4096.0]], ((0, 3), (0, 2))),  # a squared norm of exactly 2^24
 ], ids=["gaussian", "binomial3", "row_2^24", "col_2^24", "norm_2^24"])
 def test_float64_products_kept(H):
-    prep = estimation._prepare(H)
+    prep = _prepare(H)
     assert prep.H.dtype == prep.Ht.dtype == np.float64
     assert prep.Ht.flags.c_contiguous and np.array_equal(prep.Ht, H.T)
     # one step below the bound, the same layout takes float32
-    assert estimation._prepare(np.pad([[4095.0]], ((0, 3), (0, 2)))).H.dtype == np.float32
+    assert _prepare(np.pad([[4095.0]], ((0, 3), (0, 2)))).H.dtype == np.float32

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +14,34 @@ from graphon_lab.experiments import (
     ExperimentSpec,
     emit_outputs,
     hoelder_KL_rule,
-    load_records_csv,
     run_ewa_experiment,
     run_experiment,
     worker_count,
 )
 from graphon_lab.synthesis import SynthConfig, cell_seed, make_standard_graphon, synthesize
 from graphon_lab.core import induced_mean
+
+
+def load_records_csv(path):
+    """The records of a records CSV that :func:`emit_outputs` wrote, as dicts."""
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    out = []
+    for line in lines[1:]:
+        rec = {}
+        for key, raw in zip(header, line.split(",")):
+            if raw == "":
+                rec[key] = None
+            elif key in ("init",):
+                rec[key] = raw
+            elif key in ("rep", "seed", "psi_ok"):
+                rec[key] = int(raw)
+            elif key == "sweep_value":
+                rec[key] = float(raw) if "." in raw or "e" in raw else int(raw)
+            else:
+                rec[key] = float(raw)
+        out.append(rec)
+    return out
 
 
 class TestHoelderRule:
@@ -359,7 +381,7 @@ class TestFitGrid:
         prepared = []
         real_prepare = estimation._prepare
         monkeypatch.setattr(estimation, "_prepare",
-                            lambda H: prepared.append(H) or real_prepare(H))
+                            lambda H, H_sq: prepared.append(H) or real_prepare(H, H_sq))
         monkeypatch.setattr(estimation, "lloyd_fit", None)
         runs = self._record_runs(monkeypatch)
         H, grid = self._grid_case()

@@ -140,6 +140,8 @@ def _run_edited(round_trip, name, path, value):
 @example(case=("meta.json", ("rho",), 1e308))
 @example(case=("meta.json", ("noise_model", "sigma2"), 1e307))
 @example(case=("meta.json", ("noise_model",), {"kind": "binomial", "N": True}))
+@example(case=("meta.json", ("noise_model", "sigma2"), True))
+@example(case=("meta.json", ("noise_model",), {"kind": "scaled_poisson", "T": True}))
 @example(case=("spec.json", ("noise",), {"kind": "binomial", "N": True}))
 @example(case=("spec.json", ("noise",), {}))
 @example(case=("spec.json", ("reps",), "three"))
@@ -226,6 +228,21 @@ def test_binomial_N_true_exits_two(bernoulli_trip, tmp_path, capsys, name):
     assert main(argv) == 2
     key = "noise_model" if name == "meta.json" else "noise"
     assert f"{path} key {key!r}: binomial noise needs a positive integer N, got True" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", [{"kind": "gaussian", "sigma2": True},
+                                   {"kind": "scaled_poisson", "T": True}], ids=["sigma2", "T"])
+def test_a_noise_parameter_true_exits_two(bernoulli_trip, tmp_path, capsys, noise):
+    # JSON true loads as 1, and used to exit 0 with the rate bound of sigma2 = 1 (T = 1)
+    path, out = tmp_path / "meta.json", tmp_path / "metrics.json"
+    dump_json(path, {**load_json(bernoulli_trip / "meta.json"), "noise_model": noise})
+    rc = main(["eval", "--model", str(bernoulli_trip / "model.json"),
+               "--truth", str(bernoulli_trip / "theta_star.csv"), "--meta", str(path),
+               "--metrics", "rate", "--output", str(out)])
+    assert rc == 2
+    assert f"{path} key 'noise_model': {noise['kind']} noise needs a finite positive" in (
         capsys.readouterr().err)
     assert not out.exists()
 

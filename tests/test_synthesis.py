@@ -34,6 +34,31 @@ class TestLatents:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SynthConfig(5, 5, g, NoiseModel.bernoulli(), seed=seed)
 
+    @pytest.mark.parametrize("name", ["n", "m"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_sizes_must_be_positive_integers(self, name, value):
+        # numpy used to raise a TypeError for 2.5, and True ran as 1
+        g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
+        sizes = {"n": 5, "m": 4, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {value!r}"):
+            SynthConfig(graphon=g, noise=NoiseModel.bernoulli(), seed=0, **sizes)
+
+    @pytest.mark.parametrize("n, m", [(2 ** 14, 2 ** 13 + 1), (10 ** 6, 10 ** 6)])
+    def test_more_than_2_to_the_27_entries_are_refused(self, n, m):
+        # a config allocates nothing, so this refusal comes before any draw
+        g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
+        with pytest.raises(ValueError, match=rf"an observation set has at most 2\^27 entries "
+                                             rf"\(n \* m\), got n={n}, m={m}"):
+            SynthConfig(n, m, g, NoiseModel.bernoulli(), seed=0)
+        with pytest.raises(ValueError, match=f"got n={n}, m={m}"):
+            sample_latents(n, m, seed=0)
+        assert SynthConfig(2 ** 14, 2 ** 13, g, NoiseModel.bernoulli(), seed=0).n == 2 ** 14
+
+    def test_missing_p_true_is_refused(self):
+        g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
+        with pytest.raises(ValueError, match="missing_p must lie in \\(0, 1\\], got True"):
+            SynthConfig(5, 4, g, NoiseModel.bernoulli(), seed=0, missing_p=True)
+
     def test_uniform_mean(self):
         # 4 standard errors for Uniform[0,1] variance 1/12 at n = 10^4
         U, _ = sample_latents(10**4, 1, seed=42)
@@ -55,6 +80,16 @@ class TestBuildTheta:
         g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
         with pytest.raises(ValueError):
             build_theta(g, [1.5], [0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), True, 1.5, -0.1])
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_latents_must_be_numbers_in_the_unit_interval(self, name, bad):
+        # NaN and True used to be binned into a cell, giving a theta row or column
+        g = make_standard_graphon("cos", K=2, L=2, rho=0.5)
+        latents = {"U": [0.2, 0.7], "V": [0.4, 0.9, 0.1], name: [0.3, bad]}
+        with pytest.raises(ValueError, match=f"latent positions '{name}' must be numbers in "
+                                             f"\\[0, 1\\], got {bad!r} at index 1"):
+            build_theta(g, latents["U"], latents["V"])
 
 
 class TestObservations:
@@ -184,7 +219,8 @@ class TestStandardGraphons:
         assert g1.values.max() <= 0.4
 
     @pytest.mark.parametrize("kind", ["rand", "cos"])
-    @pytest.mark.parametrize("name, value", [("K", 0), ("L", -1), ("K", 2.5)])
+    @pytest.mark.parametrize("name, value", [("K", 0), ("L", -1), ("K", 2.5), ("K", True),
+                                             ("L", True)])
     def test_cell_counts_must_be_positive_integers(self, kind, name, value):
         params = {"K": 2, "L": 2, "rho": 0.5, **({"seed": 0} if kind == "rand" else {})}
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
