@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, induced_mean
+from .core import (AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, check_rho,
+                   induced_mean)
 from .io import (
     dump_json,
     json_key,
@@ -41,11 +42,6 @@ def _noise_from_args(args) -> NoiseModel:
         raise ValueError(f"--noise {kind} needs --noise-param")
     # binomial, scaled_poisson and gaussian: the constructor of that name
     return getattr(NoiseModel, kind)(args.noise_param)
-
-
-_POSITIVE = ("number", "positive", "bounded")
-_PARAM_RULES = {"K": ("integer", "positive"), "L": ("integer", "positive"), "rho": _POSITIVE,
-                "seed": ("integer", ("at least", 0))}
 
 
 def _cmd_synth(args) -> int:
@@ -172,8 +168,8 @@ def _cmd_eval(args) -> int:
         kind = json_key(args.meta, meta, "graphon.kind", "string", ("one of", tuple(GRAPHON_PARAMS)))
         owner = (GRAPHON_PARAMS[kind], f"the {kind} graphon")
         json_key(args.meta, meta, "graphon.params", "object", ("only", owner))
-        for name in GRAPHON_PARAMS[kind]:
-            json_key(args.meta, meta, f"graphon.params.{name}", *_PARAM_RULES[name])
+        for name in GRAPHON_PARAMS[kind]:  # present: the values' rules are the graphon's
+            json_key(args.meta, meta, f"graphon.params.{name}")
         graphon = json_key(args.meta, meta, "graphon",
                            lambda g: make_standard_graphon(g["kind"], **g["params"]))
     if "delta" in metrics:
@@ -197,8 +193,8 @@ def _cmd_eval(args) -> int:
             raise ValueError("--metrics rate needs --meta")
         noise = noise_from_json(args.meta, meta, "noise_model")
         out["rate_bound"] = json_key(
-            args.meta, meta, "rho", *_POSITIVE,
-            lambda rho: rate_bound(noise, rho, model.n, model.m, model.K, model.L))
+            args.meta, meta, "rho", "number",
+            lambda rho: rate_bound(noise, check_rho(rho), model.n, model.m, model.K, model.L))
     dump_json(args.output, out)
     print(f"wrote metrics {sorted(out)} -> {args.output}")
     return 0

@@ -25,6 +25,7 @@ __all__ = [
     "DimensionMismatch",
     "finite_positive",
     "check_seed",
+    "check_rho",
     "is_integer",
     "is_number",
     "check_counts",
@@ -37,6 +38,10 @@ __all__ = [
     "block_inner",
     "induced_sq_norm",
 ]
+
+# the largest rho, and magnitude read from a CSV matrix or a JSON number that feeds squared
+# errors: squares of such numbers summed over any array numpy can hold stay finite
+MAX_ABS = 1e100
 
 
 class DimensionMismatch(ValueError):
@@ -66,18 +71,20 @@ class AssignmentMatrix:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        for name, x in (("n", self.n), ("K", self.K)):
+            if not (is_integer(x) and x >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {x!r}")
+        K, whole = self.K, isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iu"
+        # anything but an integer array is read item by item: 0.7, True or '0' is refused, not cast
+        items = self.labels if whole else np.asarray(self.labels, dtype=object)
+        if items.shape != (self.n,):
+            raise DimensionMismatch(f"labels has shape {items.shape}, expected ({self.n},)")
+        if not (whole and items.min() >= 0 and items.max() < K):
+            for i, x in enumerate(items.tolist()):
+                if not (is_integer(x) and 0 <= x < K):
+                    raise ValueError(f"labels must be integers in [0, {K}), got {x!r} at index {i}")
+        labels = items.astype(np.int64)  # a private copy
         object.__setattr__(self, "labels", labels)
-        if self.n < 1:
-            raise ValueError("need at least one item")
-        if self.K < 1:
-            raise ValueError("need at least one cluster")
-        if labels.shape != (self.n,):
-            raise DimensionMismatch(
-                f"labels has shape {labels.shape}, expected ({self.n},)"
-            )
-        if labels.min() < 0 or labels.max() >= self.K:
-            raise ValueError("labels must lie in {0, ..., K-1}")
         labels.setflags(write=False)
         counts = np.bincount(labels, minlength=self.K)
         counts.setflags(write=False)
@@ -220,6 +227,14 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def check_rho(rho):
+    """``rho``, or ``ValueError`` naming rho unless it is a number (:func:`is_number`)
+    in ``(0, MAX_ABS]``: the one rule for a graphon's sup-norm bound."""
+    if not (is_number(rho) and 0 < rho <= MAX_ABS):
+        raise ValueError(f"rho must be a number in (0, {MAX_ABS:g}], got {rho!r}")
+    return rho
+
+
 def check_counts(K, L, n0=0, m0=0, shape: Optional[Tuple[int, int]] = None, **integers):
     """The one copy of the rules for a fit's ``(K, L, n0, m0)``: ``ValueError`` naming
     the first of them, then of the other named ``integers``, that is not an integer
@@ -274,7 +289,7 @@ class Graphon:
     array ``x`` to ``len(x) x r`` and ``len(x) x s`` matrices, ``core`` is the
     ``r x s`` matrix ``S``) and Hoelder metadata ``(hoelder_alpha, hoelder_L)``.
 
-    ``rho`` is the sup-norm bound, finite and positive; values are
+    ``rho`` is the sup-norm bound, in ``(0, MAX_ABS]`` (:func:`check_rho`); values are
     validated against ``[0, rho]`` on construction, NaN failing (analytic
     graphons on a 512 x 512 grid, since the exact supremum is unavailable).
     Pass ``validate=False`` for derived graphons that may step outside the
@@ -307,8 +322,7 @@ class Graphon:
                        hoelder_alpha=hoelder_alpha, hoelder_L=hoelder_L)
 
     def __post_init__(self):
-        if not finite_positive(self.rho):
-            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        check_rho(self.rho)
         for name in ("breaks_u", "breaks_v", "values", "core"):
             if getattr(self, name) is not None:
                 array = np.array(getattr(self, name), dtype=np.float64)  # a private copy
@@ -345,7 +359,9 @@ class Graphon:
             raise ValueError(f"hoelder_L must be finite and positive, got {self.hoelder_L!r}")
         if self.validate:
             g = (np.arange(_VALIDATION_GRID) + 0.5) / _VALIDATION_GRID
-            if not self.in_band(self.evaluate_grid(g, g)):
+            # 64 rows at a time: a whole 2 MiB grid stays in the heap that pool workers fork
+            rows = range(0, _VALIDATION_GRID, 64)
+            if not all(self.in_band(self.evaluate_grid(g[i:i + 64], g)) for i in rows):
                 raise ValueError("graphon values fall outside [0, rho] on the validation grid")
 
     @property

@@ -611,8 +611,7 @@ def lloyd_fit(H: np.ndarray, config: FitConfig) -> FitReport:
             starts.append((_random_labels(n, config.K, rng, config.n0 > 0),
                            _random_labels(m, config.L, rng, config.m0 > 0)))
     else:
-        rl, cl = config.init_labels
-        starts.append((np.asarray(rl, dtype=np.int64), np.asarray(cl, dtype=np.int64)))
+        starts.append(config.init_labels)  # checked, not cast, by _lloyd_run
     return _fit_starts(_prepare(H, H_sq), starts, config)
 
 
@@ -691,8 +690,8 @@ def default_grid(n: int, m: int) -> HyperGrid:
     Cluster counts are ``K_i = floor(2^(1 + i/2))`` for
     ``0 <= i <= 2*log2(n/10)`` (same for ``L_j`` in ``m``); for each pair
     the minimum sizes range over ``floor(2^(2 + l/2))`` subject to
-    ``n0 <= n / K`` and ``m0 <= m / L``.  Duplicate quadruplets produced
-    by the floors are removed.
+    ``n0 <= n / K`` and ``m0 <= m / L``.  Each list of half-steps is
+    deduplicated, so every entry is distinct.
     """
     if n < 10 or m < 10:
         raise ValueError("the default grid needs n, m >= 10")
@@ -701,17 +700,9 @@ def default_grid(n: int, m: int) -> HyperGrid:
         _geometric_halfsteps(1.0, 2 ** (1 + np.floor(2 * np.log2(size / 10) + 1e-12) / 2))
         for size in (n, m)
     )
-    entries = []
-    seen = set()
-    for K in Ks:
-        for L in Ls:
-            for n0 in _geometric_halfsteps(2.0, n / K):
-                for m0 in _geometric_halfsteps(2.0, m / L):
-                    e = (K, L, n0, m0)
-                    if e not in seen:
-                        seen.add(e)
-                        entries.append(e)
-    return HyperGrid(tuple(entries))
+    return HyperGrid(tuple((K, L, n0, m0) for K in Ks for L in Ls
+                           for n0 in _geometric_halfsteps(2.0, n / K)
+                           for m0 in _geometric_halfsteps(2.0, m / L)))
 
 
 def check_grid(grid: HyperGrid, shape: Tuple[int, int]) -> HyperGrid:

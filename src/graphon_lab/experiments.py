@@ -9,20 +9,17 @@ reruns are deterministic.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import (
-    Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .aggregation import check_temperature, ewa_weights, mixture, sq_residuals, temperature
-from .core import (AssignmentMatrix, Graphon, NoiseModel, check_counts, check_seed,
-                   finite_positive, induced_mean, is_integer)
+from .core import (AssignmentMatrix, Graphon, NoiseModel, check_counts, check_rho, check_seed,
+                   induced_mean, is_integer)
 from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import (
     delta_tilde,
@@ -52,8 +49,6 @@ __all__ = [
     "run_ewa_experiment",
     "worker_count",
 ]
-
-log = logging.getLogger(__name__)
 
 _SETUPS = ("rand_graphon", "cos_graphon", "hoelder")
 
@@ -111,7 +106,9 @@ class ExperimentSpec:
     ``rho_values`` (intensities, at fixed ``n, m``) must be given.  For
     the piecewise-constant set-ups ``K`` and ``L`` give both the true and
     the fitted cluster counts; for ``hoelder`` they may be omitted and
-    the theory-driven rule picks them per size.
+    the theory-driven rule picks them per size.  The spec is the one home of
+    its fields' rules: each field's type and range, and every cell's fit for
+    that cell's ``(n, m)``, are checked when it is built, before any cell runs.
     """
 
     name: str
@@ -139,37 +136,57 @@ class ExperimentSpec:
             raise ValueError(f"unknown setup {self.setup!r}")
         if (self.n_values is None) == (self.rho_values is None):
             raise ValueError("give exactly one of n_values or rho_values")
-        if not (self.n_values or self.rho_values):
-            raise ValueError("the n_values or rho_values sweep must not be empty")
+        for name, test, what in (
+            ("name", lambda x: isinstance(x, str), "a string"),
+            ("noise", lambda x: isinstance(x, NoiseModel), "a NoiseModel"),
+            ("n_values", lambda x: _nonempty_list(x, _is_size),
+             "a non-empty list of positive integers"),
+            ("rho_values", _nonempty_list, "a non-empty list"),
+            ("n", _is_size, "a positive integer"), ("m", _is_size, "a positive integer"),
+            ("reps", _is_size, "a positive integer"),
+            ("inits", lambda x: _nonempty_list(x, lambda s: isinstance(s, str)),
+             "a non-empty list of strings"),
+            ("delta_grid", is_integer, "an integer"),
+        ):
+            value = getattr(self, name)  # None stands for a value not given
+            if not (test(value) or value is None and name in ("n_values", "rho_values", "n", "m")):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.rho_values is not None and (self.n is None or self.m is None):
             raise ValueError("a rho sweep needs fixed n and m")
         both_omitted = self.K is None and self.L is None
         if (self.K is None or self.L is None) and not (both_omitted and self.setup == "hoelder"):
             raise ValueError("give K and L (only the hoelder setup may omit both)")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
         check_seed(self.seed)
-        if self.n_values is not None:
-            object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        if self.rho_values is not None:
-            object.__setattr__(
-                self, "rho_values", tuple(float(v) for v in self.rho_values)
-            )
+        for name in ("n_values", "rho_values", "inits"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for rho in (self.rho,) + (self.rho_values or ()):
-            if not finite_positive(rho):
-                raise ValueError(f"rho must be finite and positive, got {rho!r}")
-        object.__setattr__(self, "inits", tuple(self.inits))
-        for init in self.inits:
-            # the cells' own configs, with the Hoelder rule's K = L = 2 standing in
+            check_rho(rho)
+        hoelder = {}  # the Hoelder rule's graphon, built once per distinct rho
+        for cell in self.sweep_cells():
+            if self.K is None and cell["rho"] not in hoelder:
+                hoelder[cell["rho"]] = make_standard_graphon("hoelder", rho=cell["rho"])
+            K, L = self._fit_counts(cell, hoelder.get(cell["rho"]))
             try:
-                self._fit_config(init, *((self.K, self.L) if self.K is not None else (2, 2)))
+                for init in self.inits:
+                    self._fit_config(init, K, L)
+                check_counts(K, L, self.n0, self.m0, (cell["n"], cell["m"]))
             except ValueError as exc:  # FitConfig's field is init, the spec's inits
-                raise ValueError(f"a cell's fit (inits entry {init!r}): {exc}") from None
+                raise ValueError(f"the fit of the cell n={cell['n']}, m={cell['m']} (K={K!r}, "
+                                 f"L={L!r}, n0={self.n0!r}, m0={self.m0!r}, inits "
+                                 f"{list(self.inits)}): {exc}") from None
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs
             floor = max([100] + [max(c["n"], c["m"]) for c in self.sweep_cells()])
             if self.delta_grid < floor:
                 raise ValueError(f"delta_grid must be at least {floor}")
+
+    def _fit_counts(self, cell: dict, graphon: Optional[Graphon]) -> Tuple[int, int]:
+        """A cell's fitted ``(K, L)``: the spec's, or when it omits them the Hoelder
+        rule's with the Hoelder constant of ``graphon``, the cell's."""
+        if self.K is not None:
+            return self.K, self.L
+        return hoelder_KL_rule(cell["n"], cell["m"], cell["rho"], self.noise, graphon.hoelder_L)
 
     def _fit_config(self, init: str, K: int, L: int, seed: int = 0) -> FitConfig:
         """The fit of a cell with ``K x L`` clusters; ``ValueError`` by its rules."""
@@ -191,30 +208,26 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict, path=None) -> "ExperimentSpec":
-        """The spec of a JSON object, with a missing ``noise`` Bernoulli; a key's rules
-        are its field's type.  ``ValueError`` names ``path`` (when given) and the key."""
+        """The spec of a JSON object, with a missing ``noise`` Bernoulli; the values'
+        rules are the spec's own.  ``ValueError`` names ``path`` (when given) and the key."""
         where = "experiment spec" if path is None else str(path)
-        types = get_type_hints(ExperimentSpec)
-        json_key(where, d, "", "object", ("only", (tuple(types), "an experiment spec")))
+        names = tuple(f.name for f in fields(ExperimentSpec))
+        json_key(where, d, "", "object", ("only", (names, "an experiment spec")))
         for f in fields(ExperimentSpec):
             if f.default is MISSING and f.default_factory is MISSING:
                 json_key(where, d, f.name)
-        values = {k: json_key(where, d, k, *_json_rules(types[k])) for k in d if k != "noise"}
+        values = dict(d)
         if "noise" in d:
             values["noise"] = noise_from_json(where, d, "noise")
         return json_key(where, values, "", lambda v: ExperimentSpec(**v))
 
 
-_RULE_OF_TYPE = {str: "string", int: "integer", float: "number"}
+def _is_size(x) -> bool:
+    return is_integer(x) and x >= 1
 
 
-def _json_rules(tp) -> tuple:
-    """:func:`json_key`'s rules for a spec field annotated ``tp``."""
-    if get_origin(tp) is Union:  # Optional[...]
-        return ("nullable",) + _json_rules(get_args(tp)[0])
-    if get_origin(tp) is tuple:
-        return ("list", "each " + _RULE_OF_TYPE[get_args(tp)[0]])
-    return (_RULE_OF_TYPE[tp],)
+def _nonempty_list(x, item=lambda _: True) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) > 0 and all(item(v) for v in x)
 
 
 @dataclass
@@ -241,11 +254,7 @@ def _run_cell(payload: dict) -> List[dict]:
     graphon_seed = cell_seed(spec.seed, 99)
     graphon = _build_graphon(spec.setup, spec.K, spec.L, rho, graphon_seed)
 
-    if spec.setup == "hoelder" and spec.K is None:
-        K, L = hoelder_KL_rule(n, m, rho, spec.noise, graphon.hoelder_L)
-    else:
-        K, L = spec.K, spec.L
-
+    K, L = spec._fit_counts(cell, graphon)
     seed = cell_seed(spec.seed, cell["sweep_index"], rep)
     obs = synthesize(SynthConfig(n, m, graphon, spec.noise, seed=seed))
 
@@ -267,14 +276,8 @@ def _run_cell(payload: dict) -> List[dict]:
 
     records = []
     for init in spec.inits:
-        cfg = spec._fit_config(init, K, L, seed)
-        try:
-            check_counts(cfg.K, cfg.L, cfg.n0, cfg.m0, (n, m))
-        except ValueError as exc:
-            log.warning("skipping infeasible cell %s: %s", (cell, init), exc)
-            continue
         t0 = time.perf_counter()
-        report = lloyd_fit(obs.H, cfg)
+        report = lloyd_fit(obs.H, spec._fit_config(init, K, L, seed))
         theta_hat = induced_mean(report.model)
         mse = mse_theta(theta_hat, obs.theta_star)
         dt = None
@@ -306,10 +309,8 @@ def _summarize(records: List[dict], inits: Sequence[str]) -> List[dict]:
     sweep_values = sorted({r["sweep_value"] for r in records})
     for sv in sweep_values:
         at_sv = [r for r in records if r["sweep_value"] == sv]
-        for init in inits:
-            vals = [r["mse"] for r in at_sv if r["init"] == init]
-            if vals:
-                summary.append(_quantile_row(sv, init, vals))
+        for init in inits:  # every cell fits every init: the spec checked them all
+            summary.append(_quantile_row(sv, init, [r["mse"] for r in at_sv if r["init"] == init]))
         oracle_vals = [r["oracle_mse"] for r in at_sv if r["oracle_mse"] is not None]
         if oracle_vals:
             summary.append(_quantile_row(sv, "oracle", oracle_vals))
@@ -374,15 +375,7 @@ def _closed_form_oracle_rows(spec: ExperimentSpec) -> List[dict]:
             spec.setup, spec.K, spec.L, cell["rho"], graphon_seed
         )
         closed = oracle_risk_bernoulli(graphon.values, cell["n"], cell["m"])
-        rows.append(
-            {
-                "sweep_value": cell["sweep_value"],
-                "init": "oracle_formula",
-                "median": closed,
-                "q10": closed,
-                "q90": closed,
-            }
-        )
+        rows.append(_quantile_row(cell["sweep_value"], "oracle_formula", [closed]))
     return rows
 
 

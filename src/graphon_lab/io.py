@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .core import NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel, is_integer, is_number
+from .core import (MAX_ABS, NOISE_PARAMS, AssignmentMatrix, BlockModel, NoiseModel, is_integer,
+                   is_number)
 
 if TYPE_CHECKING:
     from .estimation import FitReport
@@ -44,9 +45,6 @@ __all__ = [
 PathLike = Union[str, Path]
 
 FLOAT_FMT = "%.17g"
-# the largest magnitude read from a CSV matrix or a JSON number that feeds squared
-# errors: squares of such numbers summed over any array numpy can hold stay finite
-MAX_ABS = 1e100
 _BOUNDS = f"[-{MAX_ABS:.0e}, {MAX_ABS:.0e}]".replace("e+", "e")
 _BLOCK_ENTRIES = 4096  # save_matrix formats this many entries (at least a row) at a time
 
@@ -127,19 +125,17 @@ RULES = {
     "integer": (lambda x, _: is_integer(x), "an integer"),
     "number": (lambda x, _: is_number(x), "a number"),
     "bounded": (lambda x, _: is_number(x) and -MAX_ABS <= x <= MAX_ABS, f"a number in {_BOUNDS}"),
-    "positive": (lambda x, _: x > 0, "positive"),
     "at least": (lambda x, low: x >= low, "at least {}"),
     "one of": (lambda x, choices: x in choices, "one of {}"),
-    "label below": (lambda x, K: is_integer(x) and 0 <= x < K, "an integer in [0, {})"),
     "length": (lambda x, n: len(x) == n, "a list of {} items"),
 }
 
 
 def json_key(where: str, obj, key: str, *rules):
     """The value at the dotted ``key`` of decoded JSON ``obj`` (``""``: ``obj``), passed
-    through ``rules``: names of :data:`RULES` or ``(name, argument)`` pairs, ``"nullable"``
-    (``None`` passes), ``("only", (keys, owner))`` for an object's keys, or callables,
-    whose result replaces the value.  Raises ``ValueError`` as ``{where} has no key 'x'``
+    through ``rules``: names of :data:`RULES` or ``(name, argument)`` pairs,
+    ``("only", (keys, owner))`` for an object's keys, or callables, whose result replaces
+    the value.  Raises ``ValueError`` as ``{where} has no key 'x'``
     or ``{where} key 'x' must be <rule>, got <value>``; a callable's ``ValueError`` gets
     ``{where} key 'x':`` (``{where}:`` for ``obj`` itself) in front."""
     parts = key.split(".") if key else []
@@ -157,10 +153,7 @@ def json_key(where: str, obj, key: str, *rules):
                 raise ValueError(f"{named}: {exc}") from None
             continue
         name, arg = (rule, None) if isinstance(rule, str) else rule
-        if name == "nullable":
-            if value is None:
-                return None
-        elif name == "only":
+        if name == "only":
             if extra := [".".join(parts + [k]) for k in value if k not in arg[0]]:
                 what = ("key {!r} is not a parameter" if len(extra) == 1
                         else "keys {!r} are not parameters").format(", ".join(extra))
@@ -184,10 +177,9 @@ def model_from_dict(d: dict, path: Optional[PathLike] = None) -> BlockModel:
     K, L = (json_key(where, d, k, "integer", ("at least", 2)) for k in "KL")
     n, m = (json_key(where, d, k, "integer", ("at least", 1)) for k in "nm")
     Q = json_key(where, d, "Q", "list", "each bounded", ("length", K * L))
-    rows, cols = (json_key(where, d, key, "list", ("each label below", count), ("length", size))
+    rows, cols = (json_key(where, d, key, "list", lambda x: AssignmentMatrix(size, count, x))
                   for key, count, size in (("row_labels", K, n), ("col_labels", L, m)))
-    return BlockModel(np.reshape(Q, (K, L)), AssignmentMatrix(n, K, rows),
-                      AssignmentMatrix(m, L, cols))
+    return BlockModel(np.reshape(Q, (K, L)), rows, cols)
 
 
 def noise_from_json(where: str, obj, key: str) -> NoiseModel:

@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_seed, is_integer,
-                   is_number)
+from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_rho, check_seed,
+                   is_integer, is_number)
 
 __all__ = [
     "SynthConfig",
@@ -200,34 +200,33 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
                   which is Lipschitz (alpha = 1), as the rank-2 factors
                   ``rho/2 + rho/2 * a(u) a(v)``, ``a(x) = exp(-10*(x-1/2)^2)``.
 
-    Raises ``ValueError`` naming ``K``, ``L`` or ``seed`` when a cell count is
-    not a positive integer, the cells number more than ``2^24``, or the seed
-    is not a non-negative integer.
+    Raises ``ValueError`` naming ``rho``, ``K``, ``L`` or ``seed`` when rho breaks
+    :func:`check_rho`, a cell count is not a positive integer, the cells number
+    more than ``2^24``, or the seed is not a non-negative integer.
     """
+    if kind not in tuple(GRAPHON_PARAMS):  # a tuple: an unhashable kind is unknown too
+        raise ValueError(f"unknown standard graphon kind {kind!r}")
+    rho = check_rho(params["rho"])
     if kind in ("rand", "cos"):
-        _check_sizes(f"a {kind} graphon", "cells", _CELLS_BITS, K=params["K"], L=params["L"])
+        K, L = params["K"], params["L"]
+        _check_sizes(f"a {kind} graphon", "cells", _CELLS_BITS, K=K, L=L)
     if kind == "rand":
         check_seed(params["seed"])
-        K, L, rho, seed = params["K"], params["L"], params["rho"], params["seed"]
-        rng = substream(seed, STREAM_GRAPHON)
+        rng = substream(params["seed"], STREAM_GRAPHON)
         values = rho * rng.random((K, L))
         return Graphon.piecewise_constant(
             _regular_breaks(K), _regular_breaks(L), values, rho=rho
         )
     if kind == "cos":
-        K, L, rho = params["K"], params["L"], params["rho"]
         kk, ll = np.meshgrid(np.arange(K), np.arange(L), indexing="ij")
         values = 2 * rho / 3 + rho / 3 * np.cos(3 * np.pi * kk * ll)
         return Graphon.piecewise_constant(
             _regular_breaks(K), _regular_breaks(L), values, rho=rho
         )
-    if kind == "hoelder":
-        rho = params["rho"]
-        # sup of the gradient norm: max_r 10*rho*r*exp(-10 r^2) at r = 1/sqrt(20)
-        lip = 10 * rho * math.exp(-0.5) / (2 * math.sqrt(5))
-        return Graphon.analytic(_bump_factor, np.diag([rho / 2, rho / 2]), _bump_factor, rho,
-                                hoelder_alpha=1.0, hoelder_L=lip)
-    raise ValueError(f"unknown standard graphon kind {kind!r}")
+    # sup of the hoelder bump's gradient norm: max_r 10*rho*r*exp(-10 r^2) at r = 1/sqrt(20)
+    lip = 10 * rho * math.exp(-0.5) / (2 * math.sqrt(5))
+    return Graphon.analytic(_bump_factor, np.diag([rho / 2, rho / 2]), _bump_factor, rho,
+                            hoelder_alpha=1.0, hoelder_L=lip)
 
 
 def true_assignments(

@@ -48,6 +48,13 @@ class TestDefaultGrid:
                 assert K * n0 <= n and L * m0 <= m
                 assert n0 >= 4 and m0 >= 4
 
+    def test_entries_are_distinct(self):
+        # the half-step lists are deduplicated, so no grid needs a second pass
+        for n in range(10, 400, 41):
+            for m in range(10, 260, 31):
+                entries = default_grid(n, m).entries
+                assert len(set(entries)) == len(entries), (n, m)
+
     def test_size_bound_at_experiment_scale(self):
         grid = default_grid(400, 200)
         bound = 4 * math.log2(400 / 7) ** 2 * math.log2(200 / 7) ** 2

@@ -410,7 +410,7 @@ def test_eval_latents_out_of_the_unit_interval_exit_two(synth_dir, tmp_path, cap
      ("rho", "0.6", "rate", "key 'rho' must be a number, got '0.6'"),
      ("graphon.params.bogus", 1, "delta",
       "key 'graphon.params.bogus' is not a parameter of the cos graphon (rho, K, L)"),
-     ("graphon.params.K", 2.5, "oracle", "key 'graphon.params.K' must be an integer, got 2.5"),
+     ("graphon.params.K", 2.5, "oracle", "key 'graphon': K must be a positive integer, got 2.5"),
      ("rho", True, "rate", "key 'rho' must be a number, got True")],
     ids=["params-list", "noise-list", "rho-string", "params-unknown", "K-float", "rho-bool"],
 )

@@ -15,6 +15,7 @@ from graphon_lab.core import (
     block_inner,
     block_means,
     block_sums,
+    check_rho,
     check_seed,
     group_sums,
     induced_mean,
@@ -204,6 +205,36 @@ class TestAssignmentMatrix:
         with pytest.raises(ValueError):
             AssignmentMatrix(3, 2, [0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "labels, got",
+        [([True, False, True], "True at index 0"), (["0", "1", "0"], "'0' at index 0"),
+         ([0.7, 1.2, 0], "0.7 at index 0"), ([0, 1, 1.0], "1.0 at index 2"),
+         (np.array([0.0, 1.0, 0.0]), "0.0 at index 0"),
+         (np.array([0, 1, 0], dtype=bool), "False at index 0"),
+         ([0, 10**30, 1], f"{10**30} at index 1"), (np.array([0, 2, 1]), "2 at index 1")],
+        ids=["bools", "strings", "floats", "integral-float", "float-array", "bool-array",
+             "huge-int", "out-of-range"],
+    )
+    def test_labels_must_be_integers_in_range_not_cast(self, labels, got):
+        # a float, bool or string label used to be cast: [0.7, 1.2, 0] gave [0 1 0]
+        with pytest.raises(ValueError, match=rf"^labels must be integers in \[0, 2\), got {got}$"):
+            AssignmentMatrix(3, 2, labels)
+
+    @pytest.mark.parametrize("field, value", [("n", 3.0), ("n", 0), ("n", True), ("K", True),
+                                              ("K", 2.0), ("K", 0), ("K", "2")])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        # n=3.0 used to be stored as 3.0, and K=True raised a TypeError
+        sizes = {"n": 3, "K": 2, field: value}
+        message = f"^{field} must be a positive integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            AssignmentMatrix(sizes["n"], sizes["K"], [0, 1, 0])
+
+    def test_integer_labels_of_any_integer_dtype_are_copied_as_int64(self):
+        for labels in ([0, 1, 0], (np.int32(0), 1, np.uint8(0)), np.array([0, 1, 0], np.uint16),
+                       np.array([0, 1, 0], dtype=object)):
+            z = AssignmentMatrix(3, 2, labels)
+            assert z.labels.dtype == np.int64 and z.labels.tolist() == [0, 1, 0]
+
     def test_counts_are_binned_once_and_read_only(self):
         rng = np.random.default_rng(0)
         wide = rng.integers(0, 5, (40, 3))
@@ -264,6 +295,13 @@ class TestGraphon:
             Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[0.0]], rho=rho)
         with pytest.raises(ValueError, match="rho"):
             Graphon.analytic(_ones, [[0.0]], _ones, rho=rho, hoelder_alpha=1.0, hoelder_L=1.0)
+
+    def test_rho_above_max_abs_is_refused(self):
+        # rho = 1e200 used to be accepted, and delta_tilde of such a graphon read inf
+        message = r"^rho must be a number in \(0, 1e\+100\], got 1e\+200$"
+        with pytest.raises(ValueError, match=message):
+            Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[0.0]], rho=1e200)
+        Graphon.piecewise_constant([0, 1.0], [0, 1.0], [[0.0]], rho=1e100)
 
     def test_nan_values_rejected(self):
         # every comparison with NaN is false, so a range check alone passes it
@@ -378,6 +416,17 @@ class TestNoiseModel:
         for d in ({"kind": "gaussian", "sigma2": value}, {"kind": "scaled_poisson", "T": value}):
             with pytest.raises(ValueError, match="finite"):
                 _read_noise(d)
+
+
+@pytest.mark.parametrize("rho", [1e200, "0.6", None, True, float("nan"), float("inf"), 0, -0.5])
+def test_check_rho_refuses_what_is_not_a_number_in_its_band(rho):
+    with pytest.raises(ValueError, match=r"^rho must be a number in \(0, 1e\+100\], got "):
+        check_rho(rho)
+
+
+@pytest.mark.parametrize("rho", [1e-300, 0.5, 1, np.float64(2.5), 1e100])
+def test_check_rho_returns_a_number_in_its_band(rho):
+    assert check_rho(rho) is rho
 
 
 @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**70])

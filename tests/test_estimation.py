@@ -1062,6 +1062,19 @@ def test_non_finite_input_rejected(bad, init):
         lloyd_fit(H, cfg)
 
 
+@pytest.mark.parametrize("labels, got", [([0.95] + [1] * 7, "0.95 at index 0"),
+                                         ([0.0, 1.0] * 4, "0.0 at index 0"),
+                                         ([True, False] * 4, "True at index 0")])
+def test_given_start_labels_must_be_integers(labels, got):
+    # a start label of 0.95 was cast to 0, so the fit began from labels other
+    # than the ones given
+    H, _, cols = planted_block_matrix(8, 6)
+    for rows in (labels, np.array(labels)):
+        cfg = FitConfig(K=2, L=2, init="given", init_labels=(rows, cols))
+        with pytest.raises(ValueError, match=rf"^labels must be integers in \[0, 2\), got {got}$"):
+            lloyd_fit(H, cfg)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 @pytest.mark.parametrize("init", ["spectral", "random", "given"])
 def test_a_non_finite_sq_norm_is_refused_before_any_work(monkeypatch, scale, init):

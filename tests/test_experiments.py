@@ -66,6 +66,9 @@ class TestHoelderRule:
         assert 4 * k_small <= k_big <= 4 * (k_small + 1)
 
 
+_N_VALUES = "n_values must be a non-empty list of positive integers"
+
+
 def tiny_spec(**kw):
     defaults = dict(
         name="tiny",
@@ -194,6 +197,65 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="rho"):
             ExperimentSpec.from_dict({**spec, "n_values": None, "rho_values": [bad],
                                       "n": 20, "m": 16})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(dict(n_values=(20.7, 24)), rf"^{_N_VALUES}, got \(20\.7, 24\)$"),
+         (dict(n_values=(24, True)), rf"^{_N_VALUES}, got \(24, True\)$"),
+         (dict(n_values=24), rf"^{_N_VALUES}, got 24$"),
+         (dict(n_values=None, rho_values=(True,), n=20, m=16),
+          r"^rho must be a number in \(0, 1e\+100\], got True$"),
+         (dict(n_values=None, rho_values=(0.5,), n=20.0, m=16), r"^n must be a positive integer"),
+         (dict(reps=True), r"^reps must be a positive integer, got True$"),
+         (dict(reps="3"), r"^reps must be a positive integer, got '3'$"),
+         (dict(delta_grid=2.5), r"^delta_grid must be an integer, got 2\.5$"),
+         (dict(name=7), r"^name must be a string, got 7$"),
+         (dict(noise="bernoulli"), r"^noise must be a NoiseModel, got 'bernoulli'$"),
+         (dict(inits=()), r"^inits must be a non-empty list of strings, got \(\)$"),
+         (dict(inits="spectral"), r"^inits must be a non-empty list of strings, got 'spectral'$"),
+         (dict(rho=1e200), r"^rho must be a number in \(0, 1e\+100\], got 1e\+200$")],
+        ids=["n-float", "n-bool", "n-scalar", "rho-bool", "fixed-n-float", "reps-bool",
+             "reps-string", "delta-grid-float", "name", "noise", "inits-empty", "inits-string",
+             "rho-huge"],
+    )
+    def test_field_types_checked_without_conversion(self, bad, message):
+        # n_values=(20.7, True) used to run cells of n = 20 and n = 1, rho_values=(True,)
+        # rho = 1.0, reps="3" raised a TypeError, and reps=True and delta_grid=2.5 passed
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**bad)
+
+    def test_sweep_values_keep_their_type(self):
+        spec = tiny_spec(n_values=[20, np.int64(24)])
+        assert spec.n_values == (20, 24) and type(spec.n_values[1]) is np.int64
+        spec = tiny_spec(n_values=None, rho_values=[1, 0.5], n=20, m=16)
+        assert spec.rho_values == (1, 0.5) and type(spec.rho_values[0]) is int
+
+    @pytest.mark.parametrize(
+        "spec, cell",
+        [(dict(K=4, L=4, n0=5, n_values=(40, 16)),
+          r"n=16, m=8 \(K=4, L=4, n0=5, m0=0, .*infeasible row sizes: 4 \* 5 > 16"),
+         (dict(K=2, L=3, n_values=(4,)), r"n=4, m=2 \(K=2, L=3, .*more clusters than rows"),
+         (dict(setup="hoelder", K=None, L=None, m0=7, n_values=(24,)),
+          r"n=24, m=12 \(K=2, L=2, n0=0, m0=7, .*infeasible column sizes: 2 \* 7 > 12")],
+        ids=["row-floor", "too-many-columns", "hoelder-rule"],
+    )
+    def test_an_infeasible_cell_is_refused_naming_it(self, spec, cell, monkeypatch):
+        # such a cell used to be skipped with a log line; a spec of only such
+        # cells ran to an empty records CSV
+        monkeypatch.setattr(experiments, "synthesize", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=rf"^the fit of the cell {cell}"):
+            tiny_spec(**spec)
+        with pytest.raises(ValueError, match=cell):
+            ExperimentSpec.from_dict({**tiny_spec().to_dict(), **spec})
+
+    def test_the_hoelder_rule_builds_one_graphon_per_distinct_rho(self, monkeypatch):
+        built = []
+        real = experiments.make_standard_graphon
+        monkeypatch.setattr(experiments, "make_standard_graphon",
+                            lambda *a, **kw: built.append(kw["rho"]) or real(*a, **kw))
+        ExperimentSpec(name="smooth", setup="hoelder", n_values=None, n=24, m=12,
+                       rho_values=(0.3, 0.7, 0.3, 0.7, 0.3), delta_grid=100)
+        assert sorted(built) == [0.3, 0.7]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
     def test_tol_gamma_checked_at_construction(self, bad):

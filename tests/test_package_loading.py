@@ -161,4 +161,4 @@ def test_a_command_loads_only_the_modules_it_runs(round_trip, command):
     assert got["rc"] == 0
     want = ["graphon_lab"] + [f"graphon_lab.{module}" for module in LOADS[command]]
     assert got["modules"] == sorted(want)
-    assert got["logging"] == (command == "experiment")
+    assert not got["logging"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestStandardGraphons:
         params = {"K": 2, "L": 2, "rho": 0.5, **({"seed": 0} if kind == "rand" else {})}
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             make_standard_graphon(kind, **{**params, name: value})
+
+    @pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
+    @pytest.mark.parametrize("rho", ["0.6", None, True, 1e200])
+    def test_rho_is_checked_before_it_is_used(self, kind, rho):
+        # a string rho used to reach numpy as a TypeError
+        params = {"rho": rho, **({"K": 2, "L": 2} if kind != "hoelder" else {}),
+                  **({"seed": 0} if kind == "rand" else {})}
+        with pytest.raises(ValueError, match=rf"^rho must be a number in \(0, 1e\+100\], got "
+                                             rf"{re.escape(repr(rho))}$"):
+            make_standard_graphon(kind, **params)
 
     @pytest.mark.parametrize("kind", ["rand", "cos"])
     def test_more_than_2_to_the_24_cells_are_refused_before_allocating(self, kind, monkeypatch):
