@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, check_rho,
-                   induced_mean)
+from .core import AssignmentMatrix, DimensionMismatch, NoiseModel, check_latents, induced_mean
 from .io import (
     dump_json,
     json_key,
@@ -194,7 +193,7 @@ def _cmd_eval(args) -> int:
         noise = noise_from_json(args.meta, meta, "noise_model")
         out["rate_bound"] = json_key(
             args.meta, meta, "rho", "number",
-            lambda rho: rate_bound(noise, check_rho(rho), model.n, model.m, model.K, model.L))
+            lambda rho: rate_bound(noise, rho, model.n, model.m, model.K, model.L))
     dump_json(args.output, out)
     print(f"wrote metrics {sorted(out)} -> {args.output}")
     return 0

@@ -28,6 +28,7 @@ __all__ = [
     "check_rho",
     "is_integer",
     "is_number",
+    "check_positive_integers",
     "check_counts",
     "check_latents",
     "induced_mean",
@@ -71,9 +72,7 @@ class AssignmentMatrix:
     labels: np.ndarray
 
     def __post_init__(self):
-        for name, x in (("n", self.n), ("K", self.K)):
-            if not (is_integer(x) and x >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {x!r}")
+        check_positive_integers(n=self.n, K=self.K)
         K, whole = self.K, isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iu"
         # anything but an integer array is read item by item: 0.7, True or '0' is refused, not cast
         items = self.labels if whole else np.asarray(self.labels, dtype=object)
@@ -235,12 +234,20 @@ def check_rho(rho):
     return rho
 
 
-def check_counts(K, L, n0=0, m0=0, shape: Optional[Tuple[int, int]] = None, **integers):
+def check_positive_integers(**values) -> None:
+    """``ValueError`` naming the first of ``values`` that is not a positive integer
+    (:func:`is_integer`): the one rule for a size or a count of steps."""
+    for name, x in values.items():
+        if not (is_integer(x) and x >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {x!r}")
+
+
+def check_counts(K, L, n0=0, m0=0, shape: Optional[Tuple[int, int]] = None):
     """The one copy of the rules for a fit's ``(K, L, n0, m0)``: ``ValueError`` naming
-    the first of them, then of the other named ``integers``, that is not an integer
-    (:func:`is_integer`), and unless ``K, L >= 2`` and ``n0, m0 >= 0`` and, for data
-    of ``shape = (n, m)``, ``K <= n``, ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
-    for name, x in {"K": K, "L": L, "n0": n0, "m0": m0, **integers}.items():
+    the first of them that is not an integer (:func:`is_integer`), and unless
+    ``K, L >= 2`` and ``n0, m0 >= 0`` and, for data of ``shape = (n, m)``, ``K <= n``,
+    ``L <= m``, ``K n0 <= n`` and ``L m0 <= m``."""
+    for name, x in {"K": K, "L": L, "n0": n0, "m0": m0}.items():
         if not is_integer(x):
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if K < 2 or L < 2:

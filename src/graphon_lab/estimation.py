@@ -19,7 +19,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AssignmentMatrix, BlockModel, check_counts, check_seed, group_sums, is_integer, is_number,
+    AssignmentMatrix, BlockModel, check_counts, check_positive_integers, check_seed, group_sums,
+    is_integer, is_number,
 )
 from .flow import min_cost_assignment
 from .synthesis import substream
@@ -336,7 +337,8 @@ class FitConfig:
     labels in ``init_labels``).  Iteration stops when the cost decreases
     by at most ``tol_gamma``, when the labels reach a fixed point, or
     after ``max_iters`` rounds.  The counts must be Python or numpy
-    integers (booleans are refused); :func:`check_counts` holds their rules.
+    integers (booleans are refused); :func:`check_counts` holds their rules,
+    and :func:`check_positive_integers` those of ``restarts`` and ``max_iters``.
     """
 
     K: int
@@ -351,16 +353,12 @@ class FitConfig:
     init_labels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
-        check_counts(self.K, self.L, self.n0, self.m0,
-                     restarts=self.restarts, max_iters=self.max_iters)
+        check_counts(self.K, self.L, self.n0, self.m0)
+        check_positive_integers(restarts=self.restarts, max_iters=self.max_iters)
         if self.init not in ("spectral", "random", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.init_labels is None:
             raise ValueError("init='given' needs init_labels")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         if not (is_number(self.tol_gamma) and 0 <= self.tol_gamma < np.inf):
             raise ValueError(f"tol_gamma must be finite and nonnegative, got {self.tol_gamma!r}")
         check_seed(self.seed)

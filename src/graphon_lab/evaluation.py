@@ -26,6 +26,7 @@ from .core import (
     block_sums,
     check_counts,
     check_latents,
+    check_rho,
     finite_positive,
 )
 
@@ -235,15 +236,16 @@ def rate_bound(
     ``r_{n,m}(K, L)^2 = 3KL/(nm) + log(K)/m + log(L)/n`` and ``(s^2, b)``
     are the noise model's moment parameters.  This is an MSE-scale
     quantity, matching how the experiment plots report errors.  ``ValueError``
-    names ``rho`` and the noise model unless both it and the bound are finite and positive.
+    names rho unless it keeps :func:`check_rho`, and rho and the noise model
+    unless the bound is finite and positive.
     """
     check_counts(K, L)  # the fitted counts' rule: integers K, L >= 2
-    sigma2, b = noise.bernstein_params(rho)
+    sigma2, b = noise.bernstein_params(check_rho(rho))
     r_sq = float(3.0 * K * L / (n * m) + np.log(K) / m + np.log(L) / n)
     bound = (25.0 * sigma2 + 4.0 * b * rho) * r_sq  # Python floats: an overflow gives inf
-    if not (finite_positive(rho) and finite_positive(bound)):
+    if not finite_positive(bound):
         raise ValueError(f"rate bound at rho {rho!r} with noise model {noise.to_dict()} is "
-                         f"{bound!r}; rho and the bound must be finite and positive")
+                         f"{bound!r}; the bound must be finite and positive")
     return bound
 
 

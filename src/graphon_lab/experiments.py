@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,44 +162,47 @@ class ExperimentSpec:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         for rho in (self.rho,) + (self.rho_values or ()):
             check_rho(rho)
-        hoelder = {}  # the Hoelder rule's graphon, built once per distinct rho
-        for cell in self.sweep_cells():
-            if self.K is None and cell["rho"] not in hoelder:
-                hoelder[cell["rho"]] = make_standard_graphon("hoelder", rho=cell["rho"])
-            K, L = self._fit_counts(cell, hoelder.get(cell["rho"]))
-            try:
-                for init in self.inits:
-                    self._fit_config(init, K, L)
-                check_counts(K, L, self.n0, self.m0, (cell["n"], cell["m"]))
-            except ValueError as exc:  # FitConfig's field is init, the spec's inits
-                raise ValueError(f"the fit of the cell n={cell['n']}, m={cell['m']} (K={K!r}, "
-                                 f"L={L!r}, n0={self.n0!r}, m0={self.m0!r}, inits "
-                                 f"{list(self.inits)}): {exc}") from None
+        cells = self.sweep_cells()
         if self.setup == "hoelder":
             # delta_tilde's own limits, checked before any cell runs
-            floor = max([100] + [max(c["n"], c["m"]) for c in self.sweep_cells()])
+            floor = max([100] + [max(c["n"], c["m"]) for c in cells])
             if self.delta_grid < floor:
                 raise ValueError(f"delta_grid must be at least {floor}")
 
-    def _fit_counts(self, cell: dict, graphon: Optional[Graphon]) -> Tuple[int, int]:
-        """A cell's fitted ``(K, L)``: the spec's, or when it omits them the Hoelder
-        rule's with the Hoelder constant of ``graphon``, the cell's."""
-        if self.K is not None:
-            return self.K, self.L
-        return hoelder_KL_rule(cell["n"], cell["m"], cell["rho"], self.noise, graphon.hoelder_L)
-
-    def _fit_config(self, init: str, K: int, L: int, seed: int = 0) -> FitConfig:
-        """The fit of a cell with ``K x L`` clusters; ``ValueError`` by its rules."""
-        return FitConfig(K=K, L=L, n0=self.n0, m0=self.m0, init=init, restarts=self.restarts,
-                         max_iters=self.max_iters, tol_gamma=self.tol_gamma, seed=seed)
-
     def sweep_cells(self) -> List[dict]:
-        """One dict of primitive parameters per sweep value."""
+        """One dict per sweep value, the one place a cell is built: its parameters, its
+        ``graphon`` (one per distinct rho), the fitted ``K`` and ``L`` (the spec's, or the
+        Hoelder rule's when it omits them), its ``synth`` config and its ``fits``, one
+        config per init, both with seed 0.  ``ValueError`` names a cell that cannot be built."""
         if self.n_values is not None:
-            return [{"sweep_index": idx, "sweep_value": n, "n": n, "m": n // 2, "rho": self.rho}
-                    for idx, n in enumerate(self.n_values)]
-        return [{"sweep_index": idx, "sweep_value": rho, "n": self.n, "m": self.m, "rho": rho}
-                for idx, rho in enumerate(self.rho_values)]
+            sweep = [(n, n, n // 2, self.rho) for n in self.n_values]
+        else:
+            sweep = [(rho, self.n, self.m, rho) for rho in self.rho_values]
+        kind, graphons, cells = self.setup.removesuffix("_graphon"), {}, []
+        for idx, (value, n, m, rho) in enumerate(sweep):
+            try:
+                if rho not in graphons:
+                    given = {"rho": rho, "K": self.K, "L": self.L, "seed": cell_seed(self.seed, 99)}
+                    graphons[rho] = make_standard_graphon(
+                        kind, **{name: given[name] for name in GRAPHON_PARAMS[kind]})
+                synth = SynthConfig(n, m, graphons[rho], self.noise, seed=0)
+            except ValueError as exc:
+                raise ValueError(f"the data of the cell n={n}, m={m}, rho={rho!r}: {exc}") from None
+            K, L = self.K, self.L
+            if K is None:
+                K, L = hoelder_KL_rule(n, m, rho, self.noise, graphons[rho].hoelder_L)
+            try:
+                fits = tuple(FitConfig(K=K, L=L, n0=self.n0, m0=self.m0, init=init,
+                                       restarts=self.restarts, max_iters=self.max_iters,
+                                       tol_gamma=self.tol_gamma) for init in self.inits)
+                check_counts(K, L, self.n0, self.m0, (n, m))
+            except ValueError as exc:  # FitConfig's field is init, the spec's inits
+                raise ValueError(f"the fit of the cell n={n}, m={m} (K={K!r}, L={L!r}, "
+                                 f"n0={self.n0!r}, m0={self.m0!r}, inits {list(self.inits)}): "
+                                 f"{exc}") from None
+            cells.append({"sweep_index": idx, "sweep_value": value, "n": n, "m": m, "rho": rho,
+                          "graphon": graphons[rho], "K": K, "L": L, "synth": synth, "fits": fits})
+        return cells
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -238,25 +241,12 @@ class ExperimentResult:
     summary: List[dict]
 
 
-def _build_graphon(setup: str, K: Optional[int], L: Optional[int], rho: float,
-                   seed: int) -> Graphon:
-    kind = setup.removesuffix("_graphon")
-    given = {"rho": rho, "K": K, "L": L, "seed": seed}
-    return make_standard_graphon(kind, **{name: given[name] for name in GRAPHON_PARAMS[kind]})
-
-
 def _run_cell(payload: dict) -> List[dict]:
-    """All records for one (sweep value, repetition) cell."""
-    spec = payload["spec"]
-    cell = payload["cell"]
-    rep = payload["rep"]
-    n, m, rho = cell["n"], cell["m"], cell["rho"]
-    graphon_seed = cell_seed(spec.seed, 99)
-    graphon = _build_graphon(spec.setup, spec.K, spec.L, rho, graphon_seed)
-
-    K, L = spec._fit_counts(cell, graphon)
+    """All records for one (sweep value, repetition) cell, from what the spec built."""
+    spec, cell, rep = payload["spec"], payload["cell"], payload["rep"]
+    n, m, rho, graphon = cell["n"], cell["m"], cell["rho"], cell["graphon"]
     seed = cell_seed(spec.seed, cell["sweep_index"], rep)
-    obs = synthesize(SynthConfig(n, m, graphon, spec.noise, seed=seed))
+    obs = synthesize(replace(cell["synth"], seed=seed))
 
     oracle_mse = None
     if graphon.family == "piecewise_constant":
@@ -266,7 +256,7 @@ def _run_cell(payload: dict) -> List[dict]:
         oracle = oracle_fit(obs.H, z_rows, z_cols)
         oracle_mse = mse_theta(induced_mean(oracle), obs.theta_star)
 
-    bound = rate_bound(spec.noise, rho, n, m, K, L)
+    bound = rate_bound(spec.noise, rho, n, m, cell["K"], cell["L"])
     psi = None
     psi_ok = None
     if spec.n0 >= 3 and spec.m0 >= 3:
@@ -275,9 +265,9 @@ def _run_cell(payload: dict) -> List[dict]:
         psi_ok = 1 if (b == 0 or psi <= sigma2 / b**2) else 0
 
     records = []
-    for init in spec.inits:
+    for config in cell["fits"]:
         t0 = time.perf_counter()
-        report = lloyd_fit(obs.H, spec._fit_config(init, K, L, seed))
+        report = lloyd_fit(obs.H, replace(config, seed=seed))
         theta_hat = induced_mean(report.model)
         mse = mse_theta(theta_hat, obs.theta_star)
         dt = None
@@ -289,7 +279,7 @@ def _run_cell(payload: dict) -> List[dict]:
         records.append(
             {
                 "sweep_value": cell["sweep_value"],
-                "init": init,
+                "init": config.init,
                 "rep": rep,
                 "seed": seed,
                 "mse": mse,
@@ -337,11 +327,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     one) and by the number of cells; records are keyed and sorted
     afterwards, so the output does not depend on scheduling.
     """
-    payloads = [
-        {"spec": spec, "cell": cell, "rep": rep}
-        for cell in spec.sweep_cells()
-        for rep in range(spec.reps)
-    ]
+    cells = spec.sweep_cells()
+    payloads = [{"spec": spec, "cell": cell, "rep": rep} for cell in cells
+                for rep in range(spec.reps)]
     workers = min(worker_count(), len(payloads))
     if workers > 1:
         # imported here: multiprocessing and socket cost every other caller
@@ -356,27 +344,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # records come out keyed by (sweep position, rep, init)
     records = [rec for chunk in chunks for rec in chunk]
     summary = _summarize(records, spec.inits)
-    summary.extend(_closed_form_oracle_rows(spec))
+    summary.extend(_closed_form_oracle_rows(spec, cells))
     return ExperimentResult(
         name=spec.name, spec=spec.to_dict(), records=records, summary=summary
     )
 
 
-def _closed_form_oracle_rows(spec: ExperimentSpec) -> List[dict]:
+def _closed_form_oracle_rows(spec: ExperimentSpec, cells: List[dict]) -> List[dict]:
     """Closed-form oracle curve overlaid on Bernoulli intensity sweeps."""
-    if spec.rho_values is None or spec.noise.kind != "bernoulli":
+    if spec.rho_values is None or spec.noise.kind != "bernoulli" or spec.setup == "hoelder":
         return []
-    if spec.setup not in ("rand_graphon", "cos_graphon"):
-        return []
-    rows = []
-    graphon_seed = cell_seed(spec.seed, 99)
-    for cell in spec.sweep_cells():
-        graphon = _build_graphon(
-            spec.setup, spec.K, spec.L, cell["rho"], graphon_seed
-        )
-        closed = oracle_risk_bernoulli(graphon.values, cell["n"], cell["m"])
-        rows.append(_quantile_row(cell["sweep_value"], "oracle_formula", [closed]))
-    return rows
+    return [_quantile_row(c["sweep_value"], "oracle_formula",
+                          [oracle_risk_bernoulli(c["graphon"].values, c["n"], c["m"])])
+            for c in cells]
 
 
 # --------------------------------------------------------------------------

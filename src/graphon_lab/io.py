@@ -18,6 +18,7 @@ JSON inputs lists each key and the :data:`RULES` :func:`json_key` applies.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -76,10 +77,19 @@ def save_matrix(path: PathLike, M: np.ndarray) -> None:
 def load_matrix(path: PathLike) -> np.ndarray:
     """Read a CSV matrix; NaN, +-inf or an entry beyond :data:`MAX_ABS` in
     magnitude raises ``ValueError`` naming the file, the count and the first one.
+    So do a row of another length, an entry that is not a number and a file
+    without entries, naming the file.
 
     No stored matrix holds NaN: missing entries are marked in ``mask.csv``.
     """
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's on an empty file
+            M = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if M.size == 0:
+        raise ValueError(f"{path} holds no entries")
     bad = np.argwhere(~(np.abs(M) <= MAX_ABS))
     if len(bad):
         i, j = bad[0]

@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_rho, check_seed,
-                   is_integer, is_number)
+from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_positive_integers,
+                   check_rho, check_seed, is_number)
 
 __all__ = [
     "SynthConfig",
@@ -94,9 +94,7 @@ class SynthConfig:
 def _check_sizes(what: str, unit: str, bits: int, **sizes) -> None:
     """``ValueError`` naming the first of ``sizes`` that is not a positive integer, or
     all of them when their product (the ``unit`` of ``what``) exceeds ``2^bits``."""
-    for name, x in sizes.items():
-        if not (is_integer(x) and x >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {x!r}")
+    check_positive_integers(**sizes)
     if math.prod(sizes.values()) > 2 ** bits:
         got = ", ".join(f"{name}={x}" for name, x in sizes.items())
         raise ValueError(f"{what} has at most 2^{bits} {unit} ({' * '.join(sizes)}), got {got}")

@@ -894,7 +894,8 @@ class TestLloydFit:
     def test_counts_must_be_integers(self, field, value):
         # n0=2.5 and n0=True used to fit, K=2.5 to fail inside the loop, and
         # max_iters=2.5 or restarts=2.5 with a TypeError; numpy integers pass
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        what = "a positive integer" if field in ("restarts", "max_iters") else "an integer"
+        with pytest.raises(ValueError, match=f"^{field} must be {what}, got {value!r}$"):
             FitConfig(**{"K": 3, "L": 3, field: value})
         assert getattr(FitConfig(**{"K": 3, "L": 3, field: np.int64(3)}), field) == 3
 

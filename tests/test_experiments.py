@@ -257,6 +257,43 @@ class TestRunExperiment:
                        rho_values=(0.3, 0.7, 0.3, 0.7, 0.3), delta_grid=100)
         assert sorted(built) == [0.3, 0.7]
 
+    @pytest.mark.parametrize(
+        "spec, cell",
+        [(dict(n_values=(16, 20000)),
+          r"n=20000, m=10000, rho=0\.7: an observation set has at most 2\^27 entries"),
+         (dict(K=5000, L=5000, n_values=(10000,)),
+          r"n=10000, m=5000, rho=0\.7: a rand graphon has at most 2\^24 cells")],
+        ids=["entries", "graphon-cells"],
+    )
+    def test_a_cell_whose_data_cannot_be_built_is_refused_naming_it(self, spec, cell,
+                                                                    monkeypatch):
+        # the n = 16 cell used to run before the n = 20000 cell was refused, and a
+        # graphon of 5000 x 5000 cells was accepted
+        monkeypatch.setattr(experiments, "synthesize", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=rf"^the data of the cell {cell}"):
+            tiny_spec(**spec)
+        with pytest.raises(ValueError, match=cell):
+            ExperimentSpec.from_dict({**tiny_spec().to_dict(), **spec})
+
+    @pytest.mark.parametrize(
+        "sweep, rhos",
+        [(dict(n_values=(20, 24), reps=3), [0.7]),
+         (dict(setup="cos_graphon", n_values=None, rho_values=(0.3, 0.6), n=20, m=16, reps=2),
+          [0.3, 0.6])],
+        ids=["n-sweep", "rho-sweep"],
+    )
+    def test_a_run_builds_one_graphon_per_distinct_rho(self, sweep, rhos, monkeypatch):
+        # each (sweep value, rep) cell used to build its own graphon, and each
+        # closed-form oracle row one more: 6 in both runs
+        spec = tiny_spec(**sweep)
+        built = []
+        real = experiments.make_standard_graphon
+        monkeypatch.setattr(experiments, "make_standard_graphon",
+                            lambda *a, **kw: built.append(kw["rho"]) or real(*a, **kw))
+        result = run_experiment(spec)
+        assert sorted(built) == rhos
+        assert len(result.records) == len(spec.sweep_cells()) * spec.reps
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
     def test_tol_gamma_checked_at_construction(self, bad):
         with pytest.raises(ValueError, match="tol_gamma"):

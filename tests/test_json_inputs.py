@@ -1,11 +1,12 @@
-"""Every JSON file the CLI reads, with one leaf made bad.
+"""Every JSON and CSV file the CLI reads, with one leaf or entry made bad.
 
 A round trip writes ``meta.json``, ``latents.json`` and ``model.json``; a grid
 file and an experiment spec are written as a user would.  Each case replaces
 one leaf of one file (or shortens a list, or removes a key) and runs the
 command that reads the file.  The command must either exit 0 with only finite
 numbers in the JSON it writes, or exit 2 with a message that names the file
-and the key, and write nothing.
+and the key, and write nothing.  The CSV matrices of the round trip are edited
+the same way, one entry or row at a time or emptied, and a refusal names the file.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,17 +168,85 @@ def test_a_bad_leaf_exits_zero_or_two_naming_the_file_and_key(round_trip, case):
     _run_edited(round_trip, name, path, value)
 
 
-@pytest.mark.parametrize("rho", [float("nan"), -0.5, 0.0, math.inf])
+LONGER, EMPTIED = "<one item longer>", "<file emptied>"
+CSV_FILES = ("H.csv", "H_prime.csv", "theta_star.csv")
+CSV_EDITS = (1e155, -1e200, 1e308, "x", SHORTER, LONGER, EMPTIED)
+
+
+def _csv_edited(text, i, j, edit):
+    """``text`` emptied, or with its ``i``-th row one entry shorter or longer, or with the
+    ``j``-th entry of that row replaced by ``edit``; indices wrap around."""
+    if edit is EMPTIED:
+        return ""
+    rows = [line.split(",") for line in text.splitlines()]
+    row = rows[i % len(rows)]
+    if edit is SHORTER:
+        row.pop()
+    elif edit is LONGER:
+        row.append(row[-1])
+    else:
+        row[j % len(row)] = str(edit)
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _csv_command(name, files, out):
+    """The command that reads the matrix ``name``: ``fit`` for H, ``ewa`` for H' and
+    ``eval`` for the truth."""
+    if name == "H.csv":
+        return ["fit", "--K", "3", "--L", "3", "--input", files[name],
+                "--output", str(out / "model.json")]
+    return _command("grid.json" if name == "H_prime.csv" else "meta.json", files, out)
+
+
+# a short row and an empty file used to exit 2 naming no file, the empty file after
+# numpy's warning
+@example(case=("H.csv", 5, 0, SHORTER))
+@example(case=("H.csv", 0, 0, EMPTIED))
+@settings(max_examples=60, deadline=None)
+@given(case=st.tuples(st.sampled_from(CSV_FILES), st.integers(0, 999), st.integers(0, 999),
+                      st.sampled_from(CSV_EDITS)))
+def test_a_bad_csv_entry_exits_zero_or_two_naming_the_file(round_trip, case):
+    name, i, j, edit = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {f.name: str(f) for f in round_trip.iterdir()}
+        files[name] = str(tmp / name)
+        Path(files[name]).write_text(_csv_edited((round_trip / name).read_text(), i, j, edit))
+        out = tmp / "out"
+        out.mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(_csv_command(name, files, out))
+        message = err.getvalue()
+        assert rc in (0, 2) and "Traceback" not in message, message
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            for written in out.rglob("*.json"):
+                json.loads(written.read_text(), parse_constant=_reject_constant)
+        else:
+            assert files[name] in message, message
+            assert not any(out.iterdir()), sorted(out.iterdir())
+
+
+_RHO_RULE = r"^rho must be a number in \(0, 1e\+100\], got "
+
+
+@pytest.mark.parametrize("rho", [float("nan"), -0.5, 0.0, math.inf, 1e200])
 def test_rate_bound_refuses_a_rho_that_is_not_finite_and_positive(rho):
-    with pytest.raises(ValueError, match=rf"rho {re.escape(repr(rho))} with noise model "
-                                         r"\{'kind': 'bernoulli'\}"):
+    # core.check_rho's rule: 1e200 used to give a bound of 3.6e200
+    with pytest.raises(ValueError, match=rf"{_RHO_RULE}{re.escape(repr(rho))}$"):
         rate_bound(NoiseModel.bernoulli(), rho, 30, 20, 3, 3)
 
 
 @pytest.mark.parametrize("noise, rho", [(NoiseModel.bernoulli(), 1e308),
                                         (NoiseModel.gaussian(1e307), 0.5)])
 def test_rate_bound_refuses_a_bound_that_is_not_finite(noise, rho):
-    with pytest.raises(ValueError, match=rf"rho {re.escape(repr(rho))} with noise model .* inf;"):
+    # a rho beyond check_rho's rule is refused by that rule before the bound is formed
+    message = (rf"{_RHO_RULE}1e\+308$" if noise.kind == "bernoulli"
+               else r"rho 0\.5 with noise model .* inf;")
+    with pytest.raises(ValueError, match=message):
         rate_bound(noise, rho, 30, 20, 3, 3)
 
 
