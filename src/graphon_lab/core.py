@@ -26,6 +26,7 @@ __all__ = [
     "finite_positive",
     "check_seed",
     "check_rho",
+    "check_probability",
     "is_integer",
     "is_number",
     "check_positive_integers",
@@ -232,6 +233,12 @@ def check_rho(rho):
     if not (is_number(rho) and 0 < rho <= MAX_ABS):
         raise ValueError(f"rho must be a number in (0, {MAX_ABS:g}], got {rho!r}")
     return rho
+
+
+def check_probability(p, name: str = "p") -> None:
+    """``ValueError`` naming ``name`` and ``p`` unless ``p`` is a number in ``(0, 1]``."""
+    if not (is_number(p) and 0 < p <= 1):
+        raise ValueError(f"{name} must lie in (0, 1], got {p!r}")
 
 
 def check_positive_integers(**values) -> None:
@@ -519,8 +526,8 @@ class ObservationSet:
                 object.__setattr__(self, name, M)
         if (self.mask is None) != (self.p is None):
             raise ValueError("mask and p must be given together")
-        if self.p is not None and not (is_number(self.p) and 0 < self.p <= 1):
-            raise ValueError("observation probability p must lie in (0, 1]")
+        if self.p is not None:
+            check_probability(self.p)
         if self.latents is not None:
             U, V = (check_latents(x, name) for x, name in zip(self.latents, "UV"))
             if U.shape != (H.shape[0],) or V.shape != (H.shape[1],):

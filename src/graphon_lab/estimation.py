@@ -23,7 +23,7 @@ from .core import (
     is_integer, is_number,
 )
 from .flow import min_cost_assignment
-from .synthesis import substream
+from .synthesis import seed_sequence, substream
 
 __all__ = [
     "FitConfig",
@@ -52,13 +52,8 @@ _RSVD_MIN_RATIO = 10
 _RSVD_NOISE = 1.5
 _RSVD_RESOLVED = 5.0
 _F32_EXACT = 2.0 ** 24  # integers below this magnitude are exact in float32
-# an exact float32 H product is updated from the rows or columns whose labels
-# moved when H has at least this many entries and at most this share of the
-# axis moved, else recomputed whole.  With 1-thread OpenBLAS, random-init
-# fits (K = L = 3 to 10) that updated ran 1-11% slower at 2^16 entries and
-# 13-37% faster at 724 x 362; updating a 1024 x 512 product cost 0.15-0.2
-# of the whole product with a tenth of the axis moved, 0.25-0.45 with a
-# quarter and 0.85-0.95 with half
+# an exact float32 H product is updated from the moved rows or columns when H has at least
+# this many entries and at most this share of an axis moved, else recomputed (see CHANGES.md)
 _UPDATE_MIN_ENTRIES = 2 ** 17
 _UPDATE_MAX_MOVED = 0.25
 
@@ -229,8 +224,7 @@ def _random_labels(
 
 
 def _spawned_seeds(seed: int, key: int, count: int) -> list:
-    states = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
-    return [int(s) for s in states.generate_state(count, dtype=np.uint64)]
+    return [int(s) for s in seed_sequence(seed, key).generate_state(count, dtype=np.uint64)]
 
 
 def spectral_embedding(
@@ -426,8 +420,7 @@ class _Prepared(NamedTuple):
 
 def _transpose(M: np.ndarray) -> np.ndarray:
     """``M.T`` in C order, copied 64 rows of ``M`` at a time: a block stays in
-    cache while its columns are written (3x faster than one strided copy
-    at 1024 x 512 and up)."""
+    cache while its columns are written, 3x faster than one strided copy."""
     out = np.empty(M.shape[::-1], dtype=M.dtype)
     for i in range(0, M.shape[0], 64):
         out[:, i:i + 64] = M[i:i + 64].T
@@ -735,7 +728,6 @@ def fit_grid(
     the shape of ``H`` (the message names the entry), ``seed`` is not a
     non-negative integer, or ``H`` or ``||H||_F^2`` is not finite.
     """
-    check_seed(seed)
     H = np.asarray(H, dtype=np.float64)
     check_grid(grid, H.shape)
     H_sq = _sq_norm(H)

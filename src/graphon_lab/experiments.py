@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .aggregation import check_temperature, ewa_weights, mixture, sq_residuals, temperature
-from .core import (AssignmentMatrix, Graphon, NoiseModel, check_counts, check_rho, check_seed,
-                   induced_mean, is_integer)
+from .core import (AssignmentMatrix, Graphon, NoiseModel, check_counts, check_positive_integers,
+                   check_rho, check_seed, induced_mean, is_integer)
 from .estimation import FitConfig, HyperGrid, default_grid, fit_grid, lloyd_fit
 from .evaluation import (
     delta_tilde,
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _SETUPS = ("rand_graphon", "cos_graphon", "hoelder")
+_N_VALUES = "a non-empty list of positive integers"
 
 RECORD_FIELDS = (
     "sweep_value",
@@ -139,18 +140,21 @@ class ExperimentSpec:
         for name, test, what in (
             ("name", lambda x: isinstance(x, str), "a string"),
             ("noise", lambda x: isinstance(x, NoiseModel), "a NoiseModel"),
-            ("n_values", lambda x: _nonempty_list(x, _is_size),
-             "a non-empty list of positive integers"),
+            ("n_values", _nonempty_list, _N_VALUES),
             ("rho_values", _nonempty_list, "a non-empty list"),
-            ("n", _is_size, "a positive integer"), ("m", _is_size, "a positive integer"),
-            ("reps", _is_size, "a positive integer"),
             ("inits", lambda x: _nonempty_list(x, lambda s: isinstance(s, str)),
              "a non-empty list of strings"),
             ("delta_grid", is_integer, "an integer"),
         ):
             value = getattr(self, name)  # None stands for a value not given
-            if not (test(value) or value is None and name in ("n_values", "rho_values", "n", "m")):
+            if not (test(value) or value is None and name in ("n_values", "rho_values")):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        try:  # each n of the sweep by the core rule, under the sweep's own message
+            check_positive_integers(**{f"n{i}": n for i, n in enumerate(self.n_values or ())})
+        except ValueError:
+            raise ValueError(f"n_values must be {_N_VALUES}, got {self.n_values!r}") from None
+        check_positive_integers(reps=self.reps, **{k: v for k, v in (("n", self.n), ("m", self.m))
+                                                   if v is not None})
         if self.rho_values is not None and (self.n is None or self.m is None):
             raise ValueError("a rho sweep needs fixed n and m")
         both_omitted = self.K is None and self.L is None
@@ -223,10 +227,6 @@ class ExperimentSpec:
         if "noise" in d:
             values["noise"] = noise_from_json(where, d, "noise")
         return json_key(where, values, "", lambda v: ExperimentSpec(**v))
-
-
-def _is_size(x) -> bool:
-    return is_integer(x) and x >= 1
 
 
 def _nonempty_list(x, item=lambda _: True) -> bool:

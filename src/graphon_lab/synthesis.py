@@ -28,10 +28,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (Graphon, NoiseModel, ObservationSet, check_latents, check_positive_integers,
-                   check_rho, check_seed, is_number)
+                   check_probability, check_rho, check_seed)
 
 __all__ = [
     "SynthConfig",
+    "seed_sequence",
     "substream",
     "cell_seed",
     "sample_latents",
@@ -57,17 +58,20 @@ _CELLS_BITS = 24
 _ENTRIES_BITS = 27
 
 
+def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of a substream, refusing a seed that :func:`check_seed` refuses."""
+    check_seed(seed)
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """A Philox generator on the substream identified by ``key``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, *key)))
 
 
 def cell_seed(root_seed: int, *key: int) -> int:
     """A 63-bit seed derived deterministically from a root seed and a key."""
-    state = np.random.SeedSequence(
-        entropy=int(root_seed), spawn_key=tuple(int(k) for k in key)
-    ).generate_state(1, dtype=np.uint64)[0]
+    state = seed_sequence(root_seed, *key).generate_state(1, dtype=np.uint64)[0]
     return int(state >> np.uint64(1))
 
 
@@ -85,9 +89,8 @@ class SynthConfig:
 
     def __post_init__(self):
         _check_sizes("an observation set", "entries", _ENTRIES_BITS, n=self.n, m=self.m)
-        p = self.missing_p
-        if p is not None and not (is_number(p) and 0 < p <= 1):
-            raise ValueError(f"missing_p must lie in (0, 1], got {p!r}")
+        if self.missing_p is not None:
+            check_probability(self.missing_p, "missing_p")
         check_seed(self.seed)
 
 
@@ -163,8 +166,7 @@ def apply_missingness(
 
 def _reveal_mask(shape: Tuple[int, int], p: float, seed: int) -> np.ndarray:
     """The 0/1 mask of :func:`apply_missingness`, drawn alone."""
-    if not (is_number(p) and 0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    check_probability(p)
     return (substream(seed, STREAM_MASK).random(shape) < p).astype(np.float64)
 
 
@@ -209,7 +211,6 @@ def make_standard_graphon(kind: str, **params) -> Graphon:
         K, L = params["K"], params["L"]
         _check_sizes(f"a {kind} graphon", "cells", _CELLS_BITS, K=K, L=L)
     if kind == "rand":
-        check_seed(params["seed"])
         rng = substream(params["seed"], STREAM_GRAPHON)
         values = rho * rng.random((K, L))
         return Graphon.piecewise_constant(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -474,6 +475,21 @@ def test_experiment_noise_with_an_unknown_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_experiment_infeasible_cell_exits_two_naming_the_spec(tmp_path, capsys):
+    # 4 row clusters of at least 5 rows do not fit the cell's 16 rows: the cell used
+    # to be skipped with a log line, leaving an empty records CSV and exit 0
+    spec = {"name": "bad", "setup": "rand_graphon", "K": 4, "L": 4, "n0": 5, "n_values": [16],
+            "reps": 1}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    rc = main(["experiment", "--config", str(tmp_path / "spec.json"),
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "spec.json") in err and "n0=5" in err
+    assert "infeasible row sizes: 4 * 5 > 16" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "fit", "ewa"])
 def test_negative_seed_exits_two_naming_the_seed(synth_dir, tmp_path, capsys, command):
     # numpy's SeedSequence refused it with "expected non-negative integer"
@@ -596,6 +612,84 @@ def test_fit_random_init_fills_every_cluster(tmp_path):
     )
     assert rc == 0
     assert sorted(load_json(tmp_path / "model.json")["row_labels"]) == list(range(12))
+
+
+_RAND_48 = ["--setup", "rand", "--n", "48", "--m", "24", "--K", "3", "--L", "3"]
+
+
+@pytest.mark.parametrize("synth, fit", [
+    # K = 30 is at most n = 48 but above min(n, m) = 24, as a grid entry may be
+    (_RAND_48, ["--K", "30", "--L", "2"]),
+    # counts 0 to 3, which are not 0/1: the fit takes the exact float32 products
+    (_RAND_48 + ["--noise", "scaled_poisson", "--noise-param", "1"],
+     ["--K", "3", "--L", "3", "--n0", "8", "--m0", "4", "--init", "random", "--restarts", "3"]),
+    # 600 x 300 counts: the early iterations move many labels and take whole H
+    # products, the later ones update them from the moved rows and columns
+    (["--setup", "rand", "--n", "600", "--m", "300", "--K", "6", "--L", "6",
+      "--noise", "scaled_poisson", "--noise-param", "1"],
+     ["--K", "6", "--L", "6", "--init", "random", "--restarts", "3"]),
+    # Gaussian data has negative entries: the degree trim takes the masses
+    # from |H| and the prescale from max |B|
+    (["--setup", "rand", "--n", "300", "--m", "150", "--K", "4", "--L", "4",
+      "--noise", "gaussian", "--noise-param", "1"], ["--K", "4", "--L", "4"]),
+], ids=["K-above-min-n-m", "counts-with-floors", "counts-600x300", "signed-spectral"])
+def test_fit_of_synth_data_never_increases_its_cost(tmp_path, synth, fit):
+    data, out = tmp_path / "data", tmp_path / "model.json"
+    assert main(["synth", *synth, "--seed", "1", "--outdir", str(data)]) == 0
+    assert main(["fit", *fit, "--input", str(data / "H.csv"), "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    options = dict(zip(fit[::2], fit[1::2]))
+    assert report["init"] == options.get("--init", "spectral")
+    traj = report["cost_trajectory"]
+    assert traj and all(math.isfinite(x) for x in traj)
+    assert all(b <= a for a, b in zip(traj, traj[1:])), traj
+    for key, count, floor in (("row_labels", "--K", "--n0"), ("col_labels", "--L", "--m0")):
+        sizes = np.bincount(report[key], minlength=int(options[count]))
+        assert len(sizes) == int(options[count]) and sizes.min() >= int(options.get(floor, 1))
+
+
+def test_round_trip_with_binding_floors_writes_only_finite_json(tmp_path):
+    # floors of n/K rows and m/L columns make the fit and every ewa fit a
+    # binding solve; json.loads takes NaN and Infinity unless parse_constant
+    # refuses them
+    d = tmp_path / "data"
+    assert main(["synth", *_RAND_48, "--seed", "1", "--second-copy", "--outdir", str(d)]) == 0
+    assert main(["fit", "--K", "3", "--L", "3", "--n0", "16", "--m0", "8",
+                 "--input", str(d / "H.csv"), "--output", str(tmp_path / "model.json")]) == 0
+    assert main(["eval", "--model", str(tmp_path / "model.json"),
+                 "--truth", str(d / "theta_star.csv"), "--latents", str(d / "latents.json"),
+                 "--meta", str(d / "meta.json"), "--input", str(d / "H.csv"),
+                 "--metrics", "mse,delta,oracle,rate",
+                 "--output", str(tmp_path / "metrics.json")]) == 0
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"entries": [[2, 2, 24, 12], [3, 3, 16, 8], [4, 4, 12, 6]]}))
+    assert main(["ewa", "--grid", str(grid), "--noise", "bernoulli",
+                 "--input", str(d / "H.csv"), "--input-prime", str(d / "H_prime.csv"),
+                 "--output", str(tmp_path / "ewa.json")]) == 0
+    assert load_matrix(tmp_path / "ewa_aggregate.csv").shape == (48, 24)
+    written = [d / "meta.json", d / "latents.json", tmp_path / "model.json",
+               tmp_path / "metrics.json", tmp_path / "ewa.json"]
+    docs = [json.loads(path.read_text(), parse_constant=_reject_constant) for path in written]
+    model, metrics, ewa = docs[2:]
+    assert np.bincount(model["row_labels"]).tolist() == [16] * 3
+    assert np.bincount(model["col_labels"]).tolist() == [8] * 3
+    assert set(metrics) == {"mse_theta", "delta_tilde", "oracle_mse", "rate_bound"}
+    assert len(ewa["weights"]) == 3
+
+
+def test_ewa_over_the_default_grid_of_200_by_100_data(tmp_path):
+    # 1,260 entries with K up to 32: most floored fits take binding,
+    # multi-round flow solves
+    d = tmp_path / "data"
+    assert main(["synth", "--setup", "cos", "--n", "200", "--m", "100", "--K", "4", "--L", "4",
+                 "--rho", "0.6", "--second-copy", "--outdir", str(d)]) == 0
+    out = tmp_path / "ewa.json"
+    assert main(["ewa", "--grid", "default", "--noise", "bernoulli", "--input", str(d / "H.csv"),
+                 "--input-prime", str(d / "H_prime.csv"), "--output", str(out)]) == 0
+    weights = json.loads(out.read_text(), parse_constant=_reject_constant)["weights"]
+    assert len(weights) == 1260
+    assert all(math.isfinite(w) and w >= 0 for w in weights)
+    assert abs(math.fsum(weights) - 1.0) <= 1e-9, math.fsum(weights)
 
 
 def test_eval_unknown_metric_exits_two(synth_dir, tmp_path, capsys):

@@ -1304,10 +1304,6 @@ def _axis_step_checked(sums, sq_norms, Q, fixed, floor, costs=None):
     return z, size, c
 
 
-def _start_repair_reference(M, sq_norms, labels, z_fixed, K):
-    return _repair_empty_rows_reference(M, labels, z_fixed, K)
-
-
 def _start_repair_from_sums(M, sq_norms, labels, z_fixed, K):
     """The estimator's repair of start labels, from the sums ``M Z`` of the
     held axis ``z_fixed`` as the loop holds them; each move is checked to
@@ -1321,19 +1317,18 @@ def _start_repair_from_sums(M, sq_norms, labels, z_fixed, K):
     return assign(K, got)
 
 
-def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg,
-                           start_repair=_start_repair_reference, costs=None):
+def _lloyd_run_recomputing(H, Ht, row_labels, col_labels, cfg, costs=None):
     """The Lloyd loop that rebuilds both one-hots and reads H twice on every
     iteration, whether or not an axis's labels changed, repairs the start
-    labels from H (by default) or by ``start_repair``, and checks each axis's
-    labels after every step.  ``costs``, if given, gains the shape and bytes
-    of every cost matrix a flow step receives and, after each column step,
-    of the one the trajectory reads, in order."""
+    labels as the estimator does (:func:`_start_repair_from_sums`), and checks
+    each axis's labels after every step.  ``costs``, if given, gains the
+    shape and bytes of every cost matrix a flow step receives and, after
+    each column step, of the one the trajectory reads, in order."""
     n, m = H.shape
     H_sq = float(np.einsum("ij,ij->", H, H))
     row_sq, col_sq = np.einsum("ij,ij->i", H, H), np.einsum("ij,ij->i", Ht, Ht)
-    zr = start_repair(H, row_sq, row_labels, assign(cfg.L, col_labels), cfg.K)
-    zc = start_repair(Ht, col_sq, col_labels, zr, cfg.L)
+    zr = _start_repair_from_sums(H, row_sq, row_labels, assign(cfg.L, col_labels), cfg.K)
+    zc = _start_repair_from_sums(Ht, col_sq, col_labels, zr, cfg.L)
     traj, min_row, min_col = [], n, m
     Zr, Zc = np.eye(cfg.K)[zr.labels], np.eye(cfg.L)[zc.labels]
     for _ in range(cfg.max_iters):
@@ -1384,12 +1379,10 @@ def _h_read_counter(monkeypatch):
     return h_reads, Counted
 
 
-def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads,
-                                    start_repair=_start_repair_reference):
+def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads):
     """Run ``_lloyd_run`` from ``(rows, cols)``; assert it equals the
-    recomputing loop with ``start_repair`` bitwise and reads H at most twice
-    per iteration plus once per axis whose start labels leave a cluster
-    empty.  Every cost matrix a flow step receives, and the one each column
+    recomputing loop bitwise and reads H at most twice per iteration plus
+    once per axis whose start labels leave a cluster empty.  Every cost matrix a flow step receives, and the one each column
     step ends with (after a repair, the re-averaged one), must have the
     reference's shape and bytes: a trajectory entry sums one matrix's entries
     at the labels, which can hide a change of summation order inside the
@@ -1419,8 +1412,7 @@ def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads,
     finally:
         estimation.min_cost_assignment, estimation._half_step = solve, half_step
     reads = sum(h_reads)
-    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg, start_repair,
-                                                      ref_costs)
+    ref, ref_traj, ref_sizes = _lloyd_run_recomputing(H, Ht, rows, cols, cfg, ref_costs)
     assert len(costs) == 3 * len(traj)
     assert costs == ref_costs
     assert np.array_equal(model.z_rows.labels, ref.z_rows.labels)
@@ -1434,6 +1426,39 @@ def _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads,
     bound = 2 * len(traj) + start_repairs
     assert reads <= bound
     return reads, bound, traj, sizes
+
+
+def _tied_start():
+    """0/1 data and start labels whose row repair meets an exact tie: rows 0
+    and 1, alone in row cluster 0 of 5, hold as many ones as each other in
+    each column cluster, so their squared residuals are equal, yet read from
+    H they round apart.  The other rows are constant on each column cluster
+    (residual 0), and row cluster 4 is empty.  The estimator moves row 0, a
+    repair that reads H moves row 1."""
+    cols = np.array([0, 1, 2, 0, 2, 1, 0, 0, 1, 2, 0, 2, 0, 0, 1, 2, 0, 2, 0, 2, 0, 2, 0])
+    pair = [[0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0],
+            [0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1]]
+    patterns = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0]])
+    H = np.vstack([pair, np.repeat(patterns, 6, axis=0)[:, cols]]).astype(np.float64)
+    rows = np.concatenate([[0, 0], np.repeat([1, 2, 3], 6)])
+    z_cols = assign(3, cols)
+    assert _repair_empty_rows_reference(H, rows, z_cols, 5).labels[:2].tolist() == [0, 4]
+    assert _repair(H, rows, z_cols, 5).labels[:2].tolist() == [4, 0]
+    return H, rows, cols
+
+
+def _assert_tied_start_runs_match(h_reads, Counted):
+    """The runs from :func:`_tied_start`, with and without floors and cut at
+    one iteration, equal the recomputing loop (float32 products, 0/1 data)."""
+    H, rows, cols = _tied_start()
+    prep = _prepare(H)
+    assert prep.H.dtype == np.float32
+    prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
+    for n0, m0, max_iters in [(0, 0, 40), (3, 5, 40), (0, 0, 1)]:
+        cfg = FitConfig(K=5, L=3, n0=n0, m0=m0, init="given", init_labels=(rows, cols),
+                        max_iters=max_iters)
+        _assert_run_matches_recomputing(prep, H, np.ascontiguousarray(H.T), rows, cols, cfg,
+                                        h_reads)
 
 
 @pytest.mark.parametrize("kind", ["rand", "cos", "hoelder"])
@@ -1481,6 +1506,8 @@ def test_lloyd_reuse_matches_recomputing_loop(kind, monkeypatch):
     # the cases cover start and mid-run repairs, a run cut at max_iters and
     # skipped reads
     assert started_empty and repaired and stopped and kept
+    # a start repair with an exact tie
+    _assert_tied_start_runs_match(h_reads, Counted)
 
 
 @pytest.mark.parametrize("noise", ["bernoulli", "poisson"])
@@ -1532,6 +1559,9 @@ def test_incremental_products_match_recomputing_loop(noise, monkeypatch):
                 _assert_run_matches_recomputing(prep, H, Ht, rows, cols, cfg, h_reads)
         # both the update and the fallback (random starts move many labels) ran
         assert any(updates) and not all(updates)
+    # a start repair with an exact tie, with every product updated that can be
+    monkeypatch.setattr(estimation, "_UPDATE_MIN_ENTRIES", 0)
+    _assert_tied_start_runs_match(h_reads, Counted)
 
 
 @st.composite
@@ -1585,7 +1615,7 @@ def test_lloyd_run_matches_recomputing_loop(case):
         assert prep.H.dtype == (np.float64 if wide else np.float32)
         prep = prep._replace(H=prep.H.view(Counted), Ht=prep.Ht.view(Counted))
         _assert_run_matches_recomputing(prep, H, np.ascontiguousarray(H.T), rows, cols, cfg,
-                                        h_reads, _start_repair_from_sums)
+                                        h_reads)
 
 
 def _integer_data(kind):

@@ -119,10 +119,10 @@ def lsap_reference(cost, min_size):
 
     Each cluster gets ``min_size`` mandatory slots; filling them is a
     rectangular assignment problem on the regrets against the argmin,
-    solved by scipy's shortest augmenting paths.
+    solved by scipy's shortest augmenting paths.  scipy is a test extra: a
+    test that calls this skips where it is not installed.
     """
-    from scipy.optimize import linear_sum_assignment
-
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     n, K = cost.shape
     base = np.argmin(cost, axis=1)
     if min_size == 0 or np.bincount(base, minlength=K).min() >= min_size:

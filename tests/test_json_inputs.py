@@ -113,6 +113,9 @@ def _names_the_key(message, path):
 
 
 def _run_edited(round_trip, name, path, value):
+    """Run the command that reads ``name`` edited at ``path``; assert it exits 0 with
+    finite JSON, or 2 naming the file and the key and writing nothing.  Returns the
+    exit code and the message."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {f.name: str(f) for f in round_trip.iterdir()}
@@ -132,6 +135,7 @@ def _run_edited(round_trip, name, path, value):
             assert "Traceback" not in message
             assert files[name] in message and _names_the_key(message, path), message
             assert not any(out.iterdir()), sorted(out.iterdir())
+        return rc, message
 
 
 # each input that exited 0 with a wrong answer, or 2 naming neither the file
@@ -168,6 +172,20 @@ def test_a_bad_leaf_exits_zero_or_two_naming_the_file_and_key(round_trip, case):
     _run_edited(round_trip, name, path, value)
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("meta.json", ("rho",), float("nan")),
+    ("meta.json", ("noise_model",), {"kind": "binomial", "N": True}),
+    ("grid.json", ("entries", 0, 0), 2.5),
+    ("spec.json", ("noise",), {}),
+    ("model.json", ("Q",), SHORTER),
+], ids=["rho-nan", "binomial-N-true", "fractional-K", "noise-empty", "Q-short"])
+def test_a_leaf_no_reader_takes_exits_two_naming_the_file_and_key(round_trip, name, path,
+                                                                    value):
+    # one refusal of each file a command reads: exit 2, the file and the quoted key
+    rc, message = _run_edited(round_trip, name, path, value)
+    assert rc == 2 and f"'{path[0]}" in message, message
+
+
 LONGER, EMPTIED = "<one item longer>", "<file emptied>"
 CSV_FILES = ("H.csv", "H_prime.csv", "theta_star.csv")
 CSV_EDITS = (1e155, -1e200, 1e308, "x", SHORTER, LONGER, EMPTIED)
@@ -198,15 +216,10 @@ def _csv_command(name, files, out):
     return _command("grid.json" if name == "H_prime.csv" else "meta.json", files, out)
 
 
-# a short row and an empty file used to exit 2 naming no file, the empty file after
-# numpy's warning
-@example(case=("H.csv", 5, 0, SHORTER))
-@example(case=("H.csv", 0, 0, EMPTIED))
-@settings(max_examples=60, deadline=None)
-@given(case=st.tuples(st.sampled_from(CSV_FILES), st.integers(0, 999), st.integers(0, 999),
-                      st.sampled_from(CSV_EDITS)))
-def test_a_bad_csv_entry_exits_zero_or_two_naming_the_file(round_trip, case):
-    name, i, j, edit = case
+def _run_csv_edited(round_trip, name, i, j, edit):
+    """Run the command that reads the matrix ``name`` edited by :func:`_csv_edited`;
+    assert it exits 0 with finite JSON, or 2 naming the file and writing nothing, with
+    no traceback and no warning either way.  Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {f.name: str(f) for f in round_trip.iterdir()}
@@ -228,6 +241,24 @@ def test_a_bad_csv_entry_exits_zero_or_two_naming_the_file(round_trip, case):
         else:
             assert files[name] in message, message
             assert not any(out.iterdir()), sorted(out.iterdir())
+        return rc
+
+
+# a short row and an empty file used to exit 2 naming no file, the empty file after
+# numpy's warning
+@example(case=("H.csv", 5, 0, SHORTER))
+@example(case=("H.csv", 0, 0, EMPTIED))
+@settings(max_examples=60, deadline=None)
+@given(case=st.tuples(st.sampled_from(CSV_FILES), st.integers(0, 999), st.integers(0, 999),
+                      st.sampled_from(CSV_EDITS)))
+def test_a_bad_csv_entry_exits_zero_or_two_naming_the_file(round_trip, case):
+    _run_csv_edited(round_trip, *case)
+
+
+@pytest.mark.parametrize("edit", [SHORTER, EMPTIED], ids=["short-row", "empty"])
+def test_a_short_row_or_an_empty_H_exits_two(round_trip, edit):
+    # fit refuses both, naming the file, with no warning and no model written
+    assert _run_csv_edited(round_trip, "H.csv", 5, 0, edit) == 2
 
 
 _RHO_RULE = r"^rho must be a number in \(0, 1e\+100\], got "

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from graphon_lab import synthesis
+from graphon_lab import estimation, synthesis
 from graphon_lab.core import Graphon, NoiseModel
 from graphon_lab.synthesis import (
     SynthConfig,
@@ -186,6 +186,48 @@ class TestMissingness:
             apply_missingness(np.ones((2, 2)), 0.0, seed=0)
         with pytest.raises(ValueError):
             apply_missingness(np.ones((2, 2)), 1.5, seed=0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.5, -0.5, float("nan"), True, "0.5", None])
+    def test_a_refused_p_is_named_with_its_value(self, p):
+        # the refusal used to read "p must lie in (0, 1]", without the value
+        message = rf"^p must lie in \(0, 1\], got {re.escape(repr(p))}$"
+        with pytest.raises(ValueError, match=message):
+            apply_missingness(np.ones((2, 2)), p, seed=0)
+
+
+# every function that draws from a seed, called with that seed
+_SEEDED = {
+    "substream": lambda seed: synthesis.substream(seed, 1, 2),
+    "cell_seed": lambda seed: synthesis.cell_seed(seed, 3),
+    "sample_latents": lambda seed: sample_latents(5, 5, seed),
+    "sample_observations": lambda seed: sample_observations(
+        np.full((3, 2), 0.5), NoiseModel.bernoulli(), seed),
+    "apply_missingness": lambda seed: apply_missingness(np.ones((3, 2)), 0.5, seed),
+    "spawned_seeds": lambda seed: estimation._spawned_seeds(seed, 7, 1),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, 2.7, True, -1])
+    @pytest.mark.parametrize("draw", list(_SEEDED), ids=list(_SEEDED))
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, draw, seed):
+        # int() used to truncate 1.5 and read True as 1, and numpy refused -1
+        # with "expected non-negative integer", naming no seed
+        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            _SEEDED[draw](seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1, np.int64(7), np.uint32(9)])
+    @pytest.mark.parametrize("key", [(), (4,), (1, 2, 3)])
+    def test_valid_seeds_draw_as_a_seed_sequence_built_directly(self, seed, key):
+        want = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+        assert (synthesis.substream(seed, *key).random(4).tobytes()
+                == np.random.Generator(np.random.Philox(want)).random(4).tobytes())
+        state = want.generate_state(1, dtype=np.uint64)[0]
+        assert synthesis.cell_seed(seed, *key) == int(state >> np.uint64(1))
+        assert estimation._spawned_seeds(seed, 7, 3) == [
+            int(s) for s in np.random.SeedSequence(entropy=int(seed), spawn_key=(7,))
+            .generate_state(3, dtype=np.uint64)]
 
 
 class TestStandardGraphons:
